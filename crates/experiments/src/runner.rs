@@ -5,36 +5,36 @@
 //! Runs are self-contained — each [`run`] owns its simulation and tracer
 //! end-to-end — so independent (scenario, seed) jobs can be farmed out to
 //! the [`Executor`] worker pool. Results always come back in submission
-//! order, and traced runs write to per-run sink files that the executor
-//! merges in run-id order, so `--jobs N` output is byte-identical to
-//! `--jobs 1`.
+//! order, and traced runs write keyed part files that the executor merges
+//! in run-id order, so `--jobs N` output is byte-identical to `--jobs 1`.
 
 use crate::protocols;
 use mpcc_metrics::{RateSeries, Summary};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::{LinkParams, LinkStats};
 use mpcc_netsim::topology::parallel_links;
-use mpcc_netsim::{EndpointId, ShardedSimulation, Simulation};
+use mpcc_netsim::{EndpointId, ShardedSimulation};
 use mpcc_simcore::{rng::splitmix64, DispatchStamp, SimDuration, SimTime};
 use mpcc_telemetry::{
-    merge_keyed_parts, CsvSink, JsonlSink, KeyedSink, LayerMask, MetricsPipeline, PipelineConfig,
-    Record, TeeSink, TraceSink, Tracer,
+    merge_keyed_parts, KeyedSink, LayerMask, MetricsPipeline, PipelineConfig, Record, TeeSink,
+    TraceSink, Tracer,
 };
 use mpcc_transport::{MpReceiver, MpSender, ReceiverStats, SenderConfig, Workload};
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::{fmt, fs};
 
 /// Where traced runs write their records.
 ///
-/// Each run gets its own sink file (`<stem>.run<NNNNN>.<ext>`) so
-/// concurrent runs never interleave records; once a batch completes the
-/// [`Executor`] appends the per-run files to `path` in run-id order and
-/// removes them. Run ids are assigned at submission, which makes the
-/// merged trace independent of the worker count.
+/// Every run streams into its own keyed part file next to `path` (one per
+/// shard of a sharded run; see [`ShardTelemetry`]), so concurrent runs
+/// never interleave records. Once a run completes its parts are merged
+/// into `path` and removed; the [`Executor`] merges a batch one run after
+/// another in run-id order. Run ids are assigned at submission, which
+/// makes the merged trace independent of the worker count.
 #[derive(Clone, Debug)]
 pub struct TraceConfig {
     /// The merged output file (`.csv` selects CSV, anything else JSONL).
@@ -48,58 +48,15 @@ impl TraceConfig {
     pub fn is_csv(&self) -> bool {
         self.path.extension().is_some_and(|e| e == "csv")
     }
-
-    /// The per-run sink file for `run_id`.
-    pub fn run_path(&self, run_id: u64) -> PathBuf {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("trace");
-        let ext = self
-            .path
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or("jsonl");
-        self.path
-            .with_file_name(format!("{stem}.run{run_id:05}.{ext}"))
-    }
-
-    /// The per-shard keyed part file of a directly-built sharded run
-    /// (see [`ShardTelemetry`]).
-    pub fn shard_path(&self, tag: &str, shard: usize) -> PathBuf {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("trace");
-        let ext = self
-            .path
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or("jsonl");
-        self.path
-            .with_file_name(format!("{stem}.{tag}.shard{shard:02}.{ext}"))
-    }
-
-    fn make_sink(&self, run_id: u64) -> io::Result<Arc<dyn TraceSink>> {
-        let path = self.run_path(run_id);
-        Ok(if self.is_csv() {
-            Arc::new(CsvSink::create(&path)?)
-        } else {
-            Arc::new(JsonlSink::create(&path)?)
-        })
-    }
 }
 
 /// Where runs flush their time-binned metrics rows (see
 /// [`mpcc_telemetry::MetricsPipeline`]).
 ///
-/// The per-run part-file and merge discipline is identical to
-/// [`TraceConfig`]: every run folds its own trace stream into its own
-/// `<stem>.run<NNNNN>.<ext>` file, and the [`Executor`] concatenates them
-/// into `path` in run-id order, so the merged series are byte-identical
-/// at any `--jobs` count.
+/// The part-file and merge discipline is identical to [`TraceConfig`]:
+/// every run (every shard of a sharded run) folds its own trace stream
+/// into its own keyed part file, merged into `path` in run-id order, so
+/// the merged series are byte-identical at any `--jobs` count.
 #[derive(Clone, Debug)]
 pub struct MetricsConfig {
     /// The merged output file (`.csv` selects CSV, anything else JSONL).
@@ -132,50 +89,14 @@ impl MetricsConfig {
     pub fn is_csv(&self) -> bool {
         self.path.extension().is_some_and(|e| e == "csv")
     }
+}
 
-    /// The per-run part file for `run_id`.
-    pub fn run_path(&self, run_id: u64) -> PathBuf {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("metrics");
-        let ext = self
-            .path
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or("jsonl");
-        self.path
-            .with_file_name(format!("{stem}.run{run_id:05}.{ext}"))
-    }
-
-    /// The per-shard keyed part file of a directly-built sharded run
-    /// (see [`ShardTelemetry`]).
-    pub fn shard_path(&self, tag: &str, shard: usize) -> PathBuf {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("metrics");
-        let ext = self
-            .path
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or("jsonl");
-        self.path
-            .with_file_name(format!("{stem}.{tag}.shard{shard:02}.{ext}"))
-    }
-
-    fn make_pipeline(&self, run_id: u64) -> io::Result<Arc<MetricsPipeline>> {
-        let cfg = PipelineConfig::default()
-            .with_bin(self.bin)
-            .with_ring(self.ring_lines)
-            .with_run(run_id);
-        Ok(Arc::new(MetricsPipeline::create(
-            cfg,
-            &self.run_path(run_id),
-        )?))
-    }
+/// The keyed part file `<stem>.<tag>.shard<NN>.<ext>` next to the merged
+/// output `path`; `stem` stands in when `path` has none.
+fn part_path(path: &Path, stem: &str, tag: &str, shard: usize) -> PathBuf {
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or(stem);
+    let ext = path.extension().and_then(|s| s.to_str()).unwrap_or("jsonl");
+    path.with_file_name(format!("{stem}.{tag}.shard{shard:02}.{ext}"))
 }
 
 struct ExecInner {
@@ -334,21 +255,26 @@ impl Executor {
     }
 
     /// Runs a batch of independent scenarios across the pool, returning
-    /// results in submission order. With tracing configured, each run
-    /// writes its own sink file and the batch's files are merged into the
-    /// main trace file in run-id (= submission) order afterwards.
+    /// results in submission order. With tracing or metrics configured,
+    /// each run writes its own keyed part files, and the batch's parts are
+    /// merged into the main files one run after another in run-id (=
+    /// submission) order afterwards.
     pub fn run_batch(&self, scs: Vec<Scenario>) -> Vec<RunResult> {
         // Run ids are assigned before anything executes: the merge below
         // orders by id, never by completion.
+        let mut telemetry = Vec::new();
         let jobs: Vec<Scenario> = scs
             .into_iter()
             .map(|mut sc| {
-                let id = self.inner.next_run_id.fetch_add(1, Ordering::Relaxed);
-                if let Some(tracer) = self
-                    .make_run_tracer(id)
-                    .unwrap_or_else(|e| panic!("cannot create per-run sink file: {e}"))
-                {
-                    sc.tracer = tracer;
+                sc.run_id = self.inner.next_run_id.fetch_add(1, Ordering::Relaxed);
+                if let Some(mut t) = self.telemetry(sc.run_id, format!("run{:05}", sc.run_id)) {
+                    // One instance emits in dispatch order already, so its
+                    // part's stamp can stay idle: the per-record sequence
+                    // number alone keys the part.
+                    sc.tracer = t
+                        .make_tracer(0, &Arc::default())
+                        .unwrap_or_else(|e| panic!("cannot create per-run part file: {e}"));
+                    telemetry.push(t);
                 }
                 if let Some(fp) = self.inner.faults {
                     for link in &mut sc.links {
@@ -358,50 +284,14 @@ impl Executor {
                         params.faults = params.faults.overlay(fp);
                     }
                 }
-                sc.run_id = id;
                 sc
             })
             .collect();
-        let ids: Vec<u64> = jobs.iter().map(|sc| sc.run_id).collect();
         let results = self.map(jobs, |sc| run(&sc));
-        if let Some(tc) = &self.inner.trace {
-            merge_parts(&tc.path, tc.is_csv(), &ids, |id| tc.run_path(id))
-                .expect("cannot merge per-run trace files");
-        }
-        if let Some(mc) = &self.inner.metrics {
-            merge_parts(&mc.path, mc.is_csv(), &ids, |id| mc.run_path(id))
-                .expect("cannot merge per-run metrics files");
+        for t in telemetry {
+            t.merge().expect("cannot merge per-run part files");
         }
         results
-    }
-
-    /// Builds the tracer a run with `run_id` should emit into, combining
-    /// the trace and metrics configurations:
-    ///
-    /// * neither configured → `None` (the scenario keeps its own tracer);
-    /// * trace only → the raw sink behind the trace mask (as before);
-    /// * metrics only → the run's [`MetricsPipeline`] seeing every layer;
-    /// * both → a [`TeeSink`] whose trace branch keeps the `--trace-filter`
-    ///   mask while the metrics branch sees every layer, so attaching
-    ///   metrics never changes the trace bytes.
-    fn make_run_tracer(&self, run_id: u64) -> io::Result<Option<Tracer>> {
-        let trace = &self.inner.trace;
-        let metrics = &self.inner.metrics;
-        Ok(match (trace, metrics) {
-            (None, None) => None,
-            (Some(tc), None) => Some(Tracer::new(tc.make_sink(run_id)?, tc.mask)),
-            (None, Some(mc)) => Some(Tracer::new(mc.make_pipeline(run_id)?, LayerMask::ALL)),
-            (Some(tc), Some(mc)) => {
-                let tee = TeeSink::new(vec![
-                    (tc.make_sink(run_id)?, tc.mask),
-                    (
-                        mc.make_pipeline(run_id)? as Arc<dyn TraceSink>,
-                        LayerMask::ALL,
-                    ),
-                ]);
-                Some(Tracer::new(Arc::new(tee), LayerMask::ALL))
-            }
-        })
     }
 
     /// Runs one scenario through the pool machinery (so it is traced and
@@ -430,30 +320,33 @@ impl Executor {
     /// deterministic order (before farming jobs to [`Executor::map`]) so
     /// run ids are worker-count-independent, like batch submission ids.
     pub fn shard_telemetry(&self, tag: &str) -> Option<ShardTelemetry> {
-        if self.inner.trace.is_none() && self.inner.metrics.is_none() {
-            return None;
-        }
-        Some(ShardTelemetry {
-            trace: self.inner.trace.clone(),
-            metrics: self.inner.metrics.clone(),
-            run_id: self.inner.next_run_id.fetch_add(1, Ordering::Relaxed),
-            tag: tag.to_string(),
+        let run_id = self.inner.next_run_id.fetch_add(1, Ordering::Relaxed);
+        self.telemetry(run_id, tag.to_string())
+    }
+
+    /// The part-file telemetry of run `run_id`, if any sink is configured.
+    fn telemetry(&self, run_id: u64, tag: String) -> Option<ShardTelemetry> {
+        let (trace, metrics) = (self.inner.trace.clone(), self.inner.metrics.clone());
+        (trace.is_some() || metrics.is_some()).then(|| ShardTelemetry {
+            trace,
+            metrics,
+            run_id,
+            tag,
             trace_parts: Vec::new(),
             metrics_parts: Vec::new(),
         })
     }
 }
 
-/// Per-shard telemetry for directly-built scenarios (`churn`, the sharded
-/// `fig19` paths): one keyed part stream per shard, merged afterwards into
-/// the executor's `--trace`/`--metrics` files in canonical dispatch order,
-/// so the merged bytes are identical at every `--shards` count and across
-/// the sequential/threaded backends (DESIGN.md §13).
+/// The telemetry of one run: one keyed part stream per shard (a plain
+/// [`run`] is a single part), merged afterwards into the executor's
+/// `--trace`/`--metrics` files in canonical dispatch order, so the merged
+/// bytes are identical at every `--jobs` and `--shards` count and across
+/// the sequential/threaded backends (DESIGN.md §13, §16).
 ///
 /// Lifecycle: [`Executor::shard_telemetry`] → [`ShardTelemetry::install`]
-/// (or [`install_single`](ShardTelemetry::install_single) for a plain
-/// one-instance simulation) → run → flush the simulation's tracers →
-/// [`ShardTelemetry::merge`].
+/// → run → flush the simulation's tracers → [`ShardTelemetry::merge`].
+/// [`Executor::run_batch`] does the same for every scenario it runs.
 pub struct ShardTelemetry {
     trace: Option<TraceConfig>,
     metrics: Option<MetricsConfig>,
@@ -464,17 +357,15 @@ pub struct ShardTelemetry {
 }
 
 impl ShardTelemetry {
-    /// Builds one shard's tracer: the same four-way trace/metrics/tee
-    /// combination as the executor's per-run tracer, but writing keyed
-    /// part streams ordered by the shared dispatch stamp.
-    fn make_shard_tracer(
-        &mut self,
-        shard: usize,
-        stamp: &Arc<DispatchStamp>,
-    ) -> io::Result<Tracer> {
+    /// Builds one part's tracer, writing keyed part streams ordered by the
+    /// shared dispatch stamp: the trace branch behind its `--trace-filter`
+    /// mask, the metrics pipeline seeing every layer, or a [`TeeSink`] of
+    /// both with those masks, so attaching metrics never changes the trace
+    /// bytes.
+    fn make_tracer(&mut self, shard: usize, stamp: &Arc<DispatchStamp>) -> io::Result<Tracer> {
         let trace_branch: Option<(Arc<dyn TraceSink>, LayerMask)> = match &self.trace {
             Some(tc) => {
-                let path = tc.shard_path(&self.tag, shard);
+                let path = part_path(&tc.path, "trace", &self.tag, shard);
                 let sink = KeyedSink::create(&path, tc.is_csv(), Arc::clone(stamp))?;
                 self.trace_parts.push(path);
                 Some((Arc::new(sink), tc.mask))
@@ -483,7 +374,7 @@ impl ShardTelemetry {
         };
         let metrics_branch: Option<(Arc<dyn TraceSink>, LayerMask)> = match &self.metrics {
             Some(mc) => {
-                let path = mc.shard_path(&self.tag, shard);
+                let path = part_path(&mc.path, "metrics", &self.tag, shard);
                 let cfg = PipelineConfig::default()
                     .with_bin(mc.bin)
                     .with_ring(mc.ring_lines)
@@ -512,30 +403,17 @@ impl ShardTelemetry {
     pub fn install(&mut self, sim: &mut ShardedSimulation) -> io::Result<()> {
         for i in 0..sim.shards() {
             let stamp = Arc::new(DispatchStamp::new());
-            let tracer = self.make_shard_tracer(i, &stamp)?;
+            let tracer = self.make_tracer(i, &stamp)?;
             sim.install_tracer(i, tracer, stamp);
         }
         Ok(())
     }
 
-    /// Attaches a single part sink to a plain one-instance simulation (the
-    /// legacy `fig19 --shards 1` path). The legacy event loop leaves the
-    /// dispatch stamp untouched, so every record shares one key and the
-    /// within-dispatch sequence number alone preserves emission order —
-    /// a one-part merge then reproduces the plain sink bytes.
-    pub fn install_single(&mut self, sim: &mut Simulation) -> io::Result<()> {
-        let stamp = Arc::new(DispatchStamp::new());
-        let tracer = self.make_shard_tracer(0, &stamp)?;
-        sim.set_trace_stamp(stamp);
-        sim.set_tracer(tracer);
-        Ok(())
-    }
-
-    /// Merges the per-shard part files into the final `--trace`/`--metrics`
-    /// files in canonical key order and removes them. Part files must be
-    /// flushed first ([`ShardedSimulation::flush_tracers`]). Per-part row
-    /// counts go to stderr so a truncated shard stream is visible instead
-    /// of silently under-merging (report.rs cross-checks the totals).
+    /// Merges the part files into the final `--trace`/`--metrics` files in
+    /// canonical key order and removes them. Part files must be flushed
+    /// first ([`ShardedSimulation::flush_tracers`]). The per-part row
+    /// counts of a multi-part merge go to stderr, so a truncated shard
+    /// stream is visible instead of silently under-merging.
     pub fn merge(self) -> io::Result<()> {
         if let Some(tc) = &self.trace {
             let header = tc.is_csv().then(Record::csv_header);
@@ -557,9 +435,12 @@ impl ShardTelemetry {
     }
 }
 
-/// One stderr line per merged stream: the total and the per-part row
-/// counts, in shard order.
+/// One stderr line per merged multi-part stream: the total and the
+/// per-part row counts, in shard order.
 fn report_part_rows(tag: &str, stream: &str, rows: &[u64]) {
+    if rows.len() < 2 {
+        return;
+    }
     let total: u64 = rows.iter().sum();
     let parts: Vec<String> = rows.iter().map(|r| r.to_string()).collect();
     eprintln!(
@@ -567,34 +448,6 @@ fn report_part_rows(tag: &str, stream: &str, rows: &[u64]) {
         rows.len(),
         parts.join(" ")
     );
-}
-
-/// Appends each per-run part file to the merged file in run-id order and
-/// removes it. Per-run CSV files carry their own header row, which is
-/// skipped — the merged file got one when it was created. Shared by the
-/// trace and metrics merges.
-fn merge_parts(
-    path: &PathBuf,
-    is_csv: bool,
-    ids: &[u64],
-    part_path: impl Fn(u64) -> PathBuf,
-) -> io::Result<()> {
-    let mut out = io::BufWriter::new(fs::OpenOptions::new().append(true).open(path)?);
-    for &id in ids {
-        let part = part_path(id);
-        let data = fs::read(&part)?;
-        let body: &[u8] = if is_csv {
-            match data.iter().position(|&b| b == b'\n') {
-                Some(i) => &data[i + 1..],
-                None => &[],
-            }
-        } else {
-            &data
-        };
-        out.write_all(body)?;
-        fs::remove_file(&part)?;
-    }
-    out.flush()
 }
 
 /// One connection of a scenario.

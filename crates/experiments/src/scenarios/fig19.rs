@@ -85,8 +85,7 @@ fn class_names(cfg: &ExpConfig) -> [&'static str; 3] {
 }
 
 /// The Clos fabric: full-size 25 Gbps links under `--full-scale`, the
-/// 20×-scaled 1.25 Gbps fabric otherwise (identical to the pre-sharding
-/// configuration, so committed goldens are unaffected).
+/// 20×-scaled 1.25 Gbps fabric otherwise.
 fn fabric(cfg: &ExpConfig) -> ClosConfig {
     ClosConfig {
         link_capacity: mpcc_simcore::Rate::from_gbps(if cfg.full_scale { 25.0 } else { 1.25 }),
@@ -195,9 +194,9 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
         } else {
             fig.note("fabric scaled 20×: 1.25 Gbps links, 8 hosts, flow classes 10KB/1MB/50MB, 3 subflows via ECMP");
         }
-        if cfg.shards > 1 {
-            fig.note("simulated on the partitioned engine (--shards N); results are invariant across shard counts >= 2");
-        }
+        fig.note(
+            "simulated on the partitioned engine; results are identical at every --shards count",
+        );
         figs.push(fig);
     }
     figs
@@ -213,9 +212,9 @@ fn run_protocols(cfg: &ExpConfig, protos: &[&str], shape: Shape) -> Vec<(Vec<Vec
         .iter()
         .map(|p| (*p, cfg.exec.shard_telemetry(&format!("fig19-{p}"))))
         .collect();
-    let results = cfg
-        .exec
-        .map(jobs, |(proto, telem)| run_proto(cfg, proto, shape, telem));
+    let results = cfg.exec.map(jobs, |(proto, telem)| {
+        run_proto_sharded(cfg, proto, shape, telem)
+    });
     results
         .into_iter()
         .map(|(fcts, incomplete, telem)| {
@@ -245,81 +244,13 @@ pub fn run_protocols_scaled(
     run_protocols(cfg, protos, shape)
 }
 
-/// Runs one protocol's complete Clos workload; returns the per-class FCT
-/// samples (ms), the number of flows still incomplete at the cap, and the
-/// telemetry handle (ready to merge once back on the submitting thread).
-///
-/// The default path (`--shards 1`, no `--full-scale`) is the original
-/// single-instance engine, byte-identical to the committed goldens;
-/// `--shards N` and `--full-scale` run the same workload on the
-/// partitioned engine.
-fn run_proto(
-    cfg: &ExpConfig,
-    proto: &str,
-    shape: Shape,
-    mut telem: Option<ShardTelemetry>,
-) -> (Vec<Vec<f64>>, usize, Option<ShardTelemetry>) {
-    if cfg.shards > 1 || cfg.full_scale {
-        return run_proto_sharded(cfg, proto, shape, telem);
-    }
-    let seed = splitmix64(cfg.seed ^ 0x1919);
-    let mut clos = Clos::new(seed, fabric(cfg));
-    let hosts = clos.hosts();
-    let flows = workload(&shape, hosts, splitmix64(seed ^ 1));
-    let mut senders = Vec::new();
-    // Paths must be registered before endpoints run; collect first.
-    let flow_paths: Vec<_> = flows
-        .iter()
-        .map(|f| clos.subflow_paths(f.src, f.dst, 3))
-        .collect();
-    let mut sim = clos.sim;
-    if let Some(t) = telem.as_mut() {
-        t.install_single(&mut sim)
-            .expect("cannot create fig19 telemetry part file");
-    }
-    for (i, flow) in flows.iter().enumerate() {
-        let recv = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
-        let cc = protocols::make(proto, splitmix64(seed ^ (0x5EED + i as u64)));
-        let cfg_s = SenderConfig {
-            dst: recv,
-            paths: flow_paths[i].clone(),
-            workload: Workload::Finite(flow.bytes),
-            scheduler: protocols::scheduler_for(proto),
-            start_at: flow.start,
-            peer_buffer: 300_000_000,
-        };
-        senders.push(sim.add_endpoint(Box::new(MpSender::new(cfg_s, cc))));
-    }
-    // Run until all flows complete (or a hard cap).
-    let cap = SimTime::from_secs(shape.cap_secs);
-    let mut t = SimTime::ZERO;
-    loop {
-        t += SimDuration::from_secs(1);
-        sim.run_until(t);
-        let done = senders
-            .iter()
-            .all(|&s| sim.endpoint::<MpSender>(s).is_complete());
-        if done || t >= cap {
-            break;
-        }
-    }
-    sim.tracer().flush();
-    // Collect per-class FCTs.
-    let mut fcts: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let mut incomplete = 0;
-    for (i, flow) in flows.iter().enumerate() {
-        match sim.endpoint::<MpSender>(senders[i]).fct() {
-            Some(d) => fcts[flow.class].push(d.as_secs_f64() * 1000.0),
-            None => incomplete += 1,
-        }
-    }
-    (fcts, incomplete, telem)
-}
-
-/// The sharded variant: the same workload partitioned by rack over
-/// `cfg.shards` engine instances (DESIGN.md §16). Every shard registers
-/// the identical links/paths/endpoint slots (so ids line up) and installs
-/// only the endpoints of the hosts it owns.
+/// Runs one protocol's complete Clos workload, partitioned by rack over
+/// `cfg.shards` engine instances (DESIGN.md §16; one instance by default).
+/// Every shard registers the identical links/paths/endpoint slots (so ids
+/// line up) and installs only the endpoints of the hosts it owns. Returns
+/// the per-class FCT samples (ms), the number of flows still incomplete
+/// at the cap, and the telemetry handle (ready to merge once back on the
+/// submitting thread).
 fn run_proto_sharded(
     cfg: &ExpConfig,
     proto: &str,
@@ -341,7 +272,7 @@ fn run_proto_sharded(
     let mut owners = Vec::with_capacity(flows.len());
     let mut sender_ids = Vec::with_capacity(flows.len());
     for f in &flows {
-        // Receiver slot first, mirroring the legacy registration order.
+        // Receiver slot first, as in the per-shard registration below.
         let _recv = scratch.sim.reserve_endpoint();
         let sender = scratch.sim.reserve_endpoint();
         let (so, ro) = (

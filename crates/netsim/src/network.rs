@@ -8,7 +8,10 @@
 //! `mpcc-udp` crate provides another, backed by real sockets. The
 //! simulation is a single-threaded deterministic event loop in the spirit
 //! of smoltcp's event-driven design — no async runtime, no hidden
-//! concurrency.
+//! concurrency. Same-time events dispatch in a canonical, content-derived
+//! order (see [`Simulation::run_until`]), which is what lets a topology
+//! partitioned over several instances ([`crate::shard`]) behave exactly
+//! like one instance.
 
 use crate::ids::{EndpointId, LinkId, PathId};
 use crate::link::{Admission, DropKind, Link, LinkParams, LinkStats, TxOutcome};
@@ -48,12 +51,12 @@ enum Event {
     LinkChange(LinkId, LinkParams),
 }
 
-/// The canonical dispatch key of an event (canonical mode): same-time
-/// events are dispatched in ascending key order, making dispatch order a
-/// function of event *content* rather than queue insertion order. Keys are
-/// unique within a timestamp except for duplicate-fault packet twins
-/// (same id, same hop), which are bit-identical packets — their relative
-/// order is immaterial.
+/// The canonical dispatch key of an event: same-time events are
+/// dispatched in ascending key order, making dispatch order a function of
+/// event *content* rather than queue insertion order. Keys are unique
+/// within a timestamp except for duplicate-fault packet twins (same id,
+/// same hop), which are bit-identical packets — their relative order is
+/// immaterial.
 fn canon_key(ev: &Event) -> (u8, u64, u64) {
     match ev {
         Event::TxComplete(l) => (0, l.0 as u64, 0),
@@ -64,8 +67,8 @@ fn canon_key(ev: &Event) -> (u8, u64, u64) {
 }
 
 /// Per-event hash folded (by wrapping addition, so order-insensitively)
-/// into the canonical-mode digest. Packet ids are per-endpoint in
-/// canonical mode, so the hash of every event is shard-count invariant.
+/// into the digest. Packet ids are per-endpoint, so the hash of every
+/// event is shard-count invariant.
 fn event_digest(t: SimTime, ev: &Event) -> u64 {
     let (class, a, b) = canon_key(ev);
     splitmix64(t.as_nanos() ^ splitmix64(class as u64 ^ splitmix64(a ^ splitmix64(b))))
@@ -98,13 +101,8 @@ pub struct Ctx<'a> {
     link_rngs: &'a mut [SimRng],
     paths: &'a [Path],
     rng: &'a mut SimRng,
-    /// Packet-id counter: the simulation-global counter in the default
-    /// mode, a per-endpoint counter in canonical (sharded) mode.
-    next_packet_id: &'a mut u64,
-    /// OR-ed into every assigned packet id (zero in the default mode; the
-    /// endpoint id shifted into the high bits in canonical mode, making
-    /// ids shard-count invariant).
-    id_base: u64,
+    /// This endpoint's packet-id counter (see [`Ctx::next_packet_id`]).
+    pkt_seq: &'a mut u64,
     shard: Option<&'a ShardCfg>,
     outbox: &'a mut Vec<(u8, SimTime, Packet)>,
     tracer: &'a Tracer,
@@ -131,10 +129,8 @@ impl HostCtx for Ctx<'_> {
     /// link's queue immediately (host NIC queueing is not modelled; pacing
     /// is the transport's job).
     fn send(&mut self, path: PathId, dst: EndpointId, size: u64, header: Header) {
-        let id = self.id_base | *self.next_packet_id;
-        *self.next_packet_id += 1;
         let pkt = Packet {
-            id,
+            id: self.next_packet_id(),
             src: self.self_id,
             dst,
             path,
@@ -169,13 +165,21 @@ impl HostCtx for Ctx<'_> {
 }
 
 impl<'a> Ctx<'a> {
+    /// Draws the next id from this endpoint's namespace: the endpoint id
+    /// in the high 32 bits, a per-endpoint sequence number below. Ids
+    /// therefore never depend on the global interleaving of sends, which
+    /// differs across shard counts.
+    fn next_packet_id(&mut self) -> u64 {
+        let id = (self.self_id.0 as u64) << 32 | *self.pkt_seq;
+        *self.pkt_seq += 1;
+        id
+    }
+
     /// Sends a packet directly to `dst` after `delay`, bypassing all links.
     /// Used for the delay-only reverse (ACK) direction.
     pub fn send_direct(&mut self, dst: EndpointId, delay: SimDuration, size: u64, header: Header) {
-        let id = self.id_base | *self.next_packet_id;
-        *self.next_packet_id += 1;
         let pkt = Packet {
-            id,
+            id: self.next_packet_id(),
             src: self.self_id,
             dst,
             // The path is irrelevant for a direct packet; hop = MAX marks it
@@ -344,7 +348,8 @@ pub struct Simulation {
     paths: Vec<Path>,
     endpoints: Vec<Option<Box<dyn Endpoint>>>,
     ep_rngs: Vec<SimRng>,
-    next_packet_id: u64,
+    /// Per-endpoint packet-id counters (see [`Ctx::next_packet_id`]).
+    ep_pkt_seqs: Vec<u64>,
     now: SimTime,
     started: Vec<EndpointId>,
     tracer: Tracer,
@@ -353,36 +358,26 @@ pub struct Simulation {
     /// Self-profiler; zero-sized and inert unless the `profiler` feature
     /// is enabled.
     profiler: Profiler,
-    /// Canonical mode (off by default, preserving the exact legacy event
-    /// order): same-time events dispatch in a sorted canonical order,
-    /// packet ids are drawn from per-endpoint namespaces, link service is
-    /// batched, and an order-insensitive event digest is accumulated.
-    /// Together these make outcomes invariant under topology sharding.
-    canonical: bool,
-    /// Per-endpoint packet-id counters (canonical mode).
-    ep_pkt_seqs: Vec<u64>,
     /// Cross-shard role of this instance, when part of a sharded run.
     shard: Option<ShardCfg>,
     /// Packets bound for other shards, staged until the epoch barrier:
     /// `(destination shard, arrival time, packet)`.
     outbox: Vec<(u8, SimTime, Packet)>,
-    /// Reusable same-timestamp batch buffer (canonical mode).
-    batch: Vec<Event>,
     /// Link completions executed inline by batched link service instead of
-    /// through the event queue (canonical mode).
+    /// through the event queue (see `serve_link`).
     inline_completions: u64,
     /// Upper bound for inline link completions: the end of the window the
     /// current `run_*` call is allowed to simulate (see `run_epoch`).
     inline_limit: SimTime,
-    /// Commutative (wrapping-add) digest over all dispatched events
-    /// (canonical mode); invariant across shard counts.
+    /// Commutative (wrapping-add) digest over all dispatched events;
+    /// invariant across shard counts.
     digest: u64,
     /// Events dropped because their endpoint slot was empty (reserved but
     /// not installed, or already removed by a churn driver).
     stale_events: u64,
-    /// Canonical-dispatch position cell shared with this shard's keyed
-    /// telemetry sink (`None` when untraced — the stamping branch then
-    /// costs one `Option` check per dispatched event and nothing else).
+    /// Dispatch-position cell shared with this instance's keyed telemetry
+    /// sink (`None` when untraced — the stamping branch then costs one
+    /// `Option` check per dispatched event and nothing else).
     trace_stamp: Option<Arc<DispatchStamp>>,
 }
 
@@ -397,17 +392,14 @@ impl Simulation {
             paths: Vec::new(),
             endpoints: Vec::new(),
             ep_rngs: Vec::new(),
-            next_packet_id: 0,
+            ep_pkt_seqs: Vec::new(),
             now: SimTime::ZERO,
             started: Vec::new(),
             tracer: Tracer::off(),
             warned_clamps: 0,
             profiler: Profiler::new(),
-            canonical: false,
-            ep_pkt_seqs: Vec::new(),
             shard: None,
             outbox: Vec::new(),
-            batch: Vec::new(),
             inline_completions: 0,
             inline_limit: SimTime::MAX,
             digest: 0,
@@ -433,14 +425,12 @@ impl Simulation {
         &self.tracer
     }
 
-    /// Shares the canonical-dispatch position cell with this instance's
-    /// keyed telemetry sink (see [`mpcc_simcore::DispatchStamp`]). The
-    /// canonical loop publishes `(time, same-time round, canon-key)` into
-    /// the cell before dispatching each event; endpoint `start` hooks run
-    /// as round 0 keyed by endpoint id, and inline link completions as a
-    /// round-1 singleton keyed like the `TxComplete` they replace. Only
-    /// meaningful in canonical mode (the sharded engine); the legacy loop
-    /// never stamps.
+    /// Shares the dispatch-position cell with this instance's keyed
+    /// telemetry sink (see [`mpcc_simcore::DispatchStamp`]). The event
+    /// loop publishes `(time, same-time round, canon-key)` into the cell
+    /// before dispatching each event; endpoint `start` hooks run as round
+    /// 0 keyed by endpoint id, and inline link completions as a round-1
+    /// singleton keyed like the `TxComplete` they replace.
     pub fn set_trace_stamp(&mut self, stamp: Arc<DispatchStamp>) {
         self.trace_stamp = Some(stamp);
     }
@@ -450,10 +440,14 @@ impl Simulation {
         self.now
     }
 
-    /// Total events the loop has dispatched (the simulator's unit of work;
-    /// benchmark throughput is reported per event).
+    /// Total simulation work: events popped off the queue plus link
+    /// completions served inline (each stands in for a queued
+    /// `TxComplete`). This is the simulator's unit of work — benchmark
+    /// throughput is reported per event — and it is invariant across
+    /// shard counts, unlike the popped count alone, because inline-service
+    /// decisions depend on each shard's local queue head.
     pub fn events_processed(&self) -> u64 {
-        self.events.events_popped()
+        self.events.events_popped() + self.inline_completions
     }
 
     /// High-water mark of the future-event list.
@@ -512,7 +506,7 @@ impl Simulation {
 
     /// Registers an endpoint. Its `start` hook runs when the simulation is
     /// next driven (so endpoints added before `run_*` all start at time
-    /// zero, in registration order).
+    /// zero, in endpoint-id order).
     pub fn add_endpoint(&mut self, ep: Box<dyn Endpoint>) -> EndpointId {
         let id = self.reserve_endpoint();
         self.endpoints[id.0 as usize] = Some(ep);
@@ -569,10 +563,11 @@ impl Simulation {
     /// time `at`, bypassing every link. Replay harnesses use this to feed
     /// a recorded packet trace back into a simulation (see [`crate::replay`]).
     ///
-    /// Injected arrivals scheduled before the simulation runs dispatch
-    /// ahead of any same-instant timer armed during the run: the event
-    /// queue is FIFO within a timestamp, and the injection was enqueued
-    /// first. The UDP replay host preserves exactly this ordering.
+    /// Injected arrivals dispatch in the canonical same-time order: at one
+    /// instant an endpoint's arrivals run by packet id, ahead of its timers
+    /// by token, whatever order they were scheduled in, and timers armed
+    /// while that instant dispatches run after it. The UDP replay host
+    /// drains its queue by the same rule (`EventQueue::order_batch`).
     pub fn inject(&mut self, at: SimTime, mut pkt: Packet) {
         // Mark the packet past its last hop so arrival delivers it instead
         // of re-offering it to a link of whatever path id it recorded.
@@ -586,32 +581,15 @@ impl Simulation {
     }
 
     // ------------------------------------------------------------------
-    // Sharded / canonical execution (see DESIGN.md §16)
+    // Sharded execution (see DESIGN.md §16)
     // ------------------------------------------------------------------
-
-    /// Switches on canonical mode: same-time events dispatch in a sorted
-    /// canonical order, packet ids come from per-endpoint namespaces,
-    /// link service is batched, and the event digest accumulates. Must be
-    /// set before any endpoint runs; the sharded engine sets it on every
-    /// shard (including single-shard runs) so outcomes are invariant
-    /// across shard counts.
-    pub fn set_canonical(&mut self, on: bool) {
-        assert_eq!(
-            self.events.events_popped(),
-            0,
-            "canonical mode must be chosen before the simulation runs"
-        );
-        self.canonical = on;
-    }
 
     /// Declares this instance to be shard `me` of a partitioned topology.
     /// `shard_of_link[l]` / `shard_of_ep[e]` give the owning shard of each
     /// link / endpoint slot; both must cover everything registered so far.
-    /// Implies canonical mode.
     pub fn configure_shard(&mut self, me: u8, shard_of_link: Vec<u8>, shard_of_ep: Vec<u8>) {
         assert_eq!(shard_of_link.len(), self.links.len());
         assert_eq!(shard_of_ep.len(), self.endpoints.len());
-        self.set_canonical(true);
         self.shard = Some(ShardCfg {
             me,
             shard_of_link,
@@ -659,25 +637,11 @@ impl Simulation {
         }
     }
 
-    /// The order-insensitive event digest (canonical mode): a wrapping sum
-    /// of per-event hashes, so the combined digest over all shards is
-    /// invariant across shard counts even though each shard dispatches a
-    /// different subset.
+    /// The order-insensitive event digest: a wrapping sum of per-event
+    /// hashes, so the combined digest over all shards is invariant across
+    /// shard counts even though each shard dispatches a different subset.
     pub fn digest(&self) -> u64 {
         self.digest
-    }
-
-    /// Link completions executed inline by batched link service.
-    pub fn inline_completions(&self) -> u64 {
-        self.inline_completions
-    }
-
-    /// Total simulation work: queue-dispatched events plus inline link
-    /// completions. Invariant across shard counts (unlike the raw popped
-    /// count, since inline-batching decisions depend on each shard's local
-    /// queue head).
-    pub fn total_events(&self) -> u64 {
-        self.events.events_popped() + self.inline_completions
     }
 
     /// The earliest pending event time, if any (the sharded engine's
@@ -736,6 +700,14 @@ impl Simulation {
     /// Runs until the event queue is exhausted or the clock passes `until`.
     /// On return the clock reads exactly `until` (or the last event time if
     /// the queue drained first).
+    ///
+    /// All events sharing a timestamp dispatch as a *round* in canonical-
+    /// key order — link completions by link id, then arrivals by (packet
+    /// id, hop), then timers by (endpoint, token), then link changes — so
+    /// dispatch order does not depend on queue insertion order, the one
+    /// quantity that differs between an inline schedule (same shard) and a
+    /// mailbox drain (cross-shard handoff). Events scheduled for the same
+    /// instant while a round dispatches form the next round.
     pub fn run_until(&mut self, until: SimTime) {
         self.run_bounded(until, true);
     }
@@ -752,126 +724,40 @@ impl Simulation {
     fn run_bounded(&mut self, until: SimTime, inclusive: bool) {
         self.inline_limit = until;
         self.start_pending();
-        if self.canonical {
-            self.run_loop_canonical(until, inclusive);
-        } else {
-            self.run_loop_legacy(until, inclusive);
-        }
-        self.inline_limit = SimTime::MAX;
-        if self.now < until {
-            self.now = until;
-        }
-    }
-
-    /// The default event loop: pop-one, dispatch, in queue order (FIFO
-    /// within a timestamp). Byte-identical to the pre-sharding engine.
-    fn run_loop_legacy(&mut self, until: SimTime, inclusive: bool) {
-        while let Some(t) = self.events.peek_time() {
-            if t > until || (!inclusive && t == until) {
-                break;
-            }
-            let (t, ev) = self.events.pop().expect("peeked");
-            self.now = t;
-            // With the feature off, `ENABLED` is a false constant: the
-            // classification, the stamp, and the record all fold away.
-            let cat = if Profiler::ENABLED {
-                Some(self.classify(&ev))
-            } else {
-                None
-            };
-            #[allow(clippy::let_unit_value)] // `Stamp` is `()` with the feature off
-            let stamp = Profiler::start();
-            self.dispatch(ev, true);
-            if let Some(cat) = cat {
-                self.profiler.record(cat, stamp);
-            }
-            // Surface release-mode past-schedule clamps (debug builds panic
-            // instead). A single u64 compare in the common (zero-clamp) case.
-            let clamped = self.events.clamped_schedules();
-            if clamped > self.warned_clamps {
-                self.warned_clamps = clamped;
-                self.tracer
-                    .emit_with(Layer::Link, self.now, || LinkEvent::ClockClamp {
-                        count: clamped,
-                    });
-            }
-        }
-    }
-
-    /// The canonical event loop: all events sharing a timestamp are popped
-    /// as a batch and dispatched in canonical-key order, so dispatch order
-    /// does not depend on queue insertion order — the one quantity that
-    /// differs between an inline schedule (same shard) and a mailbox drain
-    /// (cross-shard handoff). The sort may be unstable: the only possible
-    /// key ties are duplicate-fault packet twins, which are bit-identical
-    /// `Copy` packets, so either order dispatches the same events.
-    /// (`sort_unstable` also never allocates, keeping churn steady state
-    /// off the allocator; the stable sort takes per-call scratch.)
-    fn run_loop_canonical(&mut self, until: SimTime, inclusive: bool) {
-        // Same-time batches are numbered as *rounds* (1, 2, … per
-        // timestamp; endpoint starts are round 0) for the telemetry
-        // dispatch stamp. Rounds are partition-invariant: same-time
-        // follow-up chains are shard-local (every cross-shard handoff
-        // travels at least one lookahead into the future), so the union
-        // over shards of round-`r` batches at `t` equals the one-shard
-        // round-`r` batch.
+        // Rounds are numbered 1, 2, … per timestamp (endpoint starts are
+        // round 0) for the telemetry dispatch stamp. Rounds are partition-
+        // invariant: same-time follow-up chains are shard-local (every
+        // cross-shard handoff travels at least one lookahead into the
+        // future), so the union over shards of round-`r` batches at `t`
+        // equals the one-shard round-`r` batch.
         let mut round_t = SimTime::ZERO;
         let mut round = 0u64;
         while let Some(t) = self.events.peek_time() {
             if t > until || (!inclusive && t == until) {
                 break;
             }
-            // Drain the batch at time `t`. Events scheduled *for* `t`
-            // during the batch's dispatch form a follow-up batch (the
-            // outer loop re-peeks), which is fine: their creation order is
-            // itself canonical by induction.
-            let mut batch = std::mem::take(&mut self.batch);
-            loop {
-                let (_, ev) = self.events.pop().expect("peeked");
-                batch.push(ev);
-                if self.events.peek_time() != Some(t) {
-                    break;
-                }
-            }
-            batch.sort_unstable_by_key(canon_key);
             self.now = t;
             if t != round_t {
                 round_t = t;
                 round = 0;
             }
             round += 1;
-            let n = batch.len();
-            for (i, ev) in batch.drain(..).enumerate() {
+            // The batch sort may be unstable: the only possible key ties
+            // are duplicate-fault packet twins, which are bit-identical
+            // `Copy` packets, so either order dispatches the same events.
+            // A round of one is neither copied nor sorted.
+            let n = self.events.order_batch(canon_key);
+            for i in 1..=n {
+                let (_, ev) = self.events.pop().expect("batched");
                 // Inline link service is only sound for the final event of
-                // the batch: any earlier event still has same-time work
+                // the round: any earlier event still has same-time work
                 // pending that could touch the link being serviced.
-                let may_inline = i + 1 == n;
-                if let Some(stamp) = &self.trace_stamp {
-                    let (class, a, b) = canon_key(&ev);
-                    stamp.set(t.as_nanos(), round, (class as u64, a, b));
-                }
-                let cat = if Profiler::ENABLED {
-                    Some(self.classify(&ev))
-                } else {
-                    None
-                };
-                #[allow(clippy::let_unit_value)] // `Stamp` is `()` with the feature off
-                let stamp = Profiler::start();
-                self.digest = self.digest.wrapping_add(event_digest(t, &ev));
-                self.dispatch(ev, may_inline);
-                if let Some(cat) = cat {
-                    self.profiler.record(cat, stamp);
-                }
-                let clamped = self.events.clamped_schedules();
-                if clamped > self.warned_clamps {
-                    self.warned_clamps = clamped;
-                    self.tracer
-                        .emit_with(Layer::Link, self.now, || LinkEvent::ClockClamp {
-                            count: clamped,
-                        });
-                }
+                self.dispatch(round, ev, i == n);
             }
-            self.batch = batch;
+        }
+        self.inline_limit = SimTime::MAX;
+        if self.now < until {
+            self.now = until;
         }
     }
 
@@ -887,25 +773,25 @@ impl Simulation {
     }
 
     fn start_pending(&mut self) {
-        // Canonical mode runs same-instant starts in ascending endpoint-id
-        // order — the canonical order for starts, exactly as same-time
-        // event batches dispatch in canon-key order. This is partition
-        // invariant (endpoints sharing any mutable state are co-sharded
-        // with it, and co-sharded ids sort the same way in every
-        // partition), and it is what lets start-hook telemetry be keyed by
-        // endpoint id: each shard's round-0 stamps are then monotonic, so
-        // its keyed part stream stays sorted. Legacy mode keeps exact
-        // installation order (pre-sharding byte compatibility).
-        if self.canonical {
-            self.started.sort_unstable();
-        }
-        while let Some(id) = self.started.first().copied() {
-            self.started.remove(0);
+        // Same-instant starts run in ascending endpoint-id order — the
+        // canonical order for starts, exactly as same-time events dispatch
+        // in canon-key order. This is partition invariant (endpoints
+        // sharing any mutable state are co-sharded, and co-sharded ids sort
+        // the same way in every partition), and it is what lets start-hook
+        // telemetry be keyed by endpoint id: each shard's round-0 stamps
+        // are then monotonic, so its keyed part stream stays sorted. A
+        // start hook cannot install endpoints, so the list is stable while
+        // it is walked.
+        let mut started = std::mem::take(&mut self.started);
+        started.sort_unstable();
+        for &id in &started {
             if let Some(stamp) = &self.trace_stamp {
                 stamp.set(self.now.as_nanos(), 0, (0, id.0 as u64, 0));
             }
             self.with_endpoint(id, |ep, ctx| ep.start(ctx));
         }
+        started.clear();
+        self.started = started;
     }
 
     /// The profiling category an event will dispatch into. Pure
@@ -933,7 +819,9 @@ impl Simulation {
     }
 
     /// Snapshot of the self-profiler plus the timer wheel's always-on
-    /// introspection counters.
+    /// introspection counters. Every unit of
+    /// [`Simulation::events_processed`] is profiled exactly once; an
+    /// inline link completion counts as one `LinkTx`.
     pub fn profile(&self) -> ProfileReport {
         self.profiler.report(
             self.events.cascades(),
@@ -942,99 +830,32 @@ impl Simulation {
         )
     }
 
-    fn dispatch(&mut self, ev: Event, may_inline: bool) {
-        match ev {
-            Event::TxComplete(link_id) => loop {
-                let link = &mut self.links[link_id.0 as usize];
-                let (outcome, next) = link.complete_tx(self.now);
-                let delay = link.delay();
-                // Legacy mode schedules the follow-up completion *before*
-                // the delivery arrivals; preserve that queue insertion
-                // order exactly (FIFO within a timestamp). Canonical mode
-                // defers the decision to the inline-service check below —
-                // insertion order is irrelevant there because same-time
-                // batches are sorted.
-                if !self.canonical {
-                    if let Some(done) = next {
-                        self.events.schedule(done, Event::TxComplete(link_id));
-                    }
-                }
-                match outcome {
-                    TxOutcome::Deliver {
-                        mut pkt,
-                        extra,
-                        duplicate,
-                    } => {
-                        if !extra.is_zero() {
-                            self.tracer.emit_with(Layer::Link, self.now, || {
-                                LinkEvent::FaultReorder {
-                                    link: link_id.0,
-                                    bytes: pkt.size,
-                                    extra_delay_ns: extra.as_nanos(),
-                                }
-                            });
-                        }
-                        pkt.hop = pkt.hop.saturating_add(1);
-                        // `Packet` is `Copy`, so the rare duplication fault
-                        // is a stack copy and the common path never clones.
-                        if let Some(trail) = duplicate {
-                            self.tracer.emit_with(Layer::Link, self.now, || {
-                                LinkEvent::FaultDuplicate {
-                                    link: link_id.0,
-                                    bytes: pkt.size,
-                                    extra_delay_ns: trail.as_nanos(),
-                                }
-                            });
-                            self.schedule_arrive(self.now + delay + extra + trail, pkt);
-                        }
-                        self.schedule_arrive(self.now + delay + extra, pkt);
-                    }
-                    TxOutcome::Blackholed(pkt) => {
-                        self.tracer
-                            .emit_with(Layer::Link, self.now, || LinkEvent::DropOutage {
-                                link: link_id.0,
-                                bytes: pkt.size,
-                            });
-                    }
-                }
-                let Some(done) = next else { break };
-                if !self.canonical {
-                    break; // already scheduled above
-                }
-                // Batched link service (canonical mode): when this
-                // completion is provably the very next event this instance
-                // would execute — nothing else pending in the current
-                // same-time batch, strictly earlier than the queue head,
-                // and inside the current run window — execute it inline
-                // instead of round-tripping through the event queue.
-                // The decision is outcome-neutral (the completion runs at
-                // the same simulated time against the same link state
-                // either way), so the shard-local queue head it depends on
-                // never leaks into results.
-                if self.canonical
-                    && may_inline
-                    && done < self.inline_limit
-                    && self.events.peek_time().is_none_or(|t| done < t)
-                {
-                    self.now = done;
-                    self.inline_completions += 1;
-                    self.digest = self
-                        .digest
-                        .wrapping_add(event_digest(done, &Event::TxComplete(link_id)));
-                    if let Some(stamp) = &self.trace_stamp {
-                        // Inline service is provably the only activity at
-                        // `done` on any shard, so it stamps exactly as the
-                        // round-1 singleton batch the queued `TxComplete`
-                        // would have formed — the stamp is inline-decision
-                        // neutral.
-                        let (class, a, b) = canon_key(&Event::TxComplete(link_id));
-                        stamp.set(done.as_nanos(), 1, (class as u64, a, b));
-                    }
-                    continue;
-                }
-                self.events.schedule(done, Event::TxComplete(link_id));
-                break;
-            },
+    /// Publishes `ev`'s dispatch position `(t, round, canon-key)` to the
+    /// trace stamp and folds the event into the digest.
+    fn mark(&mut self, t: SimTime, round: u64, ev: &Event) {
+        if let Some(stamp) = &self.trace_stamp {
+            let (class, a, b) = canon_key(ev);
+            stamp.set(t.as_nanos(), round, (class as u64, a, b));
+        }
+        self.digest = self.digest.wrapping_add(event_digest(t, ev));
+    }
+
+    /// Dispatches one event of round `round` at the current clock. A link
+    /// completion continues into batched link service when `may_inline`
+    /// (see `serve_link`).
+    fn dispatch(&mut self, round: u64, ev: Event, may_inline: bool) {
+        self.mark(self.now, round, &ev);
+        // With the feature off, `ENABLED` is a false constant: the
+        // classification, the stamp, and the record all fold away.
+        let cat = if Profiler::ENABLED {
+            Some(self.classify(&ev))
+        } else {
+            None
+        };
+        #[allow(clippy::let_unit_value)] // `Stamp` is `()` with the feature off
+        let span = Profiler::start();
+        let next_tx = match ev {
+            Event::TxComplete(link) => self.complete_tx(link).map(|done| (link, done)),
             Event::Arrive(pkt) => {
                 let past_last_hop = match self.paths.get(pkt.path.0 as usize) {
                     Some(path) => pkt.hop >= path.links.len(),
@@ -1046,14 +867,112 @@ impl Simulation {
                 } else {
                     self.reforward(pkt);
                 }
+                None
             }
             Event::Timer(id, token) => {
                 self.with_endpoint(id, |ep, ctx| ep.on_timer(token, ctx));
+                None
             }
             Event::LinkChange(id, params) => {
                 self.links[id.0 as usize].set_params(params);
+                None
+            }
+        };
+        if let Some(cat) = cat {
+            self.profiler.record(cat, span);
+        }
+        if let Some((link, done)) = next_tx {
+            self.serve_link(link, done, may_inline);
+        }
+        // Surface release-mode past-schedule clamps (debug builds panic
+        // instead). A single u64 compare in the common (zero-clamp) case.
+        let clamped = self.events.clamped_schedules();
+        if clamped > self.warned_clamps {
+            self.warned_clamps = clamped;
+            self.tracer
+                .emit_with(Layer::Link, self.now, || LinkEvent::ClockClamp {
+                    count: clamped,
+                });
+        }
+    }
+
+    /// Completes the head transmission of `link_id` at the current clock
+    /// and schedules the packet's arrival downstream. Returns when the
+    /// link's next transmission completes, if another packet is queued.
+    fn complete_tx(&mut self, link_id: LinkId) -> Option<SimTime> {
+        let link = &mut self.links[link_id.0 as usize];
+        let (outcome, next) = link.complete_tx(self.now);
+        let delay = link.delay();
+        match outcome {
+            TxOutcome::Deliver {
+                mut pkt,
+                extra,
+                duplicate,
+            } => {
+                if !extra.is_zero() {
+                    self.tracer
+                        .emit_with(Layer::Link, self.now, || LinkEvent::FaultReorder {
+                            link: link_id.0,
+                            bytes: pkt.size,
+                            extra_delay_ns: extra.as_nanos(),
+                        });
+                }
+                pkt.hop = pkt.hop.saturating_add(1);
+                // `Packet` is `Copy`, so the rare duplication fault is a
+                // stack copy and the common path never clones.
+                if let Some(trail) = duplicate {
+                    self.tracer
+                        .emit_with(Layer::Link, self.now, || LinkEvent::FaultDuplicate {
+                            link: link_id.0,
+                            bytes: pkt.size,
+                            extra_delay_ns: trail.as_nanos(),
+                        });
+                    self.schedule_arrive(self.now + delay + extra + trail, pkt);
+                }
+                self.schedule_arrive(self.now + delay + extra, pkt);
+            }
+            TxOutcome::Blackholed(pkt) => {
+                self.tracer
+                    .emit_with(Layer::Link, self.now, || LinkEvent::DropOutage {
+                        link: link_id.0,
+                        bytes: pkt.size,
+                    });
             }
         }
+        next
+    }
+
+    /// Batched link service: `link`'s next completion is due at `done`.
+    /// While that completion is provably the very next event this instance
+    /// would execute — nothing else pending in the current round
+    /// (`may_inline`), strictly earlier than the queue head, and inside the
+    /// current run window — it runs inline instead of round-tripping
+    /// through the event queue. The decision is outcome-neutral: the
+    /// completion runs at the same simulated time against the same link
+    /// state either way, and is digested, stamped, counted and profiled
+    /// exactly like the queued `TxComplete` it replaces, so the shard-local
+    /// queue head it depends on never leaks into results.
+    fn serve_link(&mut self, link: LinkId, mut done: SimTime, may_inline: bool) {
+        while may_inline
+            && done < self.inline_limit
+            && self.events.peek_time().is_none_or(|t| done < t)
+        {
+            self.now = done;
+            self.inline_completions += 1;
+            // Inline service is provably the only activity at `done` on any
+            // shard, so it stamps as the round-1 singleton the queued
+            // `TxComplete` would have formed.
+            self.mark(done, 1, &Event::TxComplete(link));
+            #[allow(clippy::let_unit_value)] // `Stamp` is `()` with the feature off
+            let span = Profiler::start();
+            let next = self.complete_tx(link);
+            self.profiler.record(ProfCat::LinkTx, span);
+            match next {
+                Some(t) => done = t,
+                None => return,
+            }
+        }
+        self.events.schedule(done, Event::TxComplete(link));
     }
 
     /// Schedules a packet arrival, routing it through the outbox when its
@@ -1104,15 +1023,6 @@ impl Simulation {
             return;
         };
         {
-            // Canonical mode draws packet ids from a per-endpoint
-            // namespace (slot id in the high bits), so ids never depend on
-            // the global interleaving of sends — which differs across
-            // shard counts.
-            let (id_base, next_packet_id) = if self.canonical {
-                ((id.0 as u64) << 32, &mut self.ep_pkt_seqs[idx])
-            } else {
-                (0, &mut self.next_packet_id)
-            };
             let mut ctx = Ctx {
                 now: self.now,
                 self_id: id,
@@ -1121,8 +1031,7 @@ impl Simulation {
                 link_rngs: &mut self.link_rngs,
                 paths: &self.paths,
                 rng: &mut self.ep_rngs[idx],
-                next_packet_id,
-                id_base,
+                pkt_seq: &mut self.ep_pkt_seqs[idx],
                 shard: self.shard.as_ref(),
                 outbox: &mut self.outbox,
                 tracer: &self.tracer,

@@ -3,7 +3,8 @@
 //! Events are ordered by `(time, insertion sequence)`, so simultaneous
 //! events dequeue in the order they were scheduled. This makes every run
 //! bit-reproducible for a given seed, which the reproduction relies on for
-//! regression-testing experiment outputs.
+//! regression-testing experiment outputs. Drivers first order each
+//! same-time batch by event content with [`EventQueue::order_batch`].
 //!
 //! # Layout
 //!
@@ -204,6 +205,34 @@ impl<E> EventQueue<E> {
             self.refill();
         }
         Some((SimTime::from_nanos(e.at), e.event))
+    }
+
+    /// Orders the same-time batch — every pending event at the earliest
+    /// pending timestamp — by ascending `key` and returns its size `n`
+    /// (0 if nothing is pending): the next `n` pops return the batch in
+    /// key order.
+    ///
+    /// This is the same-instant drain every driver shares. Dispatching
+    /// the batch in key order makes same-instant order a function of event
+    /// content, not of scheduling order. Events scheduled for the same
+    /// instant while the batch dispatches pop after it and form the next
+    /// batch. The batch is sorted in place at the back of `ready` (a
+    /// singleton costs two comparisons, and nothing is copied out); the
+    /// sort is unstable, so events whose keys tie must be interchangeable.
+    pub fn order_batch<K: Ord>(&mut self, mut key: impl FnMut(&E) -> K) -> usize {
+        // `ready` holds every event below `wheel_now`, so the whole batch
+        // sits at its back; `insert` keeps later same-time arrivals ahead
+        // of it (they carry larger `seq`s), i.e. they pop after it.
+        let Some(t) = self.ready.last().map(|e| e.at) else {
+            return 0;
+        };
+        let n = self.ready.iter().rev().take_while(|e| e.at == t).count();
+        if n > 1 {
+            let start = self.ready.len() - n;
+            // Popped from the back: descending key order pops ascending.
+            self.ready[start..].sort_unstable_by_key(|e| std::cmp::Reverse(key(&e.event)));
+        }
+        n
     }
 
     /// The timestamp of the next event, if any.
@@ -457,6 +486,28 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop().unwrap().1, i);
         }
+    }
+
+    #[test]
+    fn order_batch_sorts_one_instant_by_key() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(3);
+        for tok in [9u64, 3, 7] {
+            q.schedule(t, tok);
+        }
+        q.schedule(SimTime::from_millis(4), 1);
+        assert_eq!(q.order_batch(|&tok| tok), 3);
+        assert_eq!(q.pop(), Some((t, 3)));
+        // Scheduled for the same instant mid-batch: pops after the batch.
+        q.schedule(t, 0);
+        assert_eq!(q.pop(), Some((t, 7)));
+        assert_eq!(q.pop(), Some((t, 9)));
+        assert_eq!(q.order_batch(|&tok| tok), 1);
+        assert_eq!(q.pop(), Some((t, 0)));
+        // The later instant is the next batch, not part of this one.
+        assert_eq!(q.order_batch(|&tok| tok), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(4), 1)));
+        assert_eq!(q.order_batch(|&tok| tok), 0);
     }
 
     #[test]

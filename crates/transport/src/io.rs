@@ -16,8 +16,13 @@
 //! touching the endpoint. The contract every driver must honour:
 //!
 //! * `now()` is constant for the duration of one endpoint callback;
-//! * timers fire no earlier than their deadline, in deadline order, with
-//!   ties broken by arming order;
+//! * timers fire no earlier than their deadline, in deadline order. Events
+//!   due at the same instant dispatch as one batch in canonical order —
+//!   packet arrivals by packet id, then timers by token — never in arming
+//!   order; events armed for that instant while the batch runs form the
+//!   next batch (`mpcc_simcore::EventQueue::order_batch` is the shared
+//!   drain). The sender's same-kind tokens carry monotonic epochs, so
+//!   among them token order is arming order anyway;
 //! * `rng()` is the endpoint's private stream — no other component draws
 //!   from it — which is what makes controller decisions reproducible when
 //!   the same ACK schedule is replayed under a different driver.

@@ -245,11 +245,15 @@ impl UdpPeer {
                 continue;
             }
             let mut worked = false;
-            // Fire every due timer at this turn's frozen `now`.
+            // Fire every due timer at this turn's frozen `now`, one
+            // deadline at a time in token order (the simulator's
+            // same-instant order).
             while self.state.timers.peek_time().is_some_and(|t| t <= now) {
-                let (_, token) = self.state.timers.pop().expect("peeked");
-                self.state.stats.timers_fired += 1;
-                self.endpoint.on_timer(token, &mut self.state);
+                for _ in 0..self.state.timers.order_batch(|&token| token) {
+                    let (_, token) = self.state.timers.pop().expect("batched");
+                    self.state.stats.timers_fired += 1;
+                    self.endpoint.on_timer(token, &mut self.state);
+                }
                 worked = true;
             }
             // Drain each socket (bounded per turn so timers stay timely).

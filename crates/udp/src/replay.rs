@@ -11,13 +11,14 @@
 //! function of (a) its packet arrivals with their timestamps, (b) the
 //! order its timers fire relative to those arrivals, and (c) its private
 //! rng stream. The replay host pins all three: arrivals are pre-loaded
-//! into the same `EventQueue` the simulator uses — FIFO within a
-//! timestamp, so a pre-loaded arrival at time `t` dispatches before any
-//! timer armed *during* the run at `t`, exactly as
-//! `mpcc_netsim::Simulation::inject` behaves — and the rng is whatever
-//! the caller seeds (use `mpcc_netsim::endpoint_rng` for parity with a
-//! simulated endpoint). Hence replaying the same trace here and in the
-//! simulator must produce bit-identical controller decisions.
+//! into the same `EventQueue` the simulator uses and drained with the
+//! same same-instant rule (`EventQueue::order_batch`: arrivals by packet id,
+//! then timers by token, with timers armed during an instant's batch
+//! firing after it), exactly as `mpcc_netsim::Simulation::inject`
+//! behaves — and the rng is whatever the caller seeds (use
+//! `mpcc_netsim::endpoint_rng` for parity with a simulated endpoint).
+//! Hence replaying the same trace here and in the simulator must produce
+//! bit-identical controller decisions.
 
 use mpcc_simcore::{Clock, EventQueue, ManualClock, SimDuration, SimRng, SimTime};
 use mpcc_telemetry::Tracer;
@@ -28,6 +29,15 @@ use mpcc_transport::{Endpoint, HostCtx, PacketTrace};
 enum Ev {
     Arrive(Packet),
     Timer(u64),
+}
+
+/// Same-instant dispatch order, as in the simulator: arrivals by packet
+/// id, then timers by token.
+fn replay_key(ev: &Ev) -> (u8, u64) {
+    match ev {
+        Ev::Arrive(pkt) => (0, pkt.id),
+        Ev::Timer(token) => (1, *token),
+    }
 }
 
 /// Counters accumulated during a replay; see [`ReplayHost::stats`].
@@ -123,8 +133,7 @@ impl ReplayHost {
     }
 
     /// Pre-loads every recorded arrival. Must be called before [`run`]
-    /// (pre-loading is what guarantees arrivals dispatch ahead of
-    /// same-instant timers armed during the run).
+    /// (an arrival loaded later would miss the batch of its instant).
     ///
     /// [`run`]: ReplayHost::run
     pub fn load(&mut self, trace: &PacketTrace) {
@@ -155,20 +164,19 @@ impl ReplayHost {
     /// a sender re-arms its periodic timers forever).
     pub fn run(&mut self, until: SimTime) {
         self.endpoint.start(&mut self.state);
-        while let Some(t) = self.state.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            let (t, ev) = self.state.queue.pop().expect("peeked");
-            self.state.clock.advance_to(t);
-            match ev {
-                Ev::Arrive(pkt) => {
-                    self.state.stats.delivered += 1;
-                    self.endpoint.on_packet(pkt, &mut self.state);
-                }
-                Ev::Timer(token) => {
-                    self.state.stats.timers_fired += 1;
-                    self.endpoint.on_timer(token, &mut self.state);
+        while self.state.queue.peek_time().is_some_and(|t| t <= until) {
+            for _ in 0..self.state.queue.order_batch(replay_key) {
+                let (t, ev) = self.state.queue.pop().expect("batched");
+                self.state.clock.advance_to(t);
+                match ev {
+                    Ev::Arrive(pkt) => {
+                        self.state.stats.delivered += 1;
+                        self.endpoint.on_packet(pkt, &mut self.state);
+                    }
+                    Ev::Timer(token) => {
+                        self.state.stats.timers_fired += 1;
+                        self.endpoint.on_timer(token, &mut self.state);
+                    }
                 }
             }
         }

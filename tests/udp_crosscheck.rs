@@ -15,9 +15,10 @@ use mpcc::{Mpcc, MpccConfig};
 use mpcc_netsim::{endpoint_rng, Blackhole, LinkParams, Simulation, Tap};
 use mpcc_simcore::{Rate, SimDuration, SimTime};
 use mpcc_telemetry::{ControllerEvent, LayerMask, Record, RingSink, TraceEvent, Tracer};
-use mpcc_transport::wire::EndpointId;
-use mpcc_transport::{MpSender, PacketTrace, SchedulerKind, SenderConfig};
+use mpcc_transport::wire::{AckHeader, EndpointId, Header, Packet, PathId, SackBlocks};
+use mpcc_transport::{Endpoint, HostCtx, MpSender, PacketTrace, SchedulerKind, SenderConfig};
 use mpcc_udp::ReplayHost;
+use std::any::Any;
 use std::sync::Arc;
 
 const SEED: u64 = 7;
@@ -147,4 +148,95 @@ fn sim_and_udp_replays_make_identical_mi_decisions() {
     for (i, (s, u)) in sim_decisions.iter().zip(udp_decisions.iter()).enumerate() {
         assert_eq!(s, u, "decision {i} diverges: sim {s:?} vs udp {u:?}");
     }
+}
+
+/// The instant every [`TieProbe`] event lands on.
+const TIE: SimTime = SimTime::from_millis(5);
+
+/// Records the order its callbacks fire in. It arms two timers for the
+/// same instant in descending token order, and the replayed trace holds
+/// two arrivals at that instant in descending packet-id order, so an
+/// arming-order (FIFO) driver would dispatch both pairs backwards.
+#[derive(Default)]
+struct TieProbe {
+    fired: Vec<(&'static str, u64)>,
+}
+
+impl Endpoint for TieProbe {
+    fn start(&mut self, ctx: &mut dyn HostCtx) {
+        ctx.set_timer(TIE, 9);
+        ctx.set_timer(TIE, 3);
+    }
+    fn on_packet(&mut self, pkt: Packet, _ctx: &mut dyn HostCtx) {
+        self.fired.push(("arrive", pkt.id));
+    }
+    fn on_timer(&mut self, token: u64, _ctx: &mut dyn HostCtx) {
+        self.fired.push(("timer", token));
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+fn tie_trace() -> PacketTrace {
+    let mut trace = PacketTrace::new();
+    for id in [7, 5] {
+        let header = Header::Ack(AckHeader {
+            subflow: 0,
+            cum_ack: 0,
+            sack: SackBlocks::EMPTY,
+            ack_seq: 0,
+            echo_sent_at: SimTime::ZERO,
+            data_acked: 0,
+            rcv_window: u64::MAX,
+        });
+        let pkt = Packet {
+            id,
+            src: EndpointId(1),
+            dst: EndpointId(0),
+            path: PathId(0),
+            hop: usize::MAX,
+            size: 64,
+            header,
+        };
+        trace.push(TIE, pkt);
+    }
+    trace
+}
+
+#[test]
+fn same_instant_events_fire_in_canonical_order_under_both_drivers() {
+    let trace = tie_trace();
+
+    let mut sim = Simulation::new(SEED);
+    let probe = sim.add_endpoint(Box::<TieProbe>::default());
+    for e in &trace.entries {
+        sim.inject(e.at, e.pkt);
+    }
+    sim.run_until(HORIZON);
+    let in_sim = sim.endpoint::<TieProbe>(probe).fired.clone();
+
+    let mut host = ReplayHost::new(
+        probe,
+        endpoint_rng(SEED, probe),
+        Tracer::off(),
+        Vec::new(),
+        Box::<TieProbe>::default(),
+    );
+    host.load(&trace);
+    host.run(HORIZON);
+    let in_udp = host.endpoint::<TieProbe>().fired.clone();
+
+    assert_eq!(
+        in_sim, in_udp,
+        "drivers break same-instant ties differently"
+    );
+    // Arrivals by packet id, then timers by token — not arming order.
+    assert_eq!(
+        in_sim,
+        [("arrive", 5), ("arrive", 7), ("timer", 3), ("timer", 9)]
+    );
 }
