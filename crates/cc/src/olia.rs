@@ -57,8 +57,8 @@ impl OliaRule {
         &mut self.intervals[subflow]
     }
 
-    /// Computes the α vector for the current state (public for tests and
-    /// the theory-validation benches).
+    /// Computes the α vector for the current state (public for the
+    /// fluid-consistency tests).
     pub fn alphas(&mut self, wins: &[WinState]) -> Vec<f64> {
         let d = wins.len();
         let ells: Vec<f64> = (0..d)

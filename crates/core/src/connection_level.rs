@@ -3,7 +3,7 @@
 //! estimate.
 //!
 //! Kept as a working implementation because (a) the paper's theory builds
-//! on it and (b) the ablation benches demonstrate its three obstacles:
+//! on it and (b) the `ablation` experiment demonstrates its three obstacles:
 //! sequential per-dimension probing is slow (Obstacle I), every monitor
 //! interval is stretched to the slowest subflow's RTT (Obstacle II), and the
 //! worst-subflow penalty makes healthy subflows back off (Obstacle III).

@@ -18,7 +18,7 @@
 //! * **Randomized sweep** (`--sweep`): seeds × random parallel-link
 //!   capacities/RTTs, each checked against both the LMMF oracle (MPCC
 //!   connections) and the fluid equilibrium (coupled connections), far
-//!   beyond the hand-picked topologies. Bounded by `MPCC_SWEEP_CASES`.
+//!   beyond the hand-picked topologies. Bounded by `--sweep-cases`.
 //!
 //! Tolerances absorb wire overhead, probing loss and finite-run averaging
 //! noise — the oracles are convergence checks, not bit-exact ones.
@@ -532,8 +532,8 @@ pub fn sweep_fluid_tol(kind: CoupledKind) -> (f64, f64) {
         _ => (SWEEP_REL_TOL, SWEEP_FLUID_ABS),
     }
 }
-/// Default number of random sweep topologies (`MPCC_SWEEP_CASES` and
-/// `--sweep-cases` truncate or extend).
+/// Default number of random sweep topologies (`--sweep-cases` truncates
+/// or extends).
 pub const SWEEP_DEFAULT_CASES: usize = 50;
 
 /// One sweep topology: random (or regression-pinned) capacities, RTTs and
@@ -625,18 +625,6 @@ pub fn random_sweep_specs(master_seed: u64, count: usize) -> Vec<SweepSpec> {
         });
     }
     out
-}
-
-/// The sweep's random-case count: `--sweep-cases` (passed as `cli`), else
-/// `MPCC_SWEEP_CASES`, else [`SWEEP_DEFAULT_CASES`].
-pub fn sweep_case_count(cli: Option<usize>) -> usize {
-    cli.or_else(|| {
-        std::env::var("MPCC_SWEEP_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-    .unwrap_or(SWEEP_DEFAULT_CASES)
-    .max(1)
 }
 
 fn sweep_links(spec: &SweepSpec) -> Vec<LinkParams> {

@@ -12,7 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod output;
 pub mod protocols;

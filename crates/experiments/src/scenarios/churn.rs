@@ -53,7 +53,7 @@ struct ConnSpec {
 }
 
 /// Knobs of one churn run. [`churn_config`] derives the scenario defaults
-/// from an [`ExpConfig`]; tests and the bench build their own.
+/// from an [`ExpConfig`]; tests and perfbench build their own.
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnConfig {
     /// Master seed (the arrival script and fabric share it).
@@ -87,7 +87,8 @@ pub struct ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// A small deterministic workload for tests and the sharded bench.
+    /// A small deterministic workload for tests and perfbench's
+    /// `churn-clos`.
     pub fn small(seed: u64, shards: u8, conns: usize, secs: u64) -> ChurnConfig {
         ChurnConfig {
             seed,

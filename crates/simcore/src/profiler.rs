@@ -4,9 +4,9 @@
 //! With the feature **off** (the default) every type here compiles to a
 //! zero-sized no-op: [`Stamp`] is `()`, [`Profiler::start`] and
 //! [`Profiler::record`] are empty `#[inline(always)]` bodies, and the
-//! whole instrumented path folds away — the benchmark gate in
-//! `experiments --bench` holds the profiler-off build to within noise of
-//! the uninstrumented baseline.
+//! whole instrumented path folds away. perfbench's end-to-end numbers
+//! always come from this build; its `traced` flavour turns the feature on
+//! and reports the attribution as per-layer metrics.
 //!
 //! With the feature **on**, each recorded span costs one `Instant::now()`
 //! pair plus two array updates. Wall-clock readings never feed back into

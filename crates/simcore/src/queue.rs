@@ -48,9 +48,6 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Name of the active queue implementation, stamped into benchmark output.
-pub const QUEUE_IMPL: &str = "timer-wheel";
-
 /// log2 of slots per level.
 const SLOT_BITS: u32 = 6;
 /// Slots per wheel level.

@@ -60,7 +60,7 @@ fn lmmf_is_feasible() {
 }
 
 /// Water-filling property: no connection can be raised without lowering a
-/// connection that is no better off (the max-min criterion). We check the
+/// connection that is no better off (the max-min condition). We check the
 /// simplest consequence: every connection is "blocked" by a saturated link
 /// on some link it uses.
 #[test]

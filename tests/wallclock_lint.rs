@@ -5,22 +5,30 @@
 //! time, and so no simulated component can accidentally observe wall
 //! time. This test greps every product crate for direct `Instant::now()`
 //! / `SystemTime::now()` calls and fails on any file not on the explicit
-//! allowlist of wall-clock owners.
+//! allowlist of wall-clock owners. The allowlist cannot go stale: every
+//! entry must exist and contain a wall-clock read.
 
 use std::path::{Path, PathBuf};
 
 /// Files allowed to read the wall clock directly:
 /// - the `Clock` implementations themselves,
-/// - the simulator self-profiler (wall-clock attribution is its job),
-/// - bench harnesses (they measure wall time by definition),
-/// - the vendored criterion micro-harness.
+/// - the simulator self-profiler (wall-clock attribution is its job).
 const ALLOWED: &[&str] = &[
     "crates/simcore/src/clock.rs",
     "crates/simcore/src/profiler.rs",
-    "crates/bench/src/lib.rs",
-    "crates/experiments/src/bench.rs",
-    "crates/criterion/src/lib.rs",
 ];
+
+/// The raw wall-clock reads in `text`, as (line number, line). Comments
+/// and docs explaining the rule do not count.
+fn wall_clock_reads(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| {
+            let code = line.split("//").next().unwrap_or("");
+            code.contains("Instant::now") || code.contains("SystemTime::now")
+        })
+        .map(|(i, line)| (i + 1, line))
+}
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("read_dir") {
@@ -45,6 +53,20 @@ fn no_raw_wall_clock_reads_outside_the_clock_seam() {
     }
     assert!(sources.len() > 20, "suspiciously few sources scanned");
 
+    let stale: Vec<&str> = ALLOWED
+        .iter()
+        .copied()
+        .filter(|rel| {
+            std::fs::read_to_string(root.join(rel))
+                .map_or(true, |text| wall_clock_reads(&text).next().is_none())
+        })
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "allowlisted files that are missing or read no wall clock (drop \
+         them from ALLOWED): {stale:?}"
+    );
+
     let mut offenders = Vec::new();
     for path in sources {
         let rel = path
@@ -56,13 +78,8 @@ fn no_raw_wall_clock_reads_outside_the_clock_seam() {
             continue;
         }
         let text = std::fs::read_to_string(&path).expect("read source");
-        for (i, line) in text.lines().enumerate() {
-            // The one sanctioned appearance outside the allowlist is in
-            // comments/docs explaining the rule.
-            let code = line.split("//").next().unwrap_or("");
-            if code.contains("Instant::now") || code.contains("SystemTime::now") {
-                offenders.push(format!("{rel}:{}: {}", i + 1, line.trim()));
-            }
+        for (n, line) in wall_clock_reads(&text) {
+            offenders.push(format!("{rel}:{n}: {}", line.trim()));
         }
     }
     assert!(
