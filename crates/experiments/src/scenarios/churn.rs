@@ -52,7 +52,7 @@ struct ConnSpec {
     recv_shard: u8,
 }
 
-/// Knobs of one churn run. [`churn_config`] derives the scenario defaults
+/// Knobs of one churn run. `churn_config` derives the scenario defaults
 /// from an [`ExpConfig`]; tests and perfbench build their own.
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnConfig {
@@ -168,7 +168,7 @@ fn sample(cfg: &ChurnConfig, hosts: usize) -> Vec<(SimTime, u64, usize, usize)> 
     script
 }
 
-/// A built churn run: the sharded engine with one [`ChurnHook`] per
+/// A built churn run: the sharded engine with one `ChurnHook` per
 /// shard. Drive it with `sim.run_until(...)` (slices are fine), then
 /// [`ChurnSim::collect`] the outcome.
 pub struct ChurnSim {
@@ -269,9 +269,12 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
             }
         }
         // Churn keeps discovering rare new per-slot timer-wheel occupancy
-        // maxima for the whole run; a generous up-front reservation moves
-        // that capacity ratchet to build time (tests/alloc_free.rs holds
-        // the steady state to zero allocations).
+        // maxima and in-flight packet peaks for the whole run; a generous
+        // up-front reservation moves both capacity ratchets to build time
+        // (tests/alloc_free.rs holds the steady state to zero
+        // allocations). It sizes every wheel slot for 512 entries and the
+        // drain buffers and the packet slab for 16,384; at 40 B a wheel
+        // entry, the slots take about 7.9 MB per shard.
         clos.sim.reserve_event_capacity(512, 16_384);
         clos.sim
     });

@@ -43,12 +43,72 @@ enum Event {
     /// A link finished serializing its head packet.
     TxComplete(LinkId),
     /// A packet finished propagating toward hop `packet.hop` of its path
-    /// (or toward its destination endpoint if past the last hop).
-    Arrive(Packet),
+    /// (or toward its destination endpoint if past the last hop). The
+    /// packet waits in the [`PacketSlab`] at `slot`; the event carries
+    /// only its id and hop (`u32::MAX` for past-the-last-hop direct
+    /// packets), the fields [`canon_key`] needs.
+    Arrive { id: u64, hop: u32, slot: u32 },
     /// An endpoint timer fired.
     Timer(EndpointId, u64),
-    /// A scheduled link parameter change.
-    LinkChange(LinkId, LinkParams),
+    /// A scheduled link parameter change (boxed: it is scheduled only at
+    /// setup, and would otherwise set the size of every event).
+    LinkChange(LinkId, Box<LinkParams>),
+}
+
+// A wheel entry is `(at, seq, event)`: 40 bytes with a 24-byte event.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
+/// The packets of pending `Arrive` events, kept out of the event wheel so
+/// that a wheel entry stays small however large a packet is. Freed slots
+/// are reused LIFO, so the slab grows only to the in-flight peak.
+#[derive(Default)]
+struct PacketSlab {
+    slots: Vec<Option<Packet>>,
+    free: Vec<u32>,
+}
+
+impl PacketSlab {
+    /// Stores `pkt` and returns the `Arrive` event that delivers it.
+    fn arrive(&mut self, pkt: Packet) -> Event {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(pkt);
+                slot
+            }
+            None => {
+                self.slots.push(Some(pkt));
+                u32::try_from(self.slots.len() - 1).expect("in-flight packets fit in u32")
+            }
+        };
+        Event::Arrive {
+            id: pkt.id,
+            hop: u32::try_from(pkt.hop).unwrap_or(u32::MAX),
+            slot,
+        }
+    }
+
+    /// The packet waiting in `slot`.
+    fn get(&self, slot: u32) -> &Packet {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("arrival slot is occupied")
+    }
+
+    /// Removes the packet from `slot` and frees the slot. An empty slot
+    /// is an engine bug: panic rather than deliver a stale packet.
+    fn take(&mut self, slot: u32) -> Packet {
+        let pkt = self.slots[slot as usize]
+            .take()
+            .expect("arrival slot is occupied");
+        self.free.push(slot);
+        pkt
+    }
+
+    /// Pre-sizes the slab for `n` packets in flight.
+    fn reserve(&mut self, n: usize) {
+        self.slots.reserve(n.saturating_sub(self.slots.len()));
+        self.free.reserve(n.saturating_sub(self.free.len()));
+    }
 }
 
 /// The canonical dispatch key of an event: same-time events are
@@ -60,7 +120,11 @@ enum Event {
 fn canon_key(ev: &Event) -> (u8, u64, u64) {
     match ev {
         Event::TxComplete(l) => (0, l.0 as u64, 0),
-        Event::Arrive(p) => (1, p.id, p.hop as u64),
+        // Direct packets (`hop = usize::MAX`) keep their `u64::MAX` key.
+        Event::Arrive {
+            id, hop: u32::MAX, ..
+        } => (1, *id, u64::MAX),
+        Event::Arrive { id, hop, .. } => (1, *id, *hop as u64),
         Event::Timer(e, tok) => (2, e.0 as u64, *tok),
         Event::LinkChange(l, _) => (3, l.0 as u64, 0),
     }
@@ -97,6 +161,7 @@ pub struct Ctx<'a> {
     now: SimTime,
     self_id: EndpointId,
     events: &'a mut EventQueue<Event>,
+    slab: &'a mut PacketSlab,
     links: &'a mut [Link],
     link_rngs: &'a mut [SimRng],
     paths: &'a [Path],
@@ -198,7 +263,7 @@ impl<'a> Ctx<'a> {
                 return;
             }
         }
-        self.events.schedule(at, Event::Arrive(pkt));
+        self.events.schedule(at, self.slab.arrive(pkt));
     }
 
     /// The links of `path`, for topology-aware helpers (e.g. base-RTT
@@ -223,7 +288,7 @@ impl<'a> Ctx<'a> {
         if pkt.hop >= path.links.len() {
             // Past the last hop: deliver. Reached only from Arrive dispatch;
             // a fresh send always has at least one link in our topologies.
-            self.events.schedule(self.now, Event::Arrive(pkt));
+            self.events.schedule(self.now, self.slab.arrive(pkt));
             return;
         }
         let link_id = path.links[pkt.hop];
@@ -343,6 +408,8 @@ pub fn endpoint_rng(seed: u64, id: EndpointId) -> SimRng {
 pub struct Simulation {
     seed: u64,
     events: EventQueue<Event>,
+    /// Packets of the pending `Arrive` events.
+    slab: PacketSlab,
     links: Vec<Link>,
     link_rngs: Vec<SimRng>,
     paths: Vec<Path>,
@@ -387,6 +454,7 @@ impl Simulation {
         Simulation {
             seed,
             events: EventQueue::new(),
+            slab: PacketSlab::default(),
             links: Vec::new(),
             link_rngs: Vec::new(),
             paths: Vec::new(),
@@ -462,13 +530,15 @@ impl Simulation {
     }
 
     /// Pre-sizes the event queue's wheel slots and drain buffers (see
-    /// [`EventQueue::reserve_slot_capacity`]). Churning workloads call
-    /// this at build time so per-slot occupancy maxima discovered late in
-    /// a run never allocate.
+    /// [`EventQueue::reserve_slot_capacity`]), and the packet slab for
+    /// `drain` packets in flight. Churning workloads call this at build
+    /// time so per-slot occupancy maxima and in-flight peaks discovered
+    /// late in a run never allocate.
     ///
     /// [`EventQueue::reserve_slot_capacity`]: mpcc_simcore::EventQueue::reserve_slot_capacity
     pub fn reserve_event_capacity(&mut self, per_slot: usize, drain: usize) {
         self.events.reserve_slot_capacity(per_slot, drain);
+        self.slab.reserve(drain);
     }
 
     /// Adds a link and returns its handle.
@@ -572,12 +642,14 @@ impl Simulation {
         // Mark the packet past its last hop so arrival delivers it instead
         // of re-offering it to a link of whatever path id it recorded.
         pkt.hop = usize::MAX;
-        self.events.schedule(at, Event::Arrive(pkt));
+        let ev = self.slab.arrive(pkt);
+        self.events.schedule(at, ev);
     }
 
     /// Schedules a link parameter change at absolute time `at`.
     pub fn schedule_link_change(&mut self, at: SimTime, link: LinkId, params: LinkParams) {
-        self.events.schedule(at, Event::LinkChange(link, params));
+        self.events
+            .schedule(at, Event::LinkChange(link, Box::new(params)));
     }
 
     // ------------------------------------------------------------------
@@ -618,7 +690,8 @@ impl Simulation {
     /// packets re-enter at their next link, past-last-hop packets deliver
     /// to their destination endpoint.
     pub fn inject_arrival(&mut self, at: SimTime, pkt: Packet) {
-        self.events.schedule(at, Event::Arrive(pkt));
+        let ev = self.slab.arrive(pkt);
+        self.events.schedule(at, ev);
     }
 
     /// Takes the staged cross-shard packets (cleared on return). The
@@ -800,7 +873,8 @@ impl Simulation {
     fn classify(&self, ev: &Event) -> ProfCat {
         match ev {
             Event::TxComplete(_) => ProfCat::LinkTx,
-            Event::Arrive(pkt) => {
+            Event::Arrive { slot, .. } => {
+                let pkt = self.slab.get(*slot);
                 let past_last_hop = match self.paths.get(pkt.path.0 as usize) {
                     Some(path) => pkt.hop >= path.links.len(),
                     None => true,
@@ -856,7 +930,8 @@ impl Simulation {
         let span = Profiler::start();
         let next_tx = match ev {
             Event::TxComplete(link) => self.complete_tx(link).map(|done| (link, done)),
-            Event::Arrive(pkt) => {
+            Event::Arrive { slot, .. } => {
+                let pkt = self.slab.take(slot);
                 let past_last_hop = match self.paths.get(pkt.path.0 as usize) {
                     Some(path) => pkt.hop >= path.links.len(),
                     None => true, // direct (delay-only) packet
@@ -874,7 +949,7 @@ impl Simulation {
                 None
             }
             Event::LinkChange(id, params) => {
-                self.links[id.0 as usize].set_params(params);
+                self.links[id.0 as usize].set_params(*params);
                 None
             }
         };
@@ -992,7 +1067,8 @@ impl Simulation {
                 return;
             }
         }
-        self.events.schedule(at, Event::Arrive(pkt));
+        let ev = self.slab.arrive(pkt);
+        self.events.schedule(at, ev);
     }
 
     /// Re-offers a mid-path packet to its next link (no endpoint involved).
@@ -1027,6 +1103,7 @@ impl Simulation {
                 now: self.now,
                 self_id: id,
                 events: &mut self.events,
+                slab: &mut self.slab,
                 links: &mut self.links,
                 link_rngs: &mut self.link_rngs,
                 paths: &self.paths,
@@ -1045,6 +1122,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::packet::{AckHeader, DataHeader, SackBlocks, MSS_PAYLOAD, MSS_WIRE};
     use std::any::Any;
 
@@ -1198,5 +1276,106 @@ mod tests {
         let mut sim = Simulation::new(4);
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.now(), SimTime::from_secs(5));
+    }
+
+    /// Slots of the packet slab currently holding a packet.
+    fn slab_occupied(sim: &Simulation) -> usize {
+        sim.slab.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    #[test]
+    fn direct_packets_dispatch_with_max_hop_key() {
+        let mut sim = Simulation::new(5);
+        let link = sim.add_link(LinkParams::paper_default());
+        let path = sim.add_path(vec![link], None);
+        let sender = sim.add_endpoint(Box::new(TestSender {
+            path,
+            peer: EndpointId(1),
+            count: 1,
+            acks: vec![],
+            timer_fired: false,
+        }));
+        let receiver = sim.add_endpoint(Box::new(TestReceiver { received: 0 }));
+        let stamp = Arc::new(DispatchStamp::new());
+        sim.set_trace_stamp(stamp.clone());
+
+        // The ACK travels by `send_direct` (behind `send_reverse`) and
+        // dispatches at 120 µs + 30 ms + 30 ms with the receiver's first id.
+        sim.run_until(SimTime::from_millis(61));
+        let ack_id = (receiver.0 as u64) << 32;
+        assert_eq!(stamp.get(), (60_120_000, 1, 1, ack_id, u64::MAX));
+
+        // `inject` marks a packet past its last hop, whatever its hop was.
+        let data = Packet {
+            id: 42,
+            src: sender,
+            dst: receiver,
+            path,
+            hop: 0,
+            size: MSS_WIRE,
+            header: Header::Data(DataHeader {
+                subflow: 0,
+                seq: 1,
+                dsn: MSS_PAYLOAD,
+                payload_len: MSS_PAYLOAD,
+                sent_at: SimTime::from_millis(70),
+                is_retransmission: false,
+            }),
+        };
+        sim.inject(SimTime::from_millis(70), data);
+        sim.run_until(SimTime::from_millis(71));
+        assert_eq!(stamp.get(), (70_000_000, 1, 1, 42, u64::MAX));
+        assert_eq!(sim.endpoint::<TestReceiver>(receiver).received, 2);
+    }
+
+    #[test]
+    fn duplicate_twins_take_two_slots_and_both_deliver() {
+        let mut sim = Simulation::new(6);
+        let faults = FaultPlan::NONE.with_duplicate(1.0, SimDuration::from_millis(1));
+        let link = sim.add_link(LinkParams::paper_default().with_faults(faults));
+        let path = sim.add_path(vec![link], None);
+        sim.add_endpoint(Box::new(TestSender {
+            path,
+            peer: EndpointId(1),
+            count: 1,
+            acks: vec![],
+            timer_fired: false,
+        }));
+        let receiver = sim.add_endpoint(Box::new(TestReceiver { received: 0 }));
+        // Serialization ends at 120 µs; both copies then propagate.
+        sim.run_until(SimTime::from_micros(200));
+        assert_eq!(sim.link_stats(link).duplicated, 1);
+        assert_eq!(slab_occupied(&sim), 2);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.endpoint::<TestReceiver>(receiver).received, 2);
+        assert_eq!(slab_occupied(&sim), 0);
+    }
+
+    #[test]
+    fn slab_stays_within_queue_peak_and_drains() {
+        let mut sim = Simulation::new(7);
+        let faults = FaultPlan::NONE
+            .with_reorder(0.2, SimDuration::from_millis(5))
+            .with_duplicate(0.1, SimDuration::from_millis(2))
+            .with_burst(0.01, 0.3, 0.5);
+        let l1 = sim.add_link(LinkParams::paper_default().with_faults(faults));
+        let l2 = sim.add_link(LinkParams::paper_default().with_faults(faults));
+        let path = sim.add_path(vec![l1, l2], None);
+        sim.add_endpoint(Box::new(TestSender {
+            path,
+            peer: EndpointId(1),
+            count: 200,
+            acks: vec![],
+            timer_fired: false,
+        }));
+        let receiver = sim.add_endpoint(Box::new(TestReceiver { received: 0 }));
+        sim.run_to_completion();
+        assert!(sim.endpoint::<TestReceiver>(receiver).received > 0);
+        assert!(sim.link_stats(l1).duplicated + sim.link_stats(l2).duplicated > 0);
+        assert!(sim.events.is_empty());
+        assert!(!sim.slab.slots.is_empty());
+        assert!(sim.slab.slots.len() <= sim.peak_queue_len());
+        assert_eq!(slab_occupied(&sim), 0);
+        assert_eq!(sim.slab.free.len(), sim.slab.slots.len());
     }
 }

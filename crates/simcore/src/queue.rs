@@ -8,7 +8,7 @@
 //!
 //! # Layout
 //!
-//! The wheel has [`LEVELS`] levels of [`SLOTS`] slots each. A level-0 slot
+//! The wheel has `LEVELS` levels of `SLOTS` slots each. A level-0 slot
 //! spans `2^SHIFT0` ns (≈ 2 µs — well under the 120 µs serialization time
 //! of a full-sized packet on the paper's 100 Mbps links, so same-slot
 //! collisions are rare in steady state); each higher level's slot spans the
@@ -39,8 +39,8 @@
 //! # Allocation budget
 //!
 //! Steady-state operation is allocation-free: slot vectors and the `ready`
-//! list are drained with `Vec::drain`/`extend` (capacity is retained and
-//! recycled through a scratch buffer during cascades), and
+//! list are drained with `Vec::append` (each slot keeps its capacity; a
+//! cascade appends into a scratch buffer and re-inserts from there), and
 //! `sort_unstable` does not allocate. Only growth beyond a previous
 //! high-water mark allocates.
 
@@ -118,7 +118,8 @@ pub struct EventQueue<E> {
     /// Drained events, sorted *descending* by `(at, seq)`; popped from the
     /// back. Non-empty whenever `len > 0` (so `peek_time` is O(1)).
     ready: Vec<Entry<E>>,
-    /// `LEVELS * SLOTS` buckets, indexed `level * SLOTS + slot`.
+    /// `LEVELS * SLOTS` buckets, indexed `level * SLOTS + slot`; empty
+    /// until the first entry is filed (see `slots_mut`).
     slots: Vec<Vec<Entry<E>>>,
     /// One occupancy bit per slot, per level.
     occupied: [u64; LEVELS],
@@ -151,7 +152,7 @@ impl<E> EventQueue<E> {
             len: 0,
             wheel_now: 0,
             ready: Vec::new(),
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            slots: Vec::new(),
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
             scratch: Vec::new(),
@@ -292,7 +293,7 @@ impl<E> EventQueue<E> {
     /// fully stops. Reserving a generous bound up front moves the whole
     /// ratchet to construction time and makes the run allocation-free.
     pub fn reserve_slot_capacity(&mut self, per_slot: usize, drain: usize) {
-        for s in &mut self.slots {
+        for s in self.slots_mut() {
             if s.capacity() < per_slot {
                 s.reserve(per_slot - s.len());
             }
@@ -318,13 +319,27 @@ impl<E> EventQueue<E> {
         }
         let d = e.at ^ self.wheel_now;
         if d < span(LEVELS - 1) {
-            let level = level_for(d);
-            let slot = ((e.at >> shift(level)) & (SLOTS as u64 - 1)) as usize;
-            self.occupied[level] |= 1 << slot;
-            self.slots[level * SLOTS + slot].push(e);
+            self.push_slot(level_for(d), e);
         } else {
             self.overflow.push(e);
         }
+    }
+
+    /// The slot table, built on first use: constructing a queue neither
+    /// allocates nor writes its 384 slot headers (9 KB), which keeps
+    /// construction cheap when the memory it lands in is cold.
+    fn slots_mut(&mut self) -> &mut [Vec<Entry<E>>] {
+        if self.slots.is_empty() {
+            self.slots = (0..LEVELS * SLOTS).map(|_| Vec::new()).collect();
+        }
+        &mut self.slots
+    }
+
+    /// Files `e` in its slot at `level` and marks the slot occupied.
+    fn push_slot(&mut self, level: usize, e: Entry<E>) {
+        let slot = ((e.at >> shift(level)) & (SLOTS as u64 - 1)) as usize;
+        self.occupied[level] |= 1 << slot;
+        self.slots_mut()[level * SLOTS + slot].push(e);
     }
 
     /// Refills `ready` from the wheel: repeatedly cascades the earliest
@@ -338,10 +353,7 @@ impl<E> EventQueue<E> {
                 if top.at ^ self.wheel_now < span(LEVELS - 1) {
                     let e = self.overflow.pop().expect("peeked");
                     self.overflow_promoted += 1;
-                    let level = level_for(e.at ^ self.wheel_now);
-                    let slot = ((e.at >> shift(level)) & (SLOTS as u64 - 1)) as usize;
-                    self.occupied[level] |= 1 << slot;
-                    self.slots[level * SLOTS + slot].push(e);
+                    self.push_slot(level_for(e.at ^ self.wheel_now), e);
                 } else {
                     break;
                 }
@@ -400,15 +412,15 @@ impl<E> EventQueue<E> {
                     self.cascades += 1;
                     self.occupied[level] &= !(1 << b);
                     self.wheel_now = self.wheel_now.max(start);
-                    std::mem::swap(&mut self.scratch, &mut self.slots[level * SLOTS + b]);
+                    // Append, not swap: the drained slot keeps its own
+                    // capacity, and only `scratch` grows to the largest
+                    // cascade.
+                    self.scratch.append(&mut self.slots[level * SLOTS + b]);
                     while let Some(e) = self.scratch.pop() {
                         debug_assert!(e.at >= self.wheel_now);
                         let d = e.at ^ self.wheel_now;
                         debug_assert!(d < span(level - 1));
-                        let l = level_for(d);
-                        let slot = ((e.at >> shift(l)) & (SLOTS as u64 - 1)) as usize;
-                        self.occupied[l] |= 1 << slot;
-                        self.slots[l * SLOTS + slot].push(e);
+                        self.push_slot(level_for(d), e);
                     }
                 }
             }
@@ -650,6 +662,32 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "overflow");
         assert_eq!(q.overflow_promotions(), 1);
         assert_eq!(q.occupied_slots(), 0);
+    }
+
+    #[test]
+    fn cascade_leaves_capacity_with_its_slot() {
+        let mut q = EventQueue::new();
+        // A near event fills `ready`, so the schedules below park in the
+        // wheel instead of refilling straight away.
+        q.schedule(SimTime::from_nanos(1), u64::MAX);
+        // Level-2 slot 3 spans [3, 4) · 2^23 ns; 300 entries 10 ns apart
+        // all land there.
+        let base = 3 * slot_width(2);
+        for i in 0..300u64 {
+            q.schedule(SimTime::from_nanos(base + 10 * i), i);
+        }
+        let slot = 2 * SLOTS + 3;
+        let cap = q.slots[slot].capacity();
+        assert!(cap >= 300);
+        assert_eq!(q.pop().unwrap().1, u64::MAX);
+        // Popping the near event refilled `ready` through the cascade.
+        assert!(q.cascades() >= 1);
+        assert!(q.slots[slot].is_empty());
+        assert_eq!(q.slots[slot].capacity(), cap);
+        assert!(q.scratch.capacity() >= 300);
+        for i in 0..300u64 {
+            assert_eq!(q.pop().unwrap().1, i);
+        }
     }
 
     #[test]

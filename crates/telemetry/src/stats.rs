@@ -66,7 +66,7 @@ fn pow2(e: i32) -> f64 {
 
 /// An HDR-style log₂-bucketed histogram.
 ///
-/// Buckets are octaves of the value's binary exponent split into [`SUBS`]
+/// Buckets are octaves of the value's binary exponent split into `SUBS`
 /// linear sub-buckets, so the bucket for a sample is a bit-twiddle of its
 /// IEEE-754 representation — no caller-chosen bounds, no search — and any
 /// two histograms are always mergeable/comparable. The covered domain is

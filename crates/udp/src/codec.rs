@@ -27,7 +27,7 @@
 //! ACK body: subflow u32, cum_ack u64, ack_seq u64, echo_sent_at nanos
 //! u64, data_acked u64, rcv_window u64, sack count u8, then `count` ×
 //! (start u64, end u64). An ACK's encoding may exceed its modelled
-//! [`ACK_SIZE`] — the modelled size is what the congestion accounting
+//! [`ACK_SIZE`](mpcc_transport::wire::ACK_SIZE) — the modelled size is what the congestion accounting
 //! uses; the datagram is as long as it needs to be.
 //!
 //! Decoding is total: any input — truncated, oversized, garbage — returns
