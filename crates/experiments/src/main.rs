@@ -128,24 +128,8 @@ fn main() {
             id => ids.push(id.to_string()),
         }
     }
-    let metrics = |path: &str| {
-        let mut mc = MetricsConfig::new(path.into());
-        if let Some(bin) = metrics_bin {
-            mc = mc.with_bin(bin);
-        }
-        mc
-    };
     if udp_receiver {
         std::process::exit(udp_demo::serve_receiver(cfg.seed));
-    }
-    if udp_mode {
-        let opts = udp_demo::DemoOpts {
-            bytes: udp_bytes,
-            seed: cfg.seed,
-            trace: trace_path.map(|p| (p.into(), trace_mask)),
-            metrics: metrics_path.map(|p| (p.into(), metrics_bin)),
-        };
-        std::process::exit(udp_demo::run(&opts));
     }
     if report_mode {
         // `experiments report FILE...`: flight-recorder Markdown from the
@@ -165,15 +149,46 @@ fn main() {
         }
         return;
     }
-    if check_mode {
-        let trace = trace_path.map(|p| TraceConfig {
-            path: p.into(),
-            mask: trace_mask,
-        });
-        cfg.exec = Executor::new(jobs, trace);
-        if let Some(p) = &metrics_path {
-            cfg.exec = cfg.exec.with_metrics(metrics(p));
+    if !udp_mode && !check_mode && ids.is_empty() {
+        eprintln!(
+            "usage: experiments <id>... | all | list  [--full] [--seed N] [--runs N] [--jobs N] \
+             [--shards N] [--full-scale] \
+             [--out DIR] [--trace FILE] [--trace-filter controller,transport,link] \
+             [--metrics FILE] [--metrics-bin 500ms] \
+             [--faults 'reorder:p=0.05,extra=20ms;outage:at=5s,down=1s']\n\
+             or:    experiments check [--fluid] [--sweep] [--sweep-cases N] [--full] [--jobs N]\n\
+             or:    experiments report METRICS_FILE...\n\
+             or:    experiments udp [--udp-bytes N] [--seed N] [--trace FILE] [--metrics FILE]"
+        );
+        eprintln!("ids: {}", ALL.join(" "));
+        std::process::exit(2);
+    }
+    // One executor for every mode that runs something: its telemetry is
+    // the only path from a run to the `--trace`/`--metrics` files.
+    let trace = trace_path.map(|p| TraceConfig {
+        path: p.into(),
+        mask: trace_mask,
+    });
+    cfg.exec = Executor::new(jobs, trace);
+    if let Some(p) = metrics_path {
+        let mut mc = MetricsConfig::new(p.into());
+        if let Some(bin) = metrics_bin {
+            mc = mc.with_bin(bin);
         }
+        cfg.exec = cfg.exec.with_metrics(mc);
+    }
+    if udp_mode {
+        let opts = udp_demo::DemoOpts {
+            bytes: udp_bytes,
+            seed: cfg.seed,
+        };
+        let code = udp_demo::run(&opts, &cfg.exec);
+        if starved_sinks(&cfg.exec) {
+            std::process::exit(1);
+        }
+        std::process::exit(code);
+    }
+    if check_mode {
         // `check` alone runs the LMMF oracle; `--fluid` / `--sweep` select
         // the trajectory oracle and the randomized equilibrium sweep
         // instead (both flags run both). Any failing mode exits nonzero.
@@ -212,29 +227,11 @@ fn main() {
         }
         return;
     }
-    if ids.is_empty() {
-        eprintln!(
-            "usage: experiments <id>... | all | list  [--full] [--seed N] [--runs N] [--jobs N] \
-             [--shards N] [--full-scale] \
-             [--out DIR] [--trace FILE] [--trace-filter controller,transport,link] \
-             [--metrics FILE] [--metrics-bin 500ms] \
-             [--faults 'reorder:p=0.05,extra=20ms;outage:at=5s,down=1s']\n\
-             or:    experiments check [--fluid] [--sweep] [--sweep-cases N] [--full] [--jobs N]\n\
-             or:    experiments report METRICS_FILE...\n\
-             or:    experiments udp [--udp-bytes N] [--seed N] [--trace FILE] [--metrics FILE]"
-        );
-        eprintln!("ids: {}", ALL.join(" "));
-        std::process::exit(2);
-    }
-    ids.dedup();
-    let trace = trace_path.map(|p| TraceConfig {
-        path: p.into(),
-        mask: trace_mask,
-    });
-    cfg.exec = Executor::new(jobs, trace).with_faults(faults);
-    if let Some(p) = &metrics_path {
-        cfg.exec = cfg.exec.with_metrics(metrics(p));
-    }
+    // `all fig2` or `fig2 fig5 fig2` names fig2 twice: run it once, at its
+    // first position.
+    let mut seen = std::collections::HashSet::new();
+    ids.retain(|id| seen.insert(id.clone()));
+    cfg.exec = cfg.exec.with_faults(faults);
     // Wall-clock timing goes through the Clock seam like every other
     // time source in the tree (the lint test in tests/wallclock_lint.rs
     // keeps raw `Instant::now()` out of everything but the clock and the
@@ -257,38 +254,7 @@ fn main() {
             wall.elapsed_since(start).as_secs_f64()
         );
     }
-    // A requested sink that captured nothing after running scenarios is a
-    // failure, not a quiet success: every scenario emits transport events
-    // at minimum, so an empty stream means telemetry was never attached
-    // (the historical sharded-run blackout) or the filter matched nothing.
-    let has_payload = |path: &std::path::Path, csv: bool| -> bool {
-        use std::io::BufRead as _;
-        // Header-only CSV counts as empty; reading two lines is enough.
-        let need = 1 + usize::from(csv);
-        std::fs::File::open(path)
-            .map(|f| std::io::BufReader::new(f).lines().take(need).count() == need)
-            .unwrap_or(false)
-    };
-    let mut starved = Vec::new();
-    if let Some(tc) = cfg.exec.trace_config() {
-        if !has_payload(&tc.path, tc.is_csv()) {
-            starved.push(("--trace", tc.path.clone()));
-        }
-    }
-    if let Some(mc) = cfg.exec.metrics_config() {
-        if !has_payload(&mc.path, mc.is_csv()) {
-            starved.push(("--metrics", mc.path.clone()));
-        }
-    }
-    if !starved.is_empty() {
-        for (flag, path) in &starved {
-            eprintln!(
-                "{flag} {}: no events were captured — the sink was never \
-                 attached to a simulation, or --trace-filter excluded every \
-                 emitted layer",
-                path.display()
-            );
-        }
+    if starved_sinks(&cfg.exec) {
         std::process::exit(1);
     }
     // In checked builds (debug, or --features invariants) a clean exit
@@ -298,4 +264,40 @@ fn main() {
         eprintln!("{violations} runtime invariant violations");
         std::process::exit(1);
     }
+}
+
+/// Reports every requested sink that captured nothing, and whether there
+/// was one. A run that leaves a sink empty is a failure, not a quiet
+/// success: every scenario and the UDP sender emit transport events at
+/// minimum, so an empty stream means telemetry was never attached (the
+/// historical sharded-run blackout) or the filter matched nothing.
+fn starved_sinks(exec: &Executor) -> bool {
+    let has_payload = |path: &std::path::Path, csv: bool| -> bool {
+        use std::io::BufRead as _;
+        // Header-only CSV counts as empty; reading two lines is enough.
+        let need = 1 + usize::from(csv);
+        std::fs::File::open(path)
+            .map(|f| std::io::BufReader::new(f).lines().take(need).count() == need)
+            .unwrap_or(false)
+    };
+    let mut starved = Vec::new();
+    if let Some(tc) = exec.trace_config() {
+        if !has_payload(&tc.path, tc.is_csv()) {
+            starved.push(("--trace", tc.path.clone()));
+        }
+    }
+    if let Some(mc) = exec.metrics_config() {
+        if !has_payload(&mc.path, mc.is_csv()) {
+            starved.push(("--metrics", mc.path.clone()));
+        }
+    }
+    for (flag, path) in &starved {
+        eprintln!(
+            "{flag} {}: no events were captured — the sink was never \
+             attached to a run, or --trace-filter excluded every \
+             emitted layer",
+            path.display()
+        );
+    }
+    !starved.is_empty()
 }

@@ -63,19 +63,14 @@ pub struct MetricsConfig {
     pub path: PathBuf,
     /// Time-bin width of the aggregated series.
     pub bin: SimDuration,
-    /// Row-ring capacity of each run's pipeline (rows buffered between
-    /// drains to the part file).
-    pub ring_lines: usize,
 }
 
 impl MetricsConfig {
-    /// A config at the default cadence (1 s bins, 256-row ring).
+    /// A config at the pipeline's default cadence (1 s bins).
     pub fn new(path: PathBuf) -> Self {
-        let d = PipelineConfig::default();
         MetricsConfig {
             path,
-            bin: d.bin,
-            ring_lines: d.ring_lines,
+            bin: PipelineConfig::default().bin,
         }
     }
 
@@ -268,11 +263,8 @@ impl Executor {
             .map(|mut sc| {
                 sc.run_id = self.inner.next_run_id.fetch_add(1, Ordering::Relaxed);
                 if let Some(mut t) = self.telemetry(sc.run_id, format!("run{:05}", sc.run_id)) {
-                    // One instance emits in dispatch order already, so its
-                    // part's stamp can stay idle: the per-record sequence
-                    // number alone keys the part.
                     sc.tracer = t
-                        .make_tracer(0, &Arc::default())
+                        .single_part_tracer()
                         .unwrap_or_else(|e| panic!("cannot create per-run part file: {e}"));
                     telemetry.push(t);
                 }
@@ -345,8 +337,10 @@ impl Executor {
 /// the sequential/threaded backends (DESIGN.md §13, §16).
 ///
 /// Lifecycle: [`Executor::shard_telemetry`] → [`ShardTelemetry::install`]
-/// → run → flush the simulation's tracers → [`ShardTelemetry::merge`].
-/// [`Executor::run_batch`] does the same for every scenario it runs.
+/// (or [`ShardTelemetry::single_part_tracer`] for one instance) → run →
+/// flush the tracers → [`ShardTelemetry::merge`]. [`Executor::run_batch`]
+/// does the same for every scenario it runs, and `experiments udp` for
+/// its sender.
 pub struct ShardTelemetry {
     trace: Option<TraceConfig>,
     metrics: Option<MetricsConfig>,
@@ -377,11 +371,10 @@ impl ShardTelemetry {
                 let path = part_path(&mc.path, "metrics", &self.tag, shard);
                 let cfg = PipelineConfig::default()
                     .with_bin(mc.bin)
-                    .with_ring(mc.ring_lines)
                     .with_run(self.run_id)
                     .with_keyed(true);
-                // Raw writer, not `MetricsPipeline::create`: part files are
-                // headerless, the merged file owns the CSV header.
+                // Part files are headerless: the merged file owns the CSV
+                // header.
                 let w: Box<dyn io::Write + Send> =
                     Box::new(io::BufWriter::new(fs::File::create(&path)?));
                 let pipeline = MetricsPipeline::new(cfg, mc.is_csv(), w);
@@ -396,6 +389,13 @@ impl ShardTelemetry {
             (Some(t), Some(m)) => Tracer::new(Arc::new(TeeSink::new(vec![t, m])), LayerMask::ALL),
             (None, None) => unreachable!("ShardTelemetry exists only with a sink configured"),
         })
+    }
+
+    /// The tracer of a run that is a single instance (one part). One
+    /// instance emits in dispatch order already, so the part's stamp can
+    /// stay idle: the per-record sequence number alone keys the part.
+    pub fn single_part_tracer(&mut self) -> io::Result<Tracer> {
+        self.make_tracer(0, &Arc::default())
     }
 
     /// Attaches one keyed part sink (and dispatch-stamp cell) per shard.

@@ -9,25 +9,23 @@
 //! deadline passes.
 //!
 //! The sender emits the same `mpcc-telemetry` events a simulated run
-//! does, so `--trace`, `--metrics`/`--metrics-bin`, and `experiments
-//! report` work unchanged on a real-socket run. Exit status is nonzero if
-//! the transfer does not complete, if either path carried no data, or if
-//! any runtime invariant tripped (`--features invariants`).
+//! does, into the same keyed part files ([`ShardTelemetry`]) merged into
+//! the executor's `--trace`/`--metrics` files, so `--metrics-bin` and
+//! `experiments report` work unchanged on a real-socket run. Exit status
+//! is nonzero if the transfer does not complete, if either path carried
+//! no data, or if any runtime invariant tripped (`--features invariants`).
 
 use crate::protocols;
+use crate::runner::{Executor, ShardTelemetry};
 use mpcc_netsim::endpoint_rng;
 use mpcc_simcore::{SimDuration, SimTime};
-use mpcc_telemetry::{
-    CsvSink, JsonlSink, LayerMask, MetricsPipeline, PipelineConfig, TeeSink, TraceSink, Tracer,
-};
+use mpcc_telemetry::Tracer;
 use mpcc_transport::wire::{EndpointId, PathId, MSS_PAYLOAD};
 use mpcc_transport::{MpReceiver, MpSender, SenderConfig};
 use mpcc_udp::{UdpPath, UdpPeer};
 use std::io::{self, BufRead, BufReader, Write as _};
 use std::net::UdpSocket;
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
 
 /// Protocol label the demo runs (the paper's loss-mode MPCC).
 const PROTOCOL: &str = "mpcc-loss";
@@ -55,11 +53,6 @@ pub struct DemoOpts {
     pub bytes: u64,
     /// Seed for the controller and driver rng streams.
     pub seed: u64,
-    /// `--trace FILE` with its `--trace-filter` mask.
-    pub trace: Option<(PathBuf, LayerMask)>,
-    /// `--metrics FILE` with its `--metrics-bin` width (`None` keeps the
-    /// pipeline default).
-    pub metrics: Option<(PathBuf, Option<SimDuration>)>,
 }
 
 impl Default for DemoOpts {
@@ -67,8 +60,6 @@ impl Default for DemoOpts {
         DemoOpts {
             bytes: DEFAULT_BYTES,
             seed: crate::ExpConfig::default().seed,
-            trace: None,
-            metrics: None,
         }
     }
 }
@@ -134,52 +125,16 @@ fn try_serve_receiver(seed: u64) -> io::Result<i32> {
 }
 
 /// Parent mode (`experiments udp`): run the two-path loopback transfer
-/// end to end. Returns the process exit code.
-pub fn run(opts: &DemoOpts) -> i32 {
-    match try_run(opts) {
+/// end to end, tracing the sender through `exec`'s telemetry. Returns the
+/// process exit code.
+pub fn run(opts: &DemoOpts, exec: &Executor) -> i32 {
+    match try_run(opts, exec) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("udp demo: {e}");
             1
         }
     }
-}
-
-/// Builds the sender's tracer from `--trace`/`--metrics`, mirroring the
-/// runner's tee discipline: the trace branch keeps its filter mask, the
-/// metrics pipeline always sees every layer. Single run, so records go
-/// straight to the final files — no part-file merge step.
-fn make_tracer(opts: &DemoOpts) -> io::Result<Tracer> {
-    let trace_sink: Option<(Arc<dyn TraceSink>, LayerMask)> = match &opts.trace {
-        None => None,
-        Some((path, mask)) => {
-            let sink: Arc<dyn TraceSink> = if path.extension().is_some_and(|e| e == "csv") {
-                Arc::new(CsvSink::create(path)?)
-            } else {
-                Arc::new(JsonlSink::create(path)?)
-            };
-            Some((sink, *mask))
-        }
-    };
-    let metrics_sink: Option<Arc<dyn TraceSink>> = match &opts.metrics {
-        None => None,
-        Some((path, bin)) => {
-            let mut cfg = PipelineConfig::default().with_run(0);
-            if let Some(bin) = bin {
-                cfg = cfg.with_bin(*bin);
-            }
-            Some(Arc::new(MetricsPipeline::create(cfg, path)?) as Arc<dyn TraceSink>)
-        }
-    };
-    Ok(match (trace_sink, metrics_sink) {
-        (None, None) => Tracer::off(),
-        (Some((sink, mask)), None) => Tracer::new(sink, mask),
-        (None, Some(pipe)) => Tracer::new(pipe, LayerMask::ALL),
-        (Some((sink, mask)), Some(pipe)) => {
-            let tee = TeeSink::new(vec![(sink, mask), (pipe, LayerMask::ALL)]);
-            Tracer::new(Arc::new(tee), LayerMask::ALL)
-        }
-    })
 }
 
 /// Spawns the receiver process and reads its port line.
@@ -212,20 +167,26 @@ fn spawn_receiver(seed: u64) -> io::Result<(Child, u16, u16)> {
     Ok((child, ports[0], ports[1]))
 }
 
-fn try_run(opts: &DemoOpts) -> io::Result<i32> {
+fn try_run(opts: &DemoOpts, exec: &Executor) -> io::Result<i32> {
     mpcc_check::reset();
-    let tracer = make_tracer(opts)?;
-    let (mut child, p0, p1) = spawn_receiver(opts.seed)?;
-    eprintln!(
-        ">>> udp demo: {} bytes over two loopback paths (ports {p0}/{p1}), \
-         protocol {PROTOCOL}, seed {}",
-        opts.bytes, opts.seed
-    );
-
-    let result = run_sender(opts, &tracer, p0, p1);
+    let mut telemetry = exec.shard_telemetry("udp");
+    let tracer = match &mut telemetry {
+        Some(t) => t.single_part_tracer()?,
+        None => Tracer::off(),
+    };
+    let result = spawn_receiver(opts.seed).and_then(|(mut child, p0, p1)| {
+        eprintln!(
+            ">>> udp demo: {} bytes over two loopback paths (ports {p0}/{p1}), \
+             protocol {PROTOCOL}, seed {}",
+            opts.bytes, opts.seed
+        );
+        let result = run_sender(opts, &tracer, p0, p1);
+        let _ = child.kill();
+        let _ = child.wait();
+        result
+    });
     tracer.flush();
-    let _ = child.kill();
-    let _ = child.wait();
+    telemetry.map_or(Ok(()), ShardTelemetry::merge)?;
     result
 }
 

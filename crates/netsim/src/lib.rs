@@ -25,7 +25,6 @@ pub mod packet;
 pub mod replay;
 pub mod shard;
 pub mod topology;
-pub mod trace;
 
 pub use fault::{BurstLoss, DuplicateFault, FaultPlan, OutageSchedule, ReorderFault};
 pub use ids::{EndpointId, LinkId, PathId};

@@ -284,15 +284,6 @@ pub enum LinkEvent {
         /// How far the copy trails the original, nanoseconds.
         extra_delay_ns: u64,
     },
-    /// A periodic queue-occupancy sample (taken by probes, not per-packet).
-    QueueSample {
-        /// Link id.
-        link: u32,
-        /// Bytes queued.
-        queued_bytes: u64,
-        /// Packets queued.
-        queued_packets: u64,
-    },
     /// The simulator clamped an event scheduled in the past up to `now`.
     ///
     /// This is a warning: a correct model never schedules into the past, and
@@ -481,7 +472,6 @@ impl TraceEvent {
                 LinkEvent::DropOutage { .. } => "drop_outage",
                 LinkEvent::FaultReorder { .. } => "fault_reorder",
                 LinkEvent::FaultDuplicate { .. } => "fault_duplicate",
-                LinkEvent::QueueSample { .. } => "queue_sample",
                 LinkEvent::ClockClamp { .. } => "clock_clamp",
             },
             TraceEvent::Check(e) => match e {
@@ -645,15 +635,6 @@ impl TraceEvent {
                     ("link", U64(link as u64)),
                     ("bytes", U64(bytes)),
                     ("extra_delay_ns", U64(extra_delay_ns)),
-                ],
-                LinkEvent::QueueSample {
-                    link,
-                    queued_bytes,
-                    queued_packets,
-                } => vec![
-                    ("link", U64(link as u64)),
-                    ("queued_bytes", U64(queued_bytes)),
-                    ("queued_packets", U64(queued_packets)),
                 ],
                 LinkEvent::ClockClamp { count } => vec![("count", U64(count))],
             },

@@ -18,11 +18,10 @@
 //!
 //! Sinks: [`NullSink`] (drop everything), [`RingSink`] (bounded in-memory
 //! buffer with observable overflow, used by tests and invariant checks),
-//! [`JsonlSink`] / [`CsvSink`] (streaming exporters used by the
-//! experiments CLI's `--trace` flag), [`TeeSink`] (per-branch-masked
-//! fan-out), [`StatsSink`] (monotonic counters + log₂-bucketed histograms
-//! aggregated per subflow / connection / link), and [`MetricsPipeline`]
-//! (bounded-memory time-binned metrics rows streamed to JSONL/CSV — the
+//! [`KeyedSink`] (one keyed part file per run or shard, merged into the
+//! experiments CLI's `--trace`/`--metrics` files by [`merge_keyed_parts`]),
+//! [`TeeSink`] (per-branch-masked fan-out), and [`MetricsPipeline`] (the
+//! one aggregator: bounded-memory time-binned metrics rows — the
 //! substrate of `--metrics` and `experiments report`).
 
 pub mod event;
@@ -37,5 +36,5 @@ pub use event::{
 };
 pub use keyed::{merge_keyed_parts, KeyedSink};
 pub use pipeline::{MetricsPipeline, PipelineConfig};
-pub use sink::{CsvSink, JsonlSink, NullSink, RingSink, TeeSink, TraceSink, Tracer};
-pub use stats::{Counter, Histogram, StatsReport, StatsSink};
+pub use sink::{NullSink, RingSink, TeeSink, TraceSink, Tracer};
+pub use stats::Histogram;

@@ -24,9 +24,7 @@ use crate::stats::Histogram;
 use mpcc_simcore::SimDuration;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::Write;
 use std::sync::Mutex;
 
 /// Configuration for a [`MetricsPipeline`].
@@ -478,17 +476,6 @@ impl MetricsPipeline {
         }
     }
 
-    /// Creates (truncating) a file at `path`; the `.csv` extension selects
-    /// CSV rows (header written immediately), anything else JSONL.
-    pub fn create(cfg: PipelineConfig, path: &Path) -> io::Result<Self> {
-        let csv = path.extension().is_some_and(|e| e == "csv");
-        let mut w: Box<dyn Write + Send> = Box::new(BufWriter::new(File::create(path)?));
-        if csv {
-            writeln!(w, "{}", Self::CSV_HEADER)?;
-        }
-        Ok(Self::new(cfg, csv, w))
-    }
-
     /// Highest number of rows ever buffered in the ring — always at most
     /// the configured capacity (the bounded-memory guarantee tests pin).
     pub fn ring_high_water(&self) -> usize {
@@ -653,14 +640,6 @@ impl TraceSink for MetricsPipeline {
                     b.active = true;
                     b.duplicated += 1;
                 }
-                LinkEvent::QueueSample {
-                    link, queued_bytes, ..
-                } => {
-                    let b = g.links.entry(link).or_default();
-                    b.active = true;
-                    b.queue_bytes_last = queued_bytes;
-                    b.queue_bytes_max = b.queue_bytes_max.max(queued_bytes);
-                }
                 LinkEvent::ClockClamp { .. } => {}
             },
             TraceEvent::Check(crate::event::CheckEvent::Violation { invariant, .. }) => {
@@ -688,6 +667,7 @@ mod tests {
     use super::*;
     use crate::event::CheckEvent;
     use mpcc_simcore::SimTime;
+    use std::io;
     use std::sync::{Arc, Mutex as StdMutex};
 
     /// A writer whose output the test can read back after the pipeline

@@ -2,9 +2,6 @@
 
 use crate::event::{Layer, LayerMask, Record, TraceEvent};
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Destination for trace records.
@@ -115,8 +112,8 @@ impl TraceSink for RingSink {
 }
 
 /// Fans each record out to several sinks, each behind its own
-/// [`LayerMask`] — e.g. full-fidelity trace records to a [`JsonlSink`]
-/// while the same stream feeds a metrics pipeline, without the emitting
+/// [`LayerMask`] — e.g. full-fidelity trace records to a
+/// [`crate::KeyedSink`] while the same stream feeds a metrics pipeline, without the emitting
 /// layers knowing there is more than one consumer.
 pub struct TeeSink {
     branches: Vec<(Arc<dyn TraceSink>, LayerMask)>,
@@ -143,66 +140,6 @@ impl TraceSink for TeeSink {
         for (sink, _) in &self.branches {
             sink.flush();
         }
-    }
-}
-
-/// Streams records as JSON Lines to any writer (typically a file).
-pub struct JsonlSink {
-    w: Mutex<Box<dyn Write + Send>>,
-}
-
-impl JsonlSink {
-    /// Wraps an arbitrary writer.
-    pub fn new(w: Box<dyn Write + Send>) -> Self {
-        JsonlSink { w: Mutex::new(w) }
-    }
-
-    /// Creates (truncating) a file at `path` and streams to it buffered.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(Self::new(Box::new(BufWriter::new(File::create(path)?))))
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&self, rec: &Record) {
-        let mut w = self.w.lock().expect("jsonl sink poisoned");
-        // Trace output is best-effort: an I/O error must not abort the
-        // simulation mid-run. The final flush will surface persistent
-        // failures to the harness.
-        let _ = writeln!(w, "{}", rec.to_jsonl());
-    }
-
-    fn flush(&self) {
-        let _ = self.w.lock().expect("jsonl sink poisoned").flush();
-    }
-}
-
-/// Streams records as CSV (header written on creation).
-pub struct CsvSink {
-    w: Mutex<Box<dyn Write + Send>>,
-}
-
-impl CsvSink {
-    /// Wraps an arbitrary writer and writes the header row.
-    pub fn new(mut w: Box<dyn Write + Send>) -> Self {
-        let _ = writeln!(w, "{}", Record::csv_header());
-        CsvSink { w: Mutex::new(w) }
-    }
-
-    /// Creates (truncating) a file at `path` and streams to it buffered.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(Self::new(Box::new(BufWriter::new(File::create(path)?))))
-    }
-}
-
-impl TraceSink for CsvSink {
-    fn record(&self, rec: &Record) {
-        let mut w = self.w.lock().expect("csv sink poisoned");
-        let _ = writeln!(w, "{}", rec.to_csv_row());
-    }
-
-    fn flush(&self) {
-        let _ = self.w.lock().expect("csv sink poisoned").flush();
     }
 }
 
@@ -387,25 +324,5 @@ mod tests {
             LinkEvent::DropRandom { link: 0, bytes: 1 }
         });
         assert!(!called);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_lines() {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, b: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = JsonlSink::new(Box::new(Shared(buf.clone())));
-        sink.record(&rec(5));
-        sink.flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert_eq!(text, format!("{}\n", rec(5).to_jsonl()));
     }
 }

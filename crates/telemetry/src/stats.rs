@@ -1,44 +1,5 @@
-//! Monotonic counters and log₂-bucketed (HDR-style) histograms, plus a
-//! [`StatsSink`] that aggregates the event stream per subflow /
-//! connection / link.
-
-use crate::event::{LinkEvent, Record, TraceEvent, TransportEvent};
-use crate::sink::TraceSink;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-
-/// A monotonically non-decreasing event counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Difference against an earlier snapshot of the same counter.
-    /// Saturating, so a snapshot taken across a counter reset (e.g. a
-    /// re-created link) yields 0 instead of a debug-mode panic.
-    pub fn since(self, earlier: Counter) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
-}
+//! The log₂-bucketed (HDR-style) [`Histogram`] behind the metrics
+//! pipeline's RTT percentiles.
 
 /// log₂ of the linear sub-buckets per octave: 8 sub-buckets, so bucket
 /// boundaries are `m · 2^e` with `m ∈ {1, 1.125, 1.25, …, 1.875}` and the
@@ -236,217 +197,9 @@ impl Histogram {
     }
 }
 
-/// Per-subflow transport counters (keyed by `(conn, subflow)`).
-#[derive(Clone, Debug, Default)]
-pub struct SubflowStats {
-    /// Fresh data packets sent.
-    pub sends: Counter,
-    /// Reinjected (retransmitted) packets sent.
-    pub reinjections: Counter,
-    /// ACKs processed.
-    pub acks: Counter,
-    /// Bytes newly acknowledged.
-    pub acked_bytes: Counter,
-    /// Chunks the SACK scoreboard declared lost.
-    pub sack_losses: Counter,
-    /// Retransmission timeouts fired.
-    pub rtos: Counter,
-}
-
-/// Per-link counters (keyed by link id).
-#[derive(Clone, Debug, Default)]
-pub struct LinkStatsAgg {
-    /// Packets admitted to the queue.
-    pub enqueued: Counter,
-    /// Droptail overflow drops.
-    pub dropped_overflow: Counter,
-    /// Random-loss drops.
-    pub dropped_random: Counter,
-    /// Gilbert–Elliott burst-loss drops.
-    pub dropped_burst: Counter,
-    /// Outage black-holes.
-    pub dropped_outage: Counter,
-    /// Packets delayed by the reordering fault.
-    pub reordered: Counter,
-    /// Extra copies delivered by the duplication fault.
-    pub duplicated: Counter,
-}
-
-/// Per-connection controller counters and histograms.
-#[derive(Clone, Debug)]
-pub struct ConnStats {
-    /// Monitor intervals started (all subflows).
-    pub mi_started: Counter,
-    /// Monitor-interval reports processed (all subflows).
-    pub mi_completed: Counter,
-    /// Rate steps taken (all subflows).
-    pub rate_steps: Counter,
-    /// Distribution of per-MI goodput, Mbps.
-    pub mi_throughput: Histogram,
-}
-
-impl Default for ConnStats {
-    fn default() -> Self {
-        ConnStats {
-            mi_started: Counter::new(),
-            mi_completed: Counter::new(),
-            rate_steps: Counter::new(),
-            mi_throughput: Histogram::new(),
-        }
-    }
-}
-
-#[derive(Default)]
-struct StatsInner {
-    subflows: BTreeMap<(u64, u32), SubflowStats>,
-    rtts: BTreeMap<(u64, u32), Histogram>,
-    conns: BTreeMap<u64, ConnStats>,
-    links: BTreeMap<u32, LinkStatsAgg>,
-}
-
-/// A [`TraceSink`] that folds the event stream into counters and
-/// histograms instead of retaining individual records. All maps are
-/// `BTreeMap`s so reports iterate in a deterministic order.
-#[derive(Default)]
-pub struct StatsSink {
-    inner: Mutex<StatsInner>,
-}
-
-/// A point-in-time copy of everything a [`StatsSink`] has aggregated.
-#[derive(Clone, Debug, Default)]
-pub struct StatsReport {
-    /// Transport counters per `(conn, subflow)`.
-    pub subflows: BTreeMap<(u64, u32), SubflowStats>,
-    /// RTT histograms per `(conn, subflow)`, microseconds.
-    pub rtts: BTreeMap<(u64, u32), Histogram>,
-    /// Controller counters per connection.
-    pub conns: BTreeMap<u64, ConnStats>,
-    /// Link counters per link id.
-    pub links: BTreeMap<u32, LinkStatsAgg>,
-}
-
-impl StatsSink {
-    /// An empty aggregator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshots the current aggregates.
-    pub fn report(&self) -> StatsReport {
-        let inner = self.inner.lock().expect("stats poisoned");
-        StatsReport {
-            subflows: inner.subflows.clone(),
-            rtts: inner.rtts.clone(),
-            conns: inner.conns.clone(),
-            links: inner.links.clone(),
-        }
-    }
-}
-
-impl TraceSink for StatsSink {
-    fn record(&self, rec: &Record) {
-        let mut inner = self.inner.lock().expect("stats poisoned");
-        match rec.event {
-            TraceEvent::Transport(e) => {
-                let (conn, subflow) = match e {
-                    TransportEvent::Send { conn, subflow, .. }
-                    | TransportEvent::Reinjection { conn, subflow, .. }
-                    | TransportEvent::Ack { conn, subflow, .. }
-                    | TransportEvent::SackLoss { conn, subflow, .. }
-                    | TransportEvent::RtoFired { conn, subflow, .. } => (conn, subflow),
-                    TransportEvent::SchedulerPick { .. } => return,
-                };
-                let s = inner.subflows.entry((conn, subflow)).or_default();
-                match e {
-                    TransportEvent::Send { .. } => s.sends.inc(),
-                    TransportEvent::Reinjection { .. } => s.reinjections.inc(),
-                    TransportEvent::Ack {
-                        acked_bytes,
-                        rtt_us,
-                        ..
-                    } => {
-                        s.acks.inc();
-                        s.acked_bytes.add(acked_bytes);
-                        inner
-                            .rtts
-                            .entry((conn, subflow))
-                            .or_default()
-                            .record(rtt_us as f64);
-                    }
-                    TransportEvent::SackLoss { .. } => s.sack_losses.inc(),
-                    TransportEvent::RtoFired { .. } => s.rtos.inc(),
-                    TransportEvent::SchedulerPick { .. } => unreachable!(),
-                }
-            }
-            TraceEvent::Controller(e) => {
-                use crate::event::ControllerEvent as C;
-                match e {
-                    C::MiStart { conn, .. } => {
-                        inner.conns.entry(conn).or_default().mi_started.inc();
-                    }
-                    C::MiEnd {
-                        conn, goodput_mbps, ..
-                    } => {
-                        let c = inner.conns.entry(conn).or_default();
-                        c.mi_completed.inc();
-                        c.mi_throughput.record(goodput_mbps);
-                    }
-                    C::RateStep { conn, .. } => {
-                        inner.conns.entry(conn).or_default().rate_steps.inc();
-                    }
-                    C::RatePublished { .. } => {}
-                }
-            }
-            TraceEvent::Link(e) => {
-                let link = match e {
-                    // Not tied to any link; nothing to aggregate per-link.
-                    LinkEvent::ClockClamp { .. } => return,
-                    LinkEvent::Enqueue { link, .. }
-                    | LinkEvent::DropOverflow { link, .. }
-                    | LinkEvent::DropRandom { link, .. }
-                    | LinkEvent::DropBurst { link, .. }
-                    | LinkEvent::DropOutage { link, .. }
-                    | LinkEvent::FaultReorder { link, .. }
-                    | LinkEvent::FaultDuplicate { link, .. }
-                    | LinkEvent::QueueSample { link, .. } => link,
-                };
-                let l = inner.links.entry(link).or_default();
-                match e {
-                    LinkEvent::Enqueue { .. } => l.enqueued.inc(),
-                    LinkEvent::DropOverflow { .. } => l.dropped_overflow.inc(),
-                    LinkEvent::DropRandom { .. } => l.dropped_random.inc(),
-                    LinkEvent::DropBurst { .. } => l.dropped_burst.inc(),
-                    LinkEvent::DropOutage { .. } => l.dropped_outage.inc(),
-                    LinkEvent::FaultReorder { .. } => l.reordered.inc(),
-                    LinkEvent::FaultDuplicate { .. } => l.duplicated.inc(),
-                    LinkEvent::QueueSample { .. } => {}
-                    // Filtered out by the early return above.
-                    LinkEvent::ClockClamp { .. } => unreachable!(),
-                }
-            }
-            // Violations are counted by `mpcc-check` itself; the stats
-            // aggregator has nothing to add per-entity. Meta events are
-            // telemetry self-reports, not simulation activity.
-            TraceEvent::Check(_) | TraceEvent::Meta(_) => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ControllerEvent;
-    use mpcc_simcore::SimTime;
-
-    #[test]
-    fn counter_since_saturates_across_reset() {
-        let mut a = Counter::new();
-        a.add(10);
-        let snap = a;
-        let fresh = Counter::new(); // counter reset (e.g. link re-created)
-        assert_eq!(fresh.since(snap), 0);
-        assert_eq!(a.since(Counter::new()), 10);
-    }
 
     /// Regression pin: the log₂ bucket layout. Bucket boundaries are pure
     /// functions of the IEEE-754 representation; these exact values must
@@ -519,57 +272,5 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(0.5), 0.0);
         assert_eq!((h.mean(), h.min(), h.max()), (0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn stats_sink_aggregates_by_scope() {
-        let sink = StatsSink::new();
-        let t = SimTime::ZERO;
-        sink.record(&Record {
-            t,
-            event: TransportEvent::Ack {
-                conn: 1,
-                subflow: 0,
-                acked_bytes: 1000,
-                rtt_us: 30_000,
-            }
-            .into(),
-        });
-        sink.record(&Record {
-            t,
-            event: TransportEvent::RtoFired {
-                conn: 1,
-                subflow: 1,
-                backoff: 0,
-            }
-            .into(),
-        });
-        sink.record(&Record {
-            t,
-            event: ControllerEvent::MiEnd {
-                conn: 1,
-                subflow: 0,
-                goodput_mbps: 42.0,
-                loss_rate: 0.0,
-                utility: Some(1.0),
-                action: "decided",
-            }
-            .into(),
-        });
-        sink.record(&Record {
-            t,
-            event: LinkEvent::DropOverflow {
-                link: 2,
-                bytes: 1500,
-                queued_bytes: 0,
-            }
-            .into(),
-        });
-        let rep = sink.report();
-        assert_eq!(rep.subflows[&(1, 0)].acked_bytes.get(), 1000);
-        assert_eq!(rep.subflows[&(1, 1)].rtos.get(), 1);
-        assert_eq!(rep.rtts[&(1, 0)].count(), 1);
-        assert_eq!(rep.conns[&1].mi_completed.get(), 1);
-        assert_eq!(rep.links[&2].dropped_overflow.get(), 1);
     }
 }

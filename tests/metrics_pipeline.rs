@@ -6,7 +6,8 @@
 //!   path the CLI uses);
 //! * bounded memory — a soak-length (30 s) faulted run at the default
 //!   cadence never buffers more rows than the configured ring capacity;
-//! * the flight recorder renders a real faulted stream without error.
+//! * the flight recorder renders a real faulted stream without error;
+//! * link rows take their queue depth from `enqueue` events.
 
 use mpcc_experiments::report;
 use mpcc_experiments::runner::{run, ConnSpec, Executor, MetricsConfig, Scenario};
@@ -14,7 +15,10 @@ use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
 use mpcc_simcore::rng::splitmix64;
 use mpcc_simcore::{Rate, SimDuration};
-use mpcc_telemetry::{LayerMask, MetricsPipeline, PipelineConfig, Tracer};
+use mpcc_telemetry::{
+    Layer, LayerMask, LinkEvent, MetricsPipeline, PipelineConfig, Record, RingSink, TraceEvent,
+    TraceSink, Tracer,
+};
 use std::fs;
 use std::sync::Arc;
 
@@ -146,4 +150,71 @@ fn soak_length_run_keeps_the_metrics_ring_bounded() {
         pipe.ring_high_water(),
         pipe.ring_capacity()
     );
+}
+
+/// The report's "max queue B" column is `queue_bytes_max` in the link
+/// rows, and `enqueue` events are its only source: a congested droptail
+/// link reports a standing queue no deeper than its buffer, and the same
+/// stream without its `enqueue` records reports none.
+#[test]
+fn link_rows_take_queue_depth_from_enqueue_events() {
+    const BUFFER: u64 = 60_000;
+    let link = LinkParams {
+        capacity: Rate::from_mbps(10.0),
+        delay: SimDuration::from_millis(10),
+        buffer: BUFFER,
+        random_loss: 0.0,
+        faults: FaultPlan::NONE,
+    };
+    let ring = Arc::new(RingSink::new(1 << 20));
+    let mut sc = Scenario::new(0x0B0F, vec![link], vec![ConnSpec::bulk("reno", vec![0])])
+        .with_duration(SimDuration::from_secs(5), SimDuration::ZERO);
+    sc.tracer = Tracer::new(ring.clone(), LayerMask::only(Layer::Link));
+    let result = run(&sc);
+    assert!(
+        result.links[0].dropped_overflow > 0,
+        "the link must congest"
+    );
+    assert_eq!(ring.evicted(), 0, "the ring must hold the whole run");
+    let records = ring.records();
+
+    let dir = std::env::temp_dir().join(format!("mpcc-metrics-queue-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("rows.jsonl");
+    // `queue_bytes_max` of every link row the pipeline flushes for the
+    // records `keep` lets through.
+    let queue_max = |keep: &dyn Fn(&Record) -> bool| -> Vec<u64> {
+        let pipe = MetricsPipeline::new(
+            PipelineConfig::default(),
+            false,
+            Box::new(fs::File::create(&path).unwrap()),
+        );
+        for rec in records.iter().filter(|r| keep(r)) {
+            pipe.record(rec);
+        }
+        pipe.flush();
+        fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .filter(|l| l.contains("\"scope\":\"link\""))
+            .map(|l| {
+                let rest = l.split("\"queue_bytes_max\":").nth(1).expect("column");
+                rest.split([',', '}']).next().unwrap().parse().unwrap()
+            })
+            .collect()
+    };
+
+    let all = queue_max(&|_| true);
+    assert!(!all.is_empty(), "no link rows");
+    assert!(all.iter().any(|&q| q > 0), "no standing queue: {all:?}");
+    assert!(
+        all.iter().all(|&q| q <= BUFFER),
+        "deeper than the buffer: {all:?}"
+    );
+
+    let is_enqueue = |r: &Record| matches!(r.event, TraceEvent::Link(LinkEvent::Enqueue { .. }));
+    let without = queue_max(&|r| !is_enqueue(r));
+    assert!(!without.is_empty(), "overflow drops still open link rows");
+    assert!(without.iter().all(|&q| q == 0), "{without:?}");
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,6 @@ use mpcc::{Mpcc, MpccConfig};
 use mpcc_cc::{Bbr, MpCubic};
 use mpcc_netsim::link::LinkParams;
 use mpcc_netsim::topology::{parallel_links, uniform_parallel_links, Clos, ClosConfig};
-use mpcc_netsim::trace::{summarize_link, QueueProbe};
 use mpcc_simcore::{Rate, SimDuration, SimTime};
 use mpcc_transport::{MpReceiver, MpSender, MultipathCc, SchedulerKind, SenderConfig, Workload};
 
@@ -132,9 +131,10 @@ fn clos_fabric_carries_cross_tor_traffic() {
 }
 
 #[test]
-fn queue_probe_sees_bufferbloat_for_loss_based_mpcc() {
-    // MPCC-loss on a deep buffer keeps the queue busy; the probe must see
-    // substantial standing queue (this is what Fig. 9 measures via RTT).
+fn loss_based_mpcc_stands_a_deep_queue() {
+    // MPCC-loss on a deep buffer keeps the queue busy; sampling it must
+    // show substantial standing queue (this is what Fig. 9 measures via
+    // RTT).
     let params = LinkParams::paper_default().with_buffer(1_000_000);
     let mut net = uniform_parallel_links(13, 1, params);
     let path = net.path(0);
@@ -148,19 +148,20 @@ fn queue_probe_sees_bufferbloat_for_loss_based_mpcc() {
         Box::new(Mpcc::new(MpccConfig::loss().with_seed(2))),
     )));
     let before = sim.link_stats(link);
-    let mut probe = QueueProbe::new();
+    let mut queued = Vec::new();
     for step in 1..=300u64 {
         sim.run_until(SimTime::from_millis(100 * step));
         if step > 100 {
-            probe.sample(&sim, link);
+            queued.push(sim.link(link).queued_bytes() as f64);
         }
     }
-    let summary = summarize_link(&sim, link, before, SimDuration::from_secs(30));
-    assert!(summary.utilization > 0.85, "{summary:?}");
+    let delivered = sim.link_stats(link).delivered_bytes - before.delivered_bytes;
+    let utilization = delivered as f64 * 8.0 / 30.0 / params.capacity.bps();
+    assert!(utilization > 0.85, "utilization {utilization}");
+    let mean = queued.iter().sum::<f64>() / queued.len() as f64;
     assert!(
-        probe.mean_bytes() > 100_000.0,
-        "loss-based MPCC should stand a deep queue: mean {}",
-        probe.mean_bytes()
+        mean > 100_000.0,
+        "loss-based MPCC should stand a deep queue: mean {mean}"
     );
 }
 

@@ -1,6 +1,6 @@
 //! The telemetry subsystem's two core guarantees, checked end-to-end:
 //!
-//! * **observation-freedom** — attaching any sink (null, ring, JSONL) to a
+//! * **observation-freedom** — attaching any sink (null, ring) to a
 //!   run changes nothing about its results, because tracing never draws
 //!   from the RNG and never schedules events;
 //! * **reproducibility** — two runs of the same seed produce byte-for-byte
@@ -12,30 +12,9 @@ use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
 use mpcc_netsim::topology::parallel_links;
 use mpcc_simcore::{Rate, SimDuration, SimTime};
-use mpcc_telemetry::{JsonlSink, LayerMask, NullSink, RingSink, Tracer};
+use mpcc_telemetry::{LayerMask, NullSink, RingSink, Tracer};
 use mpcc_transport::{MpReceiver, MpSender, SchedulerKind, SenderConfig, Workload};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
-
-/// A `Write` target whose bytes can be read back after the sink is done.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn contents(&self) -> Vec<u8> {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+use std::sync::Arc;
 
 struct Outcome {
     data_acked: u64,
@@ -96,6 +75,20 @@ fn run(seed: u64, tracer: Tracer) -> Outcome {
     }
 }
 
+/// Runs `seed` into a ring large enough for the whole run and serializes
+/// what it recorded as JSONL, one record per line.
+fn jsonl_trace(seed: u64, mask: LayerMask) -> (Outcome, String) {
+    let ring = Arc::new(RingSink::new(1 << 22));
+    let out = run(seed, Tracer::new(ring.clone(), mask));
+    assert_eq!(ring.evicted(), 0, "the ring must hold the whole run");
+    let text = ring
+        .records()
+        .iter()
+        .map(|r| format!("{}\n", r.to_jsonl()))
+        .collect();
+    (out, text)
+}
+
 fn assert_same(a: &Outcome, b: &Outcome) {
     assert_eq!(a.data_acked, b.data_acked);
     assert_eq!(a.sent_packets, b.sent_packets);
@@ -120,12 +113,7 @@ fn tracing_does_not_change_results() {
 /// Two same-seed runs emit byte-for-byte identical JSONL.
 #[test]
 fn same_seed_traces_are_byte_identical() {
-    let trace_of = |seed: u64| {
-        let buf = SharedBuf::default();
-        let sink = Arc::new(JsonlSink::new(Box::new(buf.clone())));
-        let out = run(seed, Tracer::new(sink, LayerMask::ALL));
-        (out, buf.contents())
-    };
+    let trace_of = |seed: u64| jsonl_trace(seed, LayerMask::ALL);
     let (out_a, bytes_a) = trace_of(0xDE7);
     let (out_b, bytes_b) = trace_of(0xDE7);
     assert_same(&out_a, &out_b);
@@ -140,11 +128,8 @@ fn same_seed_traces_are_byte_identical() {
 /// Layer filtering keeps only the requested layers in the output.
 #[test]
 fn trace_filter_restricts_layers() {
-    let buf = SharedBuf::default();
-    let sink = Arc::new(JsonlSink::new(Box::new(buf.clone())));
     let mask = LayerMask::parse("controller").expect("valid filter");
-    run(0xDE7, Tracer::new(sink, mask));
-    let text = String::from_utf8(buf.contents()).expect("traces are UTF-8");
+    let (_, text) = jsonl_trace(0xDE7, mask);
     assert!(!text.is_empty());
     for line in text.lines() {
         assert!(
