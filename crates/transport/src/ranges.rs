@@ -4,17 +4,26 @@
 //! subflow sequence numbers (SACK generation) and out-of-order data sequence
 //! bytes (connection-level reassembly).
 //!
-//! Backed by a sorted `Vec` rather than a `BTreeMap`: the steady-state set
-//! holds one or two ranges, where binary search plus a contiguous extend is
-//! far cheaper than tree-node traversal, and the retained capacity keeps the
+//! Backed by a sorted ring buffer (`VecDeque`) rather than a `BTreeMap`.
+//! The receive path works at the two ends of the set: new data lands at or
+//! above the highest range, and pruning and the memory cap remove the
+//! lowest ones. Those cases are answered at the ends without a search, so
+//! they stay O(1) however many ranges the set holds — and a subflow whose
+//! cumulative ACK is stuck at an early hole holds thousands. Only inserts
+//! and lookups in the middle fall back to a binary search. A running total
+//! makes [`RangeSet::covered`] O(1), and the retained capacity keeps the
 //! per-packet receive path allocation-free after warm-up. Pathological sets
 //! are bounded by callers via [`RangeSet::truncate_to`].
+
+use std::collections::VecDeque;
 
 /// A set of disjoint, coalesced half-open ranges `[start, end)`.
 #[derive(Clone, Debug, Default)]
 pub struct RangeSet {
     /// `(start, end)` pairs, sorted ascending, disjoint and non-adjacent.
-    v: Vec<(u64, u64)>,
+    v: VecDeque<(u64, u64)>,
+    /// Sum of `end - start` over `v`, kept current by every mutation.
+    covered: u64,
 }
 
 impl RangeSet {
@@ -23,11 +32,20 @@ impl RangeSet {
         Self::default()
     }
 
-    /// Index of the first range whose start is strictly above `value`; the
-    /// range at `idx - 1` (if any) is the only one that can cover `value`.
+    /// Index of the range that covers `value`, if any. Values below the
+    /// first range or at or above the last range's start are answered
+    /// without a search.
     #[inline]
-    fn upper_bound(&self, value: u64) -> usize {
-        self.v.partition_point(|&(s, _)| s <= value)
+    fn covering(&self, value: u64) -> Option<usize> {
+        let (&(fs, _), &(ls, le)) = (self.v.front()?, self.v.back()?);
+        if value < fs {
+            return None;
+        }
+        if value >= ls {
+            return (value < le).then_some(self.v.len() - 1);
+        }
+        let p = self.v.partition_point(|&(s, _)| s <= value);
+        (self.v[p - 1].1 > value).then_some(p - 1)
     }
 
     /// Inserts `[start, end)`, merging with overlapping or adjacent ranges.
@@ -35,7 +53,20 @@ impl RangeSet {
         if end <= start {
             return;
         }
-        let p = self.upper_bound(start);
+        // In-order and above-the-top arrivals: extend or push the back.
+        if let Some((ls, le)) = self.v.back_mut() {
+            if start >= *ls {
+                if start > *le {
+                    self.v.push_back((start, end));
+                    self.covered += end - start;
+                } else if end > *le {
+                    self.covered += end - *le;
+                    *le = end;
+                }
+                return;
+            }
+        }
+        let p = self.v.partition_point(|&(s, _)| s <= start);
         let mut new_start = start;
         let mut new_end = end;
         let mut lo = p;
@@ -57,9 +88,9 @@ impl RangeSet {
             new_end = new_end.max(self.v[hi].1);
             hi += 1;
         }
+        let swallowed: u64 = self.v.range(lo..hi).map(|&(s, e)| e - s).sum();
+        self.covered = self.covered - swallowed + (new_end - new_start);
         if lo < hi {
-            // The common in-order case lands here with `hi == lo + 1`:
-            // extend the existing range in place, no element shifting.
             self.v[lo] = (new_start, new_end);
             self.v.drain(lo + 1..hi);
         } else {
@@ -69,34 +100,30 @@ impl RangeSet {
 
     /// `true` if `value` is covered.
     pub fn contains(&self, value: u64) -> bool {
-        let p = self.upper_bound(value);
-        p > 0 && self.v[p - 1].1 > value
-    }
-
-    /// `true` if the whole of `[start, end)` is covered.
-    pub fn contains_range(&self, start: u64, end: u64) -> bool {
-        if end <= start {
-            return true;
-        }
-        let p = self.upper_bound(start);
-        p > 0 && self.v[p - 1].1 >= end
+        self.covering(value).is_some()
     }
 
     /// If the set covers `value`, returns the end of the covering range.
     pub fn end_of_run(&self, value: u64) -> Option<u64> {
-        let p = self.upper_bound(value);
-        (p > 0 && self.v[p - 1].1 > value).then(|| self.v[p - 1].1)
+        self.covering(value).map(|i| self.v[i].1)
     }
 
-    /// Removes everything below `cutoff`.
+    /// Removes everything below `cutoff`, popping from the front: O(1) when
+    /// nothing lies below it, O(ranges removed) otherwise.
     pub fn prune_below(&mut self, cutoff: u64) {
-        let mut k = self.v.partition_point(|&(s, _)| s < cutoff);
-        if k > 0 && self.v[k - 1].1 > cutoff {
-            // Straddling range: keep its tail.
-            self.v[k - 1].0 = cutoff;
-            k -= 1;
+        while let Some((s, e)) = self.v.front_mut() {
+            if *s >= cutoff {
+                break;
+            }
+            if *e > cutoff {
+                // Straddling range: keep its tail.
+                self.covered -= cutoff - *s;
+                *s = cutoff;
+                break;
+            }
+            self.covered -= *e - *s;
+            self.v.pop_front();
         }
-        self.v.drain(..k);
     }
 
     /// Number of disjoint ranges.
@@ -104,14 +131,9 @@ impl RangeSet {
         self.v.len()
     }
 
-    /// Total values covered.
+    /// Total values covered (a running total; O(1)).
     pub fn covered(&self) -> u64 {
-        self.v.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    /// The `n` highest ranges, highest first.
-    pub fn highest(&self, n: usize) -> Vec<(u64, u64)> {
-        self.iter_highest(n).collect()
+        self.covered
     }
 
     /// Iterates the `n` highest ranges, highest first, without allocating
@@ -131,30 +153,43 @@ impl RangeSet {
     }
 
     /// Drops the lowest ranges until at most `cap` remain (bounds receiver
-    /// memory under sustained loss; see module docs for why this is safe).
+    /// memory under sustained loss; the `receiver` module docs say why this
+    /// is safe there). Pops from the front: O(excess), no element moves.
     pub fn truncate_to(&mut self, cap: usize) {
-        if self.v.len() > cap {
-            let excess = self.v.len() - cap;
-            self.v.drain(..excess);
+        while self.v.len() > cap {
+            let (s, e) = self.v.pop_front().expect("len > cap");
+            self.covered -= e - s;
         }
     }
 
     /// Empties the set, retaining capacity (for recycled per-MI sets).
     pub fn clear(&mut self) {
         self.v.clear();
+        self.covered = 0;
     }
 
-    /// `true` if the backing vector upholds the structural invariant:
-    /// non-empty ranges, sorted ascending, disjoint and non-adjacent.
-    /// Used by the runtime invariant checker; O(n).
+    /// `true` if the backing buffer upholds the structural invariant:
+    /// non-empty ranges, sorted ascending, disjoint and non-adjacent, and a
+    /// running total equal to their summed lengths. Used by the runtime
+    /// invariant checker; O(n).
     pub fn is_well_formed(&self) -> bool {
-        self.v.iter().all(|&(s, e)| s < e) && self.v.windows(2).all(|w| w[0].1 < w[1].0)
+        let mut prev_end = None;
+        let mut total = 0u64;
+        for &(s, e) in &self.v {
+            if s >= e || prev_end.is_some_and(|p| p >= s) {
+                return false;
+            }
+            prev_end = Some(e);
+            total += e - s;
+        }
+        total == self.covered
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpcc_simcore::SimRng;
 
     #[test]
     fn insert_and_merge() {
@@ -166,7 +201,7 @@ mod tests {
         // Bridge the gap exactly.
         rs.insert(20, 30);
         assert_eq!(rs.num_ranges(), 1);
-        assert!(rs.contains_range(10, 40));
+        assert_eq!(rs.iter().collect::<Vec<_>>(), vec![(10, 40)]);
         assert!(!rs.contains(40));
         assert!(rs.contains(10));
     }
@@ -192,7 +227,8 @@ mod tests {
         rs.insert(8, 10);
         rs.insert(1, 9);
         assert_eq!(rs.num_ranges(), 1);
-        assert!(rs.contains_range(0, 10));
+        assert_eq!(rs.end_of_run(0), Some(10));
+        assert_eq!(rs.covered(), 10);
     }
 
     #[test]
@@ -218,12 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn highest_returns_descending() {
+    fn iter_highest_returns_descending() {
         let mut rs = RangeSet::new();
         rs.insert(0, 1);
         rs.insert(10, 11);
         rs.insert(20, 21);
-        let h = rs.highest(2);
+        let h: Vec<_> = rs.iter_highest(2).collect();
         assert_eq!(h, vec![(20, 21), (10, 11)]);
     }
 
@@ -235,6 +271,7 @@ mod tests {
         }
         rs.truncate_to(3);
         assert_eq!(rs.num_ranges(), 3);
+        assert_eq!(rs.covered(), 3);
         assert!(rs.contains(90));
         assert!(!rs.contains(0));
     }
@@ -247,6 +284,7 @@ mod tests {
         assert!(rs.is_well_formed());
         rs.clear();
         assert!(rs.is_empty());
+        assert_eq!(rs.covered(), 0);
         assert!(rs.is_well_formed());
         rs.insert(3, 4);
         assert!(rs.contains(3));
@@ -257,6 +295,194 @@ mod tests {
         let mut rs = RangeSet::new();
         rs.insert(5, 5);
         assert!(rs.is_empty());
-        assert!(rs.contains_range(7, 7));
+        assert!(!rs.contains(5));
+    }
+
+    /// The sorted-`Vec` implementation the ring buffer replaced, kept as
+    /// the behavioural reference for the differential test below.
+    #[derive(Default)]
+    struct VecRangeSet {
+        v: Vec<(u64, u64)>,
+    }
+
+    impl VecRangeSet {
+        fn upper_bound(&self, value: u64) -> usize {
+            self.v.partition_point(|&(s, _)| s <= value)
+        }
+
+        fn insert(&mut self, start: u64, end: u64) {
+            if end <= start {
+                return;
+            }
+            let p = self.upper_bound(start);
+            let mut new_start = start;
+            let mut new_end = end;
+            let mut lo = p;
+            if p > 0 {
+                let (ps, pe) = self.v[p - 1];
+                if pe >= start {
+                    if pe >= end {
+                        return;
+                    }
+                    new_start = ps;
+                    new_end = new_end.max(pe);
+                    lo = p - 1;
+                }
+            }
+            let mut hi = p;
+            while hi < self.v.len() && self.v[hi].0 <= new_end {
+                new_end = new_end.max(self.v[hi].1);
+                hi += 1;
+            }
+            if lo < hi {
+                self.v[lo] = (new_start, new_end);
+                self.v.drain(lo + 1..hi);
+            } else {
+                self.v.insert(lo, (new_start, new_end));
+            }
+        }
+
+        fn contains(&self, value: u64) -> bool {
+            let p = self.upper_bound(value);
+            p > 0 && self.v[p - 1].1 > value
+        }
+
+        fn end_of_run(&self, value: u64) -> Option<u64> {
+            let p = self.upper_bound(value);
+            (p > 0 && self.v[p - 1].1 > value).then(|| self.v[p - 1].1)
+        }
+
+        fn prune_below(&mut self, cutoff: u64) {
+            let mut k = self.v.partition_point(|&(s, _)| s < cutoff);
+            if k > 0 && self.v[k - 1].1 > cutoff {
+                self.v[k - 1].0 = cutoff;
+                k -= 1;
+            }
+            self.v.drain(..k);
+        }
+
+        fn covered(&self) -> u64 {
+            self.v.iter().map(|&(s, e)| e - s).sum()
+        }
+
+        fn truncate_to(&mut self, cap: usize) {
+            if self.v.len() > cap {
+                let excess = self.v.len() - cap;
+                self.v.drain(..excess);
+            }
+        }
+
+        fn is_well_formed(&self) -> bool {
+            self.v.iter().all(|&(s, e)| s < e) && self.v.windows(2).all(|w| w[0].1 < w[1].0)
+        }
+    }
+
+    enum Op {
+        Insert(u64, u64),
+        PruneBelow(u64),
+        TruncateTo(usize),
+        Clear,
+    }
+
+    /// Asserts that every query agrees between the two implementations,
+    /// probing `contains` and `end_of_run` at `probes`.
+    fn assert_agree(rs: &RangeSet, reference: &VecRangeSet, probes: &[u64], at: &str) {
+        assert!(rs.is_well_formed(), "malformed {at}");
+        assert!(reference.is_well_formed(), "reference malformed {at}");
+        assert_eq!(rs.num_ranges(), reference.v.len(), "num_ranges {at}");
+        assert_eq!(rs.covered(), reference.covered(), "covered {at}");
+        let highest: Vec<_> = reference.v.iter().rev().take(4).copied().collect();
+        assert_eq!(
+            rs.iter_highest(4).collect::<Vec<_>>(),
+            highest,
+            "iter_highest {at}"
+        );
+        for &p in probes {
+            assert_eq!(rs.contains(p), reference.contains(p), "contains({p}) {at}");
+            assert_eq!(
+                rs.end_of_run(p),
+                reference.end_of_run(p),
+                "end_of_run({p}) {at}"
+            );
+        }
+    }
+
+    /// The ring buffer against the sorted-`Vec` reference on seeded random
+    /// op sequences — tail appends, middle and front inserts, duplicates,
+    /// pruning, truncation at a small cap and clears — asserting identical
+    /// answers from every query after every op.
+    #[test]
+    fn differential_ring_vs_vec_reference() {
+        const CAP: usize = 24;
+        for seed in 0..8u64 {
+            let mut rng = SimRng::seed_from_u64(0x5E7 ^ seed);
+            let mut rs = RangeSet::new();
+            let mut reference = VecRangeSet::default();
+            // The highest value inserted so far: tail appends start near it.
+            let mut top = 0u64;
+            for step in 0..20_000u32 {
+                let r = rng.next_u64();
+                let len = 1 + r % 4;
+                let lowest = reference.v.first().map_or(0, |r| r.0);
+                let op = match r % 16 {
+                    // Tail append: in order, touching or leaving a hole.
+                    0..=5 => {
+                        let start = top + rng.next_u64() % 3;
+                        Op::Insert(start, start + len)
+                    }
+                    // Middle or front insert, possibly overlapping or
+                    // duplicating existing ranges.
+                    6..=9 => {
+                        let start = rng.next_u64() % (top + 1);
+                        Op::Insert(start, start + len)
+                    }
+                    // Exact duplicate of an existing range.
+                    10 => match reference.v.get(r as usize % (reference.v.len() + 1)) {
+                        Some(&(s, e)) => Op::Insert(s, e),
+                        None => Op::Insert(top, top + len),
+                    },
+                    // Empty range.
+                    11 => Op::Insert(top, top),
+                    12 | 13 => Op::PruneBelow(lowest + rng.next_u64() % 8),
+                    14 => Op::TruncateTo(CAP),
+                    _ if rng.next_u64().is_multiple_of(64) => Op::Clear,
+                    _ => continue,
+                };
+                match op {
+                    Op::Insert(start, end) => {
+                        rs.insert(start, end);
+                        reference.insert(start, end);
+                        top = top.max(end);
+                    }
+                    Op::PruneBelow(cutoff) => {
+                        rs.prune_below(cutoff);
+                        reference.prune_below(cutoff);
+                    }
+                    Op::TruncateTo(cap) => {
+                        rs.truncate_to(cap);
+                        reference.truncate_to(cap);
+                    }
+                    Op::Clear => {
+                        rs.clear();
+                        reference.v.clear();
+                    }
+                }
+                let lowest = reference.v.first().map_or(0, |r| r.0);
+                let probes = [
+                    lowest.saturating_sub(1),
+                    lowest,
+                    rng.next_u64() % (top + 2),
+                    top.saturating_sub(1),
+                    top,
+                ];
+                assert_agree(
+                    &rs,
+                    &reference,
+                    &probes,
+                    &format!("at step {step} (seed {seed})"),
+                );
+            }
+            assert!(rs.iter().eq(reference.v.iter().copied()));
+        }
     }
 }

@@ -4,14 +4,26 @@
 //! per-subflow cumulative + selective acknowledgements, connection-level
 //! reassembly in the data-sequence space, and receive-window advertisement.
 //! Every data packet is acknowledged immediately (no delayed ACKs).
+//!
+//! Subflow sequence numbers are never resent: a retransmission takes a new
+//! one on whichever subflow carries it. So after a subflow's first loss its
+//! cumulative ACK stays at that hole for the rest of the transfer, and what
+//! an ACK acknowledges comes from `ack_seq` (the packet that triggered it)
+//! plus the [`MAX_SACK_BLOCKS`] highest received ranges. Meanwhile the
+//! subflow's received set gains a range per further loss: about 3,800 on
+//! the bulk benchmark workload. The set is capped at `MAX_TRACKED_RANGES`
+//! by dropping its lowest ranges, which no SACK block reports. Both range
+//! sets work at their ends (appends at the top, pruning and capping at the
+//! bottom), which [`RangeSet`] answers without a search, so the per-packet
+//! cost does not grow with the number of holes.
 
 use crate::io::{Endpoint, HostCtx};
 use crate::ranges::RangeSet;
 use crate::wire::{AckHeader, Header, Packet, SackBlocks, SeqRange, ACK_SIZE, MAX_SACK_BLOCKS};
 use mpcc_simcore::SimTime;
 use std::any::Any;
-/// Bound on remembered out-of-order subflow ranges (memory cap; see
-/// `RangeSet::truncate_to` for why dropping old ranges is safe here).
+/// Bound on remembered out-of-order subflow ranges (memory cap; see the
+/// module docs for why dropping the lowest ranges is safe here).
 const MAX_TRACKED_RANGES: usize = 4096;
 
 #[derive(Debug, Default)]
@@ -252,5 +264,118 @@ impl Endpoint for MpReceiver {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{DataHeader, EndpointId, PathId, MSS_PAYLOAD};
+    use mpcc_simcore::{SimDuration, SimRng};
+    use mpcc_telemetry::Tracer;
+
+    /// A driver stand-in that keeps the last ACK the receiver sent.
+    struct AckCapture {
+        rng: SimRng,
+        tracer: Tracer,
+        last_ack: Option<AckHeader>,
+    }
+
+    impl HostCtx for AckCapture {
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn self_id(&self) -> EndpointId {
+            EndpointId(1)
+        }
+        fn rng(&mut self) -> &mut SimRng {
+            &mut self.rng
+        }
+        fn tracer(&self) -> &Tracer {
+            &self.tracer
+        }
+        fn send(&mut self, _path: PathId, _dst: EndpointId, _size: u64, _header: Header) {
+            unreachable!("a receiver only sends ACKs");
+        }
+        fn send_reverse(&mut self, _path: PathId, _dst: EndpointId, _size: u64, header: Header) {
+            let Header::Ack(ack) = header else {
+                unreachable!("a receiver only sends ACKs");
+            };
+            self.last_ack = Some(ack);
+        }
+        fn set_timer(&mut self, _at: SimTime, _token: u64) {}
+        fn path_base_rtt(&self, _path: PathId) -> SimDuration {
+            SimDuration::ZERO
+        }
+    }
+
+    fn data_packet(seq: u64) -> Packet {
+        Packet {
+            id: seq,
+            src: EndpointId(0),
+            dst: EndpointId(1),
+            path: PathId(0),
+            hop: 0,
+            size: MSS_PAYLOAD,
+            header: Header::Data(DataHeader {
+                subflow: 0,
+                seq,
+                dsn: seq * MSS_PAYLOAD,
+                payload_len: MSS_PAYLOAD,
+                sent_at: SimTime::ZERO,
+                is_retransmission: false,
+            }),
+        }
+    }
+
+    /// Subflow sequence numbers are never resent, so after the first hole
+    /// the cumulative ACK stays there for good while the received set
+    /// keeps growing. Past `MAX_TRACKED_RANGES` holes the set is capped by
+    /// dropping its lowest ranges; the ACK still carries the first hole as
+    /// `cum_ack` and the four highest ranges as SACK blocks.
+    #[test]
+    fn stuck_cum_ack_with_more_holes_than_tracked_ranges() {
+        const GAP: u64 = 40;
+        const BUFFER: u64 = 300_000_000;
+        let n = GAP * (MAX_TRACKED_RANGES as u64 + 200);
+        let first_hole = GAP - 1;
+        let mut rx = MpReceiver::new(BUFFER);
+        let mut ctx = AckCapture {
+            rng: SimRng::seed_from_u64(1),
+            tracer: Tracer::off(),
+            last_ack: None,
+        };
+        let mut received_above_hole = 0u64;
+        for seq in (0..n).filter(|s| s % GAP != GAP - 1) {
+            rx.on_packet(data_packet(seq), &mut ctx);
+            let ack = ctx.last_ack.take().expect("every data packet is acked");
+            assert_eq!(ack.ack_seq, seq);
+            assert_eq!(ack.cum_ack, (seq + 1).min(first_hole));
+            assert!(rx.sfs[0].received.num_ranges() <= MAX_TRACKED_RANGES);
+            if seq > first_hole {
+                received_above_hole += 1;
+            }
+            assert_eq!(ack.data_acked, ack.cum_ack * MSS_PAYLOAD);
+            assert_eq!(ack.rcv_window, BUFFER - received_above_hole * MSS_PAYLOAD);
+            // From the fifth run on, the SACK blocks are the run holding
+            // `seq` and the three full runs below it.
+            let run = seq / GAP;
+            if run >= 4 {
+                let expected: Vec<SeqRange> = (0..4)
+                    .map(|k| SeqRange {
+                        start: (run - k) * GAP,
+                        end: if k == 0 {
+                            seq + 1
+                        } else {
+                            (run - k) * GAP + GAP - 1
+                        },
+                    })
+                    .collect();
+                assert_eq!(ack.sack.as_slice(), expected.as_slice(), "seq {seq}");
+            }
+        }
+        assert_eq!(rx.sfs[0].received.num_ranges(), MAX_TRACKED_RANGES);
+        assert_eq!(rx.stats().received_packets, n - n / GAP);
+        assert_eq!(rx.stats().duplicate_packets, 0);
     }
 }

@@ -6,7 +6,6 @@
 //! `dupthresh` ahead of it (the SACK equivalent of three duplicate ACKs), or
 //! when the retransmission timer fires.
 
-use crate::rtt::RttEstimator;
 #[cfg(test)]
 use crate::wire::SackBlocks;
 use crate::wire::{AckHeader, SeqRange};
@@ -287,14 +286,6 @@ impl Scoreboard {
         self.next_seq
     }
 
-    /// Metadata of the oldest outstanding packet, if any.
-    pub fn oldest_outstanding(&self) -> Option<(u64, &SentMeta)> {
-        // The front is tombstone-free after every mutation, so this is O(1).
-        self.outstanding
-            .iter()
-            .find_map(|(s, m)| m.as_ref().map(|m| (*s, m)))
-    }
-
     /// O(1) conservation law over the whole sequence space: every assigned
     /// sequence number is in exactly one of {acked, lost, live outstanding}
     /// — so the three counts must sum to `next_seq`. Returns
@@ -350,13 +341,6 @@ pub fn bw_sample(meta: &SentMeta, delivered_now: u64, now: SimTime) -> mpcc_simc
     }
     let bytes = delivered_now.saturating_sub(meta.delivered_at_send);
     mpcc_simcore::Rate::from_bps(bytes as f64 * 8.0 / elapsed)
-}
-
-/// Convenience: maintains RTT state from ACK outcomes.
-pub fn apply_rtt(est: &mut RttEstimator, outcome: &AckOutcome, now: SimTime) {
-    if let Some(rtt) = outcome.rtt_sample {
-        est.on_sample(rtt, now);
-    }
 }
 
 #[cfg(test)]

@@ -298,6 +298,7 @@ impl MpSender {
             }
             self.cc.init_subflow(i, now);
         }
+        self.refresh_cc_cache();
         if self.uses_mi {
             for i in 0..self.subflows.len() {
                 self.begin_mi(i, ctx);
@@ -324,15 +325,35 @@ impl MpSender {
         subflow.pacing_rate = rate;
         let srtt = subflow.srtt();
         let dur = self.cc.mi_duration(sf, srtt, ctx.rng());
+        self.refresh_cc_cache();
         ctx.set_timer(now + dur, token(K_MI, sf, id));
         self.deliver_mi_reports(sf, now);
     }
 
     fn deliver_mi_reports(&mut self, sf: usize, now: SimTime) {
+        let before = self.mi_reports;
         for report in self.subflows[sf].mi.poll_completed(sf, now) {
             self.check_mi_report(&report, now);
             self.cc.on_mi_complete(&report);
             self.mi_reports += 1;
+        }
+        if self.mi_reports != before {
+            self.refresh_cc_cache();
+        }
+    }
+
+    /// Re-reads every subflow's window and rate estimate from the
+    /// controller into the subflow, so [`Self::cwnd_of`] and
+    /// [`Self::rate_of`] are field reads. Called after every mutating
+    /// controller call and every RTT sample (the window depends on the
+    /// smoothed RTT). All subflows are refreshed, not just the one the
+    /// call named: a coupled controller's update on one subflow can move
+    /// another's window.
+    fn refresh_cc_cache(&mut self) {
+        for (i, subflow) in self.subflows.iter_mut().enumerate() {
+            let srtt = subflow.srtt();
+            subflow.cwnd_bytes = self.cc.cwnd_bytes(i, srtt);
+            subflow.rate_estimate = self.cc.rate_estimate(i, srtt);
         }
     }
 
@@ -428,8 +449,13 @@ impl MpSender {
     fn check_mi_report(&self, _report: &crate::controller::MiReport, _now: SimTime) {}
 
     fn cwnd_of(&self, sf: usize) -> u64 {
-        let srtt = self.subflows[sf].srtt();
-        self.cc.cwnd_bytes(sf, srtt)
+        let subflow = &self.subflows[sf];
+        debug_assert_eq!(
+            subflow.cwnd_bytes,
+            self.cc.cwnd_bytes(sf, subflow.srtt()),
+            "stale cached cwnd on subflow {sf}"
+        );
+        subflow.cwnd_bytes
     }
 
     fn rate_of(&self, sf: usize) -> Rate {
@@ -437,7 +463,12 @@ impl MpSender {
         if self.rate_based && !subflow.pacing_rate.is_zero() {
             subflow.pacing_rate
         } else {
-            self.cc.rate_estimate(sf, subflow.srtt())
+            debug_assert_eq!(
+                subflow.rate_estimate,
+                self.cc.rate_estimate(sf, subflow.srtt()),
+                "stale cached rate estimate on subflow {sf}"
+            );
+            subflow.rate_estimate
         }
     }
 
@@ -650,6 +681,7 @@ impl MpSender {
         self.subflows[sf].rto_backoff = (self.subflows[sf].rto_backoff * 2).min(16);
         self.subflows[sf].recovery_until = self.subflows[sf].scoreboard.next_seq();
         self.cc.on_rto(sf, now);
+        self.refresh_cc_cache();
         self.check_subflow(sf, now);
         if self.uses_mi {
             self.deliver_mi_reports(sf, now);
@@ -755,6 +787,8 @@ impl MpSender {
             };
             self.cc.on_loss(&info);
         }
+        // One refresh covers the RTT sample and both callbacks above.
+        self.refresh_cc_cache();
 
         // Hand both buffers back so the next ACK reuses their capacity.
         self.subflows[sf].scoreboard.recycle_lost(losses);
@@ -822,6 +856,7 @@ impl Endpoint for MpSender {
                     let now = ctx.now();
                     let srtt = self.subflows[sf].srtt();
                     let dur = self.cc.mi_duration(sf, srtt, ctx.rng());
+                    self.refresh_cc_cache();
                     ctx.set_timer(now + dur, token(K_MI, sf, current.expect("checked above")));
                     return;
                 }

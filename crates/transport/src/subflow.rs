@@ -26,6 +26,12 @@ pub struct Subflow {
     pub mi: MiTracker,
     /// Current pacing rate (rate-based senders).
     pub pacing_rate: Rate,
+    /// The controller's window for this subflow, cached by the sender after
+    /// every mutating controller call and RTT sample.
+    pub(crate) cwnd_bytes: u64,
+    /// The controller's rate estimate for this subflow, cached alongside
+    /// `cwnd_bytes`.
+    pub(crate) rate_estimate: Rate,
     /// Base RTT derived from the path's propagation delays at setup, used
     /// before the first measurement.
     pub base_rtt: SimDuration,
@@ -60,6 +66,8 @@ impl Subflow {
             staged_bytes: 0,
             mi: MiTracker::new(),
             pacing_rate: Rate::ZERO,
+            cwnd_bytes: 0,
+            rate_estimate: Rate::ZERO,
             base_rtt,
             pacer_epoch: 0,
             pacer_armed: false,
@@ -84,6 +92,8 @@ impl Subflow {
         self.staged_bytes = 0;
         self.mi.reset_for_reuse();
         self.pacing_rate = Rate::ZERO;
+        self.cwnd_bytes = 0;
+        self.rate_estimate = Rate::ZERO;
         self.base_rtt = base_rtt;
         self.pacer_epoch = 0;
         self.pacer_armed = false;
