@@ -34,9 +34,9 @@ pub struct ExpConfig {
     pub runs: u64,
     /// Output directory for CSV/JSON results.
     pub out_dir: PathBuf,
-    /// Worker pool every scenario module submits its runs through
-    /// (single-threaded and untraced by default; `--jobs`/`--trace`
-    /// configure it in the binary).
+    /// The executor every run starts through (single-threaded, untraced
+    /// and fault-free by default; `--jobs`, `--trace`, `--metrics` and
+    /// `--faults` configure it in the binary).
     pub exec: Executor,
     /// Intra-run shard count (`--shards N`) for the scenarios that run on
     /// the partitioned engine (`churn`, `fig19`). Every shard count

@@ -5,7 +5,9 @@
 //! `experiments report FILE` (flight-recorder Markdown from a metrics
 //! stream), or `experiments udp [--udp-bytes N]` (real-socket loopback
 //! demo), or `experiments check [--fluid] [--sweep] [--sweep-cases N]`
-//! (theory oracles).
+//! (theory oracles). Unknown options and experiment ids, and `--faults`
+//! on `udp`, are rejected with the usage text (exit 2) before anything
+//! runs.
 
 use mpcc_experiments::check;
 use mpcc_experiments::report;
@@ -26,7 +28,8 @@ fn main() {
     let mut metrics_path: Option<String> = None;
     let mut metrics_bin: Option<mpcc_simcore::SimDuration> = None;
     let mut report_mode = false;
-    let mut faults = FaultPlan::NONE;
+    let mut faults: Option<FaultPlan> = None;
+    let mut list_mode = false;
     let mut check_mode = false;
     let mut check_fluid = false;
     let mut check_sweep = false;
@@ -95,15 +98,12 @@ fn main() {
             }
             "--faults" => {
                 let spec = it.next().expect("--faults needs a spec");
-                faults = FaultPlan::parse(&spec).unwrap_or_else(|e| {
+                faults = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| {
                     eprintln!("--faults: {e}");
                     std::process::exit(2);
-                });
+                }));
             }
-            "list" => {
-                println!("available experiments: {}", ALL.join(" "));
-                return;
-            }
+            "list" => list_mode = true,
             "check" => check_mode = true,
             "--fluid" => check_fluid = true,
             "--sweep" => check_sweep = true,
@@ -125,8 +125,13 @@ fn main() {
                     .expect("--udp-bytes needs a byte count >= 1");
             }
             "all" => ids.extend(ALL.iter().map(|s| s.to_string())),
+            flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag:?}")),
             id => ids.push(id.to_string()),
         }
+    }
+    if list_mode {
+        println!("available experiments: {}", ALL.join(" "));
+        return;
     }
     if udp_receiver {
         std::process::exit(udp_demo::serve_receiver(cfg.seed));
@@ -135,8 +140,7 @@ fn main() {
         // `experiments report FILE...`: flight-recorder Markdown from the
         // flushed metrics stream(s) of any earlier run.
         if ids.is_empty() {
-            eprintln!("usage: experiments report METRICS_FILE...");
-            std::process::exit(2);
+            usage_error("report needs a metrics file");
         }
         for path in &ids {
             match report::render(std::path::Path::new(path)) {
@@ -149,22 +153,20 @@ fn main() {
         }
         return;
     }
-    if !udp_mode && !check_mode && ids.is_empty() {
-        eprintln!(
-            "usage: experiments <id>... | all | list  [--full] [--seed N] [--runs N] [--jobs N] \
-             [--shards N] [--full-scale] \
-             [--out DIR] [--trace FILE] [--trace-filter controller,transport,link] \
-             [--metrics FILE] [--metrics-bin 500ms] \
-             [--faults 'reorder:p=0.05,extra=20ms;outage:at=5s,down=1s']\n\
-             or:    experiments check [--fluid] [--sweep] [--sweep-cases N] [--full] [--jobs N]\n\
-             or:    experiments report METRICS_FILE...\n\
-             or:    experiments udp [--udp-bytes N] [--seed N] [--trace FILE] [--metrics FILE]"
-        );
-        eprintln!("ids: {}", ALL.join(" "));
-        std::process::exit(2);
+    // Everything below runs something: reject bad input before any run
+    // starts or any output file is created.
+    if let Some(id) = ids.iter().find(|id| scenarios::lookup(id).is_none()) {
+        usage_error(&format!("unknown experiment id {id:?}"));
     }
-    // One executor for every mode that runs something: its telemetry is
-    // the only path from a run to the `--trace`/`--metrics` files.
+    if !udp_mode && !check_mode && ids.is_empty() {
+        usage_error("no experiment given");
+    }
+    if udp_mode && faults.is_some() {
+        usage_error("--faults does not apply to `udp`: real sockets have no simulated links");
+    }
+    // One executor for every mode that runs something: it alone applies
+    // run ids, the `--trace`/`--metrics` telemetry and the `--faults`
+    // overlay.
     let trace = trace_path.map(|p| TraceConfig {
         path: p.into(),
         mask: trace_mask,
@@ -176,6 +178,9 @@ fn main() {
             mc = mc.with_bin(bin);
         }
         cfg.exec = cfg.exec.with_metrics(mc);
+    }
+    if let Some(faults) = faults {
+        cfg.exec = cfg.exec.with_faults(faults);
     }
     if udp_mode {
         let opts = udp_demo::DemoOpts {
@@ -231,7 +236,6 @@ fn main() {
     // first position.
     let mut seen = std::collections::HashSet::new();
     ids.retain(|id| seen.insert(id.clone()));
-    cfg.exec = cfg.exec.with_faults(faults);
     // Wall-clock timing goes through the Clock seam like every other
     // time source in the tree (the lint test in tests/wallclock_lint.rs
     // keeps raw `Instant::now()` out of everything but the clock and the
@@ -245,8 +249,8 @@ fn main() {
             cfg.seed,
             cfg.exec.jobs()
         );
-        let figures = scenarios::dispatch(&id, &cfg);
-        for fig in figures {
+        let run = scenarios::lookup(&id).expect("ids were validated");
+        for fig in run(&cfg) {
             fig.emit(&cfg.out_dir);
         }
         eprintln!(
@@ -264,6 +268,24 @@ fn main() {
         eprintln!("{violations} runtime invariant violations");
         std::process::exit(1);
     }
+}
+
+/// Prints `msg` and the usage text to stderr and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("experiments: {msg}");
+    eprintln!(
+        "usage: experiments <id>... | all | list  [--full] [--seed N] [--runs N] [--jobs N] \
+         [--shards N] [--full-scale] \
+         [--out DIR] [--trace FILE] [--trace-filter controller,transport,link] \
+         [--metrics FILE] [--metrics-bin 500ms] \
+         [--faults 'reorder:p=0.05,extra=20ms;outage:at=5s,down=1s']\n\
+         or:    experiments check [--fluid] [--sweep] [--sweep-cases N] [--full] [--jobs N] \
+         [--trace FILE] [--metrics FILE] [--faults SPEC]\n\
+         or:    experiments report METRICS_FILE...\n\
+         or:    experiments udp [--udp-bytes N] [--seed N] [--trace FILE] [--metrics FILE]"
+    );
+    eprintln!("ids: {}", ALL.join(" "));
+    std::process::exit(2);
 }
 
 /// Reports every requested sink that captured nothing, and whether there

@@ -18,10 +18,20 @@ pub const MULTIPATH_PROTOCOLS: [&str; 8] = [
 ];
 
 /// Instantiates a controller by its label. `seed` feeds protocol-internal
-/// randomness (probe ordering).
+/// randomness (probe ordering). Besides the paper's protocols,
+/// `mpcc-loss-own-rate` is MPCC-loss with probe amplitude ω scaled by the
+/// subflow's own rate instead of the connection total (ablation A2, §5.2).
 pub fn make(name: &str, seed: u64) -> Box<dyn MultipathCc> {
     match name {
         "mpcc-loss" => Box::new(Mpcc::new(MpccConfig::loss().with_seed(seed))),
+        "mpcc-loss-own-rate" => {
+            let mut cfg = MpccConfig::loss().with_seed(seed);
+            cfg.state = StateConfig {
+                probe_scales_with_own_rate: true,
+                ..cfg.state
+            };
+            Box::new(Mpcc::new(cfg))
+        }
         "mpcc-latency" => Box::new(Mpcc::new(MpccConfig::latency().with_seed(seed))),
         "mpcc-conn-level" => Box::new(ConnectionLevel::new(StateConfig::default(), seed)),
         "vivace" => Box::new(Mpcc::vivace(seed)),
@@ -43,9 +53,8 @@ pub fn make(name: &str, seed: u64) -> Box<dyn MultipathCc> {
 /// window-based ones).
 pub fn scheduler_for(name: &str) -> SchedulerKind {
     match name {
-        "mpcc-loss" | "mpcc-latency" | "mpcc-conn-level" | "vivace" | "vivace-latency" | "bbr" => {
-            SchedulerKind::paper_rate_based()
-        }
+        "mpcc-loss" | "mpcc-loss-own-rate" | "mpcc-latency" | "mpcc-conn-level" | "vivace"
+        | "vivace-latency" | "bbr" => SchedulerKind::paper_rate_based(),
         _ => SchedulerKind::Default,
     }
 }

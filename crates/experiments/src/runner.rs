@@ -2,35 +2,36 @@
 //! declarative description, runs it with periodic sampling, and returns
 //! per-connection/per-subflow results.
 //!
-//! Runs are self-contained — each [`run`] owns its simulation and tracer
-//! end-to-end — so independent (scenario, seed) jobs can be farmed out to
-//! the [`Executor`] worker pool. Results always come back in submission
-//! order, and traced runs write keyed part files that the executor merges
-//! in run-id order, so `--jobs N` output is byte-identical to `--jobs 1`.
+//! Every experiment run starts in the [`Executor`]: [`Executor::run_jobs`]
+//! (or its scenario form [`Executor::run_batch`]) hands each job a
+//! [`RunCtx`] carrying the run id, the part-file telemetry and the
+//! `--faults` overlay, runs the jobs on a worker pool, and merges the part
+//! files in run-id order. Results always come back in submission order,
+//! so `--jobs N` output is byte-identical to `--jobs 1`.
 
 use crate::protocols;
 use mpcc_metrics::{RateSeries, Summary};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::{LinkParams, LinkStats};
 use mpcc_netsim::topology::parallel_links;
-use mpcc_netsim::{EndpointId, ShardedSimulation};
+use mpcc_netsim::{EndpointId, ShardedSimulation, Simulation};
 use mpcc_simcore::{rng::splitmix64, DispatchStamp, SimDuration, SimTime};
 use mpcc_telemetry::{
     merge_keyed_parts, KeyedSink, LayerMask, MetricsPipeline, PipelineConfig, Record, TeeSink,
     TraceSink, Tracer,
 };
-use mpcc_transport::{MpReceiver, MpSender, ReceiverStats, SenderConfig, Workload};
+use mpcc_transport::{MpReceiver, MpSender, ReceiverStats, SchedulerKind, SenderConfig, Workload};
 use std::collections::VecDeque;
+use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::{fmt, fs};
 
 /// Where traced runs write their records.
 ///
 /// Every run streams into its own keyed part file next to `path` (one per
-/// shard of a sharded run; see [`ShardTelemetry`]), so concurrent runs
+/// shard of a sharded run; see [`RunCtx`]), so concurrent runs
 /// never interleave records. Once a run completes its parts are merged
 /// into `path` and removed; the [`Executor`] merges a batch one run after
 /// another in run-id order. Run ids are assigned at submission, which
@@ -94,38 +95,30 @@ fn part_path(path: &Path, stem: &str, tag: &str, shard: usize) -> PathBuf {
     path.with_file_name(format!("{stem}.{tag}.shard{shard:02}.{ext}"))
 }
 
+#[derive(Debug)]
 struct ExecInner {
     jobs: usize,
     trace: Option<TraceConfig>,
     metrics: Option<MetricsConfig>,
-    /// Fault plan overlaid on every link of every submitted scenario
-    /// (the CLI's global `--faults` spec).
-    faults: Option<FaultPlan>,
+    /// Fault plan overlaid on every link of every run (the CLI's global
+    /// `--faults` spec; [`FaultPlan::NONE`] leaves links untouched).
+    faults: FaultPlan,
     /// Monotonic run-id counter, shared by every clone of the executor so
-    /// per-run trace files never collide across batches.
+    /// per-run part files never collide across batches.
     next_run_id: AtomicU64,
 }
 
-/// A deterministic worker pool for experiment runs.
+/// A deterministic worker pool for experiment runs, and the only place a
+/// run starts.
 ///
-/// Jobs execute on up to `jobs` threads, but results are returned — and
-/// traces merged — strictly in submission order, so any worker count
-/// produces identical output. Cloning shares the pool configuration and
-/// the run-id counter.
-#[derive(Clone)]
+/// [`Executor::run_jobs`] gives every job its run id, its part-file
+/// telemetry and the `--faults` overlay (through a [`RunCtx`]) in
+/// submission order, runs the jobs on up to `jobs` threads, and merges the
+/// part files in run-id order, so any worker count produces identical
+/// output. Cloning shares the pool configuration and the run-id counter.
+#[derive(Clone, Debug)]
 pub struct Executor {
     inner: Arc<ExecInner>,
-}
-
-impl fmt::Debug for Executor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Executor")
-            .field("jobs", &self.inner.jobs)
-            .field("trace", &self.inner.trace)
-            .field("metrics", &self.inner.metrics)
-            .field("faults", &self.inner.faults)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for Executor {
@@ -157,27 +150,19 @@ impl Executor {
                 jobs: jobs.max(1),
                 trace,
                 metrics: None,
-                faults: None,
+                faults: FaultPlan::NONE,
                 next_run_id: AtomicU64::new(0),
             }),
         }
     }
 
     /// Returns an executor that overlays `faults` on every link of every
-    /// scenario it runs (including links swapped in by scheduled changes).
-    /// Knobs the scenario already sets win only if the overlay leaves them
-    /// unset — see [`FaultPlan::overlay`].
+    /// run it starts, including links swapped in by scheduled changes (see
+    /// [`Simulation::set_fault_overlay`]). Knobs a scenario already sets
+    /// survive only where the overlay leaves them unset — see
+    /// [`FaultPlan::overlay`].
     pub fn with_faults(self, faults: FaultPlan) -> Self {
-        let inner = &self.inner;
-        Executor {
-            inner: Arc::new(ExecInner {
-                jobs: inner.jobs,
-                trace: inner.trace.clone(),
-                metrics: inner.metrics.clone(),
-                faults: if faults.is_none() { None } else { Some(faults) },
-                next_run_id: AtomicU64::new(inner.next_run_id.load(Ordering::Relaxed)),
-            }),
-        }
+        self.reconfigured(|inner| inner.faults = faults)
     }
 
     /// Returns an executor that additionally streams time-binned metrics
@@ -190,15 +175,22 @@ impl Executor {
         if metrics.is_csv() {
             writeln!(f, "{}", MetricsPipeline::CSV_HEADER).expect("cannot write metrics header");
         }
-        let inner = &self.inner;
+        self.reconfigured(|inner| inner.metrics = Some(metrics))
+    }
+
+    /// A copy of this executor's configuration with `change` applied.
+    fn reconfigured(self, change: impl FnOnce(&mut ExecInner)) -> Self {
+        let i = &self.inner;
+        let mut inner = ExecInner {
+            jobs: i.jobs,
+            trace: i.trace.clone(),
+            metrics: i.metrics.clone(),
+            faults: i.faults,
+            next_run_id: AtomicU64::new(i.next_run_id.load(Ordering::Relaxed)),
+        };
+        change(&mut inner);
         Executor {
-            inner: Arc::new(ExecInner {
-                jobs: inner.jobs,
-                trace: inner.trace.clone(),
-                metrics: Some(metrics),
-                faults: inner.faults,
-                next_run_id: AtomicU64::new(inner.next_run_id.load(Ordering::Relaxed)),
-            }),
+            inner: Arc::new(inner),
         }
     }
 
@@ -207,10 +199,54 @@ impl Executor {
         self.inner.jobs
     }
 
+    /// The configured merged-trace destination, if any.
+    pub fn trace_config(&self) -> Option<&TraceConfig> {
+        self.inner.trace.as_ref()
+    }
+
+    /// The configured merged-metrics destination, if any.
+    pub fn metrics_config(&self) -> Option<&MetricsConfig> {
+        self.inner.metrics.as_ref()
+    }
+
+    /// Runs independent jobs across the pool and returns their results in
+    /// submission order — the one entry every experiment run goes
+    /// through. Each job gets a [`RunCtx`] holding its run id (assigned
+    /// here, in submission order, before anything executes), its keyed
+    /// part-file telemetry and the `--faults` overlay; the job attaches
+    /// it to the simulation it builds. Once every job is done, the
+    /// executor flushes each run's tracers and merges its part files into
+    /// the `--trace`/`--metrics` files, one run after another in run-id
+    /// order, so the merged bytes are independent of the worker count.
+    pub fn run_jobs<J, R, F>(&self, jobs: Vec<J>, f: F) -> Vec<R>
+    where
+        J: Send,
+        R: Send,
+        F: Fn(J, &mut RunCtx) -> R + Sync,
+    {
+        let jobs: Vec<(J, RunCtx)> = jobs.into_iter().map(|j| (j, self.claim())).collect();
+        let done = self.map(jobs, |(job, mut ctx)| {
+            let result = f(job, &mut ctx);
+            (result, ctx)
+        });
+        done.into_iter()
+            .map(|(result, ctx)| {
+                ctx.merge().expect("cannot merge per-run part files");
+                result
+            })
+            .collect()
+    }
+
+    /// Runs a batch of independent scenarios (see [`Executor::run_jobs`]),
+    /// returning results in submission order.
+    pub fn run_batch(&self, scs: Vec<Scenario>) -> Vec<RunResult> {
+        self.run_jobs(scs, |sc, ctx| simulate(&sc, |sim| ctx.attach(sim)))
+    }
+
     /// Maps `f` over `items` on up to [`Executor::jobs`] worker threads.
     /// Results come back in submission order regardless of completion
     /// order; a panicking job propagates once all workers have joined.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
@@ -249,118 +285,92 @@ impl Executor {
             .collect()
     }
 
-    /// Runs a batch of independent scenarios across the pool, returning
-    /// results in submission order. With tracing or metrics configured,
-    /// each run writes its own keyed part files, and the batch's parts are
-    /// merged into the main files one run after another in run-id (=
-    /// submission) order afterwards.
-    pub fn run_batch(&self, scs: Vec<Scenario>) -> Vec<RunResult> {
-        // Run ids are assigned before anything executes: the merge below
-        // orders by id, never by completion.
-        let mut telemetry = Vec::new();
-        let jobs: Vec<Scenario> = scs
-            .into_iter()
-            .map(|mut sc| {
-                sc.run_id = self.inner.next_run_id.fetch_add(1, Ordering::Relaxed);
-                if let Some(mut t) = self.telemetry(sc.run_id, format!("run{:05}", sc.run_id)) {
-                    sc.tracer = t
-                        .single_part_tracer()
-                        .unwrap_or_else(|e| panic!("cannot create per-run part file: {e}"));
-                    telemetry.push(t);
-                }
-                if let Some(fp) = self.inner.faults {
-                    for link in &mut sc.links {
-                        link.faults = link.faults.overlay(fp);
-                    }
-                    for (_, _, params) in &mut sc.link_changes {
-                        params.faults = params.faults.overlay(fp);
-                    }
-                }
-                sc
-            })
-            .collect();
-        let results = self.map(jobs, |sc| run(&sc));
-        for t in telemetry {
-            t.merge().expect("cannot merge per-run part files");
-        }
-        results
-    }
-
-    /// Runs one scenario through the pool machinery (so it is traced and
-    /// merged like any batch member).
-    pub fn run_one(&self, sc: &Scenario) -> RunResult {
-        self.run_batch(vec![sc.clone()]).pop().expect("one result")
-    }
-
-    /// The configured merged-trace destination, if any.
-    pub fn trace_config(&self) -> Option<&TraceConfig> {
-        self.inner.trace.as_ref()
-    }
-
-    /// The configured merged-metrics destination, if any.
-    pub fn metrics_config(&self) -> Option<&MetricsConfig> {
-        self.inner.metrics.as_ref()
-    }
-
-    /// Telemetry plumbing for a scenario that builds its own (sharded)
-    /// simulation instead of going through [`Executor::run_batch`] —
-    /// `None` when neither `--trace` nor `--metrics` is configured, so
-    /// untraced runs pay nothing. `tag` names the part files (it must be
-    /// unique within the process, e.g. the scenario or protocol name);
-    /// the claimed run id keeps metrics rows distinguishable from other
-    /// batches merged into the same file. Claim telemetry in a
-    /// deterministic order (before farming jobs to [`Executor::map`]) so
-    /// run ids are worker-count-independent, like batch submission ids.
-    pub fn shard_telemetry(&self, tag: &str) -> Option<ShardTelemetry> {
-        let run_id = self.inner.next_run_id.fetch_add(1, Ordering::Relaxed);
-        self.telemetry(run_id, tag.to_string())
-    }
-
-    /// The part-file telemetry of run `run_id`, if any sink is configured.
-    fn telemetry(&self, run_id: u64, tag: String) -> Option<ShardTelemetry> {
-        let (trace, metrics) = (self.inner.trace.clone(), self.inner.metrics.clone());
-        (trace.is_some() || metrics.is_some()).then(|| ShardTelemetry {
-            trace,
-            metrics,
-            run_id,
-            tag,
+    /// Claims the next run id and builds that run's context.
+    fn claim(&self) -> RunCtx {
+        RunCtx {
+            run_id: self.inner.next_run_id.fetch_add(1, Ordering::Relaxed),
+            faults: self.inner.faults,
+            trace: self.inner.trace.clone(),
+            metrics: self.inner.metrics.clone(),
             trace_parts: Vec::new(),
             metrics_parts: Vec::new(),
-        })
+            tracers: Vec::new(),
+        }
     }
 }
 
-/// The telemetry of one run: one keyed part stream per shard (a plain
-/// [`run`] is a single part), merged afterwards into the executor's
-/// `--trace`/`--metrics` files in canonical dispatch order, so the merged
-/// bytes are identical at every `--jobs` and `--shards` count and across
-/// the sequential/threaded backends (DESIGN.md §13, §16).
+/// What the [`Executor`] hands each job: the run's id, its telemetry and
+/// the `--faults` overlay, ready to attach to the simulation the job
+/// builds — [`RunCtx::attach`] for one instance, [`RunCtx::attach_sharded`]
+/// for a partitioned run, [`RunCtx::tracer`] for a run without a
+/// simulation (the UDP sender).
 ///
-/// Lifecycle: [`Executor::shard_telemetry`] → [`ShardTelemetry::install`]
-/// (or [`ShardTelemetry::single_part_tracer`] for one instance) → run →
-/// flush the tracers → [`ShardTelemetry::merge`]. [`Executor::run_batch`]
-/// does the same for every scenario it runs, and `experiments udp` for
-/// its sender.
-pub struct ShardTelemetry {
+/// Telemetry is one keyed part stream per shard (a single instance is one
+/// part), named `<stem>.runNNNNN.shardNN.<ext>` next to the merged file.
+/// The executor merges the parts into the `--trace`/`--metrics` files in
+/// canonical dispatch order once the job returns, so the merged bytes are
+/// identical at every `--jobs` and `--shards` count and across the
+/// sequential/threaded backends (DESIGN.md §13, §16). Untraced runs pay
+/// nothing: with neither sink configured no part file exists.
+pub struct RunCtx {
+    run_id: u64,
+    faults: FaultPlan,
     trace: Option<TraceConfig>,
     metrics: Option<MetricsConfig>,
-    run_id: u64,
-    tag: String,
     trace_parts: Vec<PathBuf>,
     metrics_parts: Vec<PathBuf>,
+    /// Every tracer handed out, flushed before the merge.
+    tracers: Vec<Tracer>,
 }
 
-impl ShardTelemetry {
-    /// Builds one part's tracer, writing keyed part streams ordered by the
-    /// shared dispatch stamp: the trace branch behind its `--trace-filter`
-    /// mask, the metrics pipeline seeing every layer, or a [`TeeSink`] of
-    /// both with those masks, so attaching metrics never changes the trace
-    /// bytes.
-    fn make_tracer(&mut self, shard: usize, stamp: &Arc<DispatchStamp>) -> io::Result<Tracer> {
+impl RunCtx {
+    /// Attaches the run to a single-instance simulation: the fault
+    /// overlay, and the tracer of its one part stream. Call after
+    /// building the links, before the first `run_until`.
+    pub fn attach(&mut self, sim: &mut Simulation) {
+        sim.set_fault_overlay(self.faults);
+        if let Some(tracer) = self.part_tracer(0, &Arc::default()) {
+            sim.set_tracer(tracer);
+        }
+    }
+
+    /// Attaches the run to a partitioned simulation: the fault overlay on
+    /// every shard, and one keyed part stream (with its dispatch-stamp
+    /// cell) per shard. Call before the first `run_until`.
+    pub fn attach_sharded(&mut self, sim: &mut ShardedSimulation) {
+        for i in 0..sim.shards() {
+            sim.shard_mut(i).set_fault_overlay(self.faults);
+            let stamp = Arc::new(DispatchStamp::new());
+            if let Some(tracer) = self.part_tracer(i, &stamp) {
+                sim.install_tracer(i, tracer, stamp);
+            }
+        }
+    }
+
+    /// The tracer of a run that drives no simulation (one part; off when
+    /// no sink is configured). Such a run has no links, so the fault
+    /// overlay does not apply.
+    pub fn tracer(&mut self) -> Tracer {
+        self.part_tracer(0, &Arc::default())
+            .unwrap_or_else(Tracer::off)
+    }
+
+    /// Builds part `shard`'s tracer, writing keyed part streams ordered by
+    /// the shared dispatch stamp: the trace branch behind its
+    /// `--trace-filter` mask, the metrics pipeline seeing every layer, or
+    /// a [`TeeSink`] of both with those masks, so attaching metrics never
+    /// changes the trace bytes. `None` when no sink is configured. One
+    /// instance emits in dispatch order already, so a single part's stamp
+    /// can stay idle: the per-record sequence number alone keys it.
+    fn part_tracer(&mut self, shard: usize, stamp: &Arc<DispatchStamp>) -> Option<Tracer> {
+        let tag = format!("run{:05}", self.run_id);
+        let failed =
+            |path: &Path, e: io::Error| -> ! { panic!("cannot create part file {path:?}: {e}") };
         let trace_branch: Option<(Arc<dyn TraceSink>, LayerMask)> = match &self.trace {
             Some(tc) => {
-                let path = part_path(&tc.path, "trace", &self.tag, shard);
-                let sink = KeyedSink::create(&path, tc.is_csv(), Arc::clone(stamp))?;
+                let path = part_path(&tc.path, "trace", &tag, shard);
+                let sink = KeyedSink::create(&path, tc.is_csv(), Arc::clone(stamp))
+                    .unwrap_or_else(|e| failed(&path, e));
                 self.trace_parts.push(path);
                 Some((Arc::new(sink), tc.mask))
             }
@@ -368,57 +378,44 @@ impl ShardTelemetry {
         };
         let metrics_branch: Option<(Arc<dyn TraceSink>, LayerMask)> = match &self.metrics {
             Some(mc) => {
-                let path = part_path(&mc.path, "metrics", &self.tag, shard);
+                let path = part_path(&mc.path, "metrics", &tag, shard);
                 let cfg = PipelineConfig::default()
                     .with_bin(mc.bin)
                     .with_run(self.run_id)
                     .with_keyed(true);
                 // Part files are headerless: the merged file owns the CSV
                 // header.
-                let w: Box<dyn io::Write + Send> =
-                    Box::new(io::BufWriter::new(fs::File::create(&path)?));
+                let file = fs::File::create(&path).unwrap_or_else(|e| failed(&path, e));
+                let w: Box<dyn io::Write + Send> = Box::new(io::BufWriter::new(file));
                 let pipeline = MetricsPipeline::new(cfg, mc.is_csv(), w);
                 self.metrics_parts.push(path);
                 Some((Arc::new(pipeline), LayerMask::ALL))
             }
             None => None,
         };
-        Ok(match (trace_branch, metrics_branch) {
-            (Some((sink, mask)), None) => Tracer::new(sink, mask),
-            (None, Some((sink, mask))) => Tracer::new(sink, mask),
+        let tracer = match (trace_branch, metrics_branch) {
+            (Some((sink, mask)), None) | (None, Some((sink, mask))) => Tracer::new(sink, mask),
             (Some(t), Some(m)) => Tracer::new(Arc::new(TeeSink::new(vec![t, m])), LayerMask::ALL),
-            (None, None) => unreachable!("ShardTelemetry exists only with a sink configured"),
-        })
+            (None, None) => return None,
+        };
+        self.tracers.push(tracer.clone());
+        Some(tracer)
     }
 
-    /// The tracer of a run that is a single instance (one part). One
-    /// instance emits in dispatch order already, so the part's stamp can
-    /// stay idle: the per-record sequence number alone keys the part.
-    pub fn single_part_tracer(&mut self) -> io::Result<Tracer> {
-        self.make_tracer(0, &Arc::default())
-    }
-
-    /// Attaches one keyed part sink (and dispatch-stamp cell) per shard.
-    /// Call before the first `run_until`.
-    pub fn install(&mut self, sim: &mut ShardedSimulation) -> io::Result<()> {
-        for i in 0..sim.shards() {
-            let stamp = Arc::new(DispatchStamp::new());
-            let tracer = self.make_tracer(i, &stamp)?;
-            sim.install_tracer(i, tracer, stamp);
+    /// Flushes the run's tracers, merges its part files into the final
+    /// `--trace`/`--metrics` files in canonical key order and removes
+    /// them. The per-part row counts of a multi-part merge go to stderr,
+    /// so a truncated shard stream is visible instead of silently
+    /// under-merging.
+    fn merge(self) -> io::Result<()> {
+        for tracer in self.tracers {
+            tracer.flush();
         }
-        Ok(())
-    }
-
-    /// Merges the part files into the final `--trace`/`--metrics` files in
-    /// canonical key order and removes them. Part files must be flushed
-    /// first ([`ShardedSimulation::flush_tracers`]). The per-part row
-    /// counts of a multi-part merge go to stderr, so a truncated shard
-    /// stream is visible instead of silently under-merging.
-    pub fn merge(self) -> io::Result<()> {
+        let tag = format!("run{:05}", self.run_id);
         if let Some(tc) = &self.trace {
             let header = tc.is_csv().then(Record::csv_header);
             let rows = merge_keyed_parts(&tc.path, &self.trace_parts, header)?;
-            report_part_rows(&self.tag, "trace", &rows);
+            report_part_rows(&tag, "trace", &rows);
             for p in &self.trace_parts {
                 fs::remove_file(p)?;
             }
@@ -426,7 +423,7 @@ impl ShardTelemetry {
         if let Some(mc) = &self.metrics {
             let header = mc.is_csv().then_some(MetricsPipeline::CSV_HEADER);
             let rows = merge_keyed_parts(&mc.path, &self.metrics_parts, header)?;
-            report_part_rows(&self.tag, "metrics", &rows);
+            report_part_rows(&tag, "metrics", &rows);
             for p in &self.metrics_parts {
                 fs::remove_file(p)?;
             }
@@ -461,16 +458,20 @@ pub struct ConnSpec {
     pub workload: Workload,
     /// Transmission start time.
     pub start: SimTime,
+    /// The sender's subflow scheduler.
+    pub scheduler: SchedulerKind,
 }
 
 impl ConnSpec {
-    /// A bulk connection starting at time zero.
+    /// A bulk connection starting at time zero, with the scheduler the
+    /// paper pairs with `proto` ([`protocols::scheduler_for`]).
     pub fn bulk(proto: &str, links: Vec<usize>) -> Self {
         ConnSpec {
             proto: proto.to_string(),
             links,
             workload: Workload::Bulk,
             start: SimTime::ZERO,
+            scheduler: protocols::scheduler_for(proto),
         }
     }
 }
@@ -493,16 +494,11 @@ pub struct Scenario {
     pub sample_every: SimDuration,
     /// Scheduled link parameter changes (§7.2.3): (time, link, params).
     pub link_changes: Vec<(SimTime, usize, LinkParams)>,
-    /// The tracer this run emits into (off by default; the [`Executor`]
-    /// attaches a per-run sink when `--trace` is configured).
-    pub tracer: Tracer,
-    /// The executor-assigned run id (0 for standalone runs).
-    pub run_id: u64,
 }
 
 impl Scenario {
     /// A scenario over `links` with the usual defaults (60 s run, 10 s
-    /// warmup, 1 s samples, tracing off).
+    /// warmup, 1 s samples).
     pub fn new(seed: u64, links: Vec<LinkParams>, conns: Vec<ConnSpec>) -> Self {
         Scenario {
             seed,
@@ -512,8 +508,6 @@ impl Scenario {
             warmup: SimDuration::from_secs(10),
             sample_every: SimDuration::from_secs(1),
             link_changes: Vec::new(),
-            tracer: Tracer::off(),
-            run_id: 0,
         }
     }
 
@@ -527,12 +521,6 @@ impl Scenario {
     /// Sets the sampling interval.
     pub fn with_sampling(mut self, every: SimDuration) -> Self {
         self.sample_every = every;
-        self
-    }
-
-    /// Attaches a tracer for this run.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
         self
     }
 }
@@ -590,10 +578,25 @@ impl RunResult {
     }
 }
 
-/// Runs a scenario to completion. The run is fully self-contained: it
-/// owns its simulation and emits only into the scenario's own tracer, so
-/// concurrent runs never share mutable state.
+/// Runs a scenario to completion, untraced and outside any executor.
 pub fn run(sc: &Scenario) -> RunResult {
+    run_traced(sc, Tracer::off())
+}
+
+/// Runs a scenario to completion with `tracer` attached, then flushes it
+/// (for callers that inspect a sink directly; executor runs get their
+/// tracer from [`RunCtx::attach`]).
+pub fn run_traced(sc: &Scenario, tracer: Tracer) -> RunResult {
+    let result = simulate(sc, |sim| sim.set_tracer(tracer.clone()));
+    tracer.flush();
+    result
+}
+
+/// Builds and runs a scenario's simulation; `attach` sees it once the
+/// links and paths exist, before any endpoint. The run is fully
+/// self-contained: it owns its simulation, so concurrent runs never share
+/// mutable state.
+fn simulate(sc: &Scenario, attach: impl FnOnce(&mut Simulation)) -> RunResult {
     let mut net = parallel_links(sc.seed, &sc.links);
     // Paths: one per (connection, subflow); paths over the same link are
     // distinct PathIds but share the Link object.
@@ -603,7 +606,7 @@ pub fn run(sc: &Scenario) -> RunResult {
         sim_paths.push(paths);
     }
     let mut sim = net.sim;
-    sim.set_tracer(sc.tracer.clone());
+    attach(&mut sim);
     for (t, link, params) in &sc.link_changes {
         sim.schedule_link_change(*t, net.links[*link], *params);
     }
@@ -621,7 +624,7 @@ pub fn run(sc: &Scenario) -> RunResult {
             dst: recv,
             paths: sim_paths[i].clone(),
             workload: conn.workload,
-            scheduler: protocols::scheduler_for(&conn.proto),
+            scheduler: conn.scheduler,
             start_at: conn.start,
             peer_buffer: 300_000_000,
         };
@@ -688,7 +691,6 @@ pub fn run(sc: &Scenario) -> RunResult {
     }
     let total = conns.iter().map(|c| c.goodput_mbps).sum();
     let links = net.links.iter().map(|&l| sim.link_stats(l)).collect();
-    sc.tracer.flush();
     RunResult {
         conns,
         links,
@@ -722,14 +724,6 @@ pub fn run_seeds_batch(exec: &Executor, scs: &[Scenario], runs: u64) -> Vec<Vec<
             per_conn.iter().map(|v| Summary::of(v)).collect()
         })
         .collect()
-}
-
-/// Runs `runs` seeds of the same scenario and returns the per-connection
-/// goodput summaries (index = connection). See [`run_seeds_batch`].
-pub fn run_seeds(exec: &Executor, sc: &Scenario, runs: u64) -> Vec<Summary> {
-    run_seeds_batch(exec, std::slice::from_ref(sc), runs)
-        .pop()
-        .expect("one scenario in, one summary set out")
 }
 
 #[cfg(test)]
@@ -778,10 +772,8 @@ mod tests {
             3,
             vec![LinkParams::paper_default()],
             vec![ConnSpec {
-                proto: "reno".into(),
-                links: vec![0],
                 workload: Workload::Finite(5_000_000),
-                start: SimTime::ZERO,
+                ..ConnSpec::bulk("reno", vec![0])
             }],
         )
         .with_duration(SimDuration::from_secs(20), SimDuration::ZERO);
@@ -866,6 +858,53 @@ mod tests {
     }
 
     #[test]
+    fn scheduler_override_runs_through_the_batch_with_metrics() {
+        let dir = std::env::temp_dir().join(format!("mpcc-sched-test-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("metrics.jsonl");
+        // One BBR connection over a 10 ms and a 40 ms link (the `sched`
+        // experiment's shape), once with the factory's rate-based
+        // scheduler and once overridden to the default scheduler.
+        let links = vec![
+            LinkParams::paper_default().with_capacity(Rate::from_mbps(5.0)),
+            LinkParams::paper_default()
+                .with_capacity(Rate::from_mbps(5.0))
+                .with_delay(SimDuration::from_millis(40)),
+        ];
+        let sc = |scheduler| {
+            let mut sc = Scenario::new(9, links.clone(), vec![ConnSpec::bulk("bbr", vec![0, 1])])
+                .with_duration(SimDuration::from_secs(6), SimDuration::from_secs(1));
+            sc.conns[0].scheduler = scheduler;
+            sc
+        };
+        assert_eq!(
+            sc(SchedulerKind::paper_rate_based()).conns[0].scheduler,
+            protocols::scheduler_for("bbr")
+        );
+        let results = Executor::new(2, None)
+            .with_metrics(MetricsConfig::new(path.clone()))
+            .run_batch(vec![
+                sc(SchedulerKind::paper_rate_based()),
+                sc(SchedulerKind::Default),
+            ]);
+        let sent = |r: &RunResult| r.conns[0].sent_packets;
+        assert_ne!(
+            sent(&results[0]),
+            sent(&results[1]),
+            "the scheduler override must reach the sender"
+        );
+        let rows = fs::read_to_string(&path).unwrap();
+        for run in 0..2 {
+            assert!(
+                rows.lines().any(|l| l.contains(&format!("\"run\":{run}"))
+                    && l.contains("\"scope\":\"subflow\"")),
+                "no subflow rows for run {run}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn map_preserves_submission_order() {
         let exec = Executor::new(4, None);
         let out = exec.map((0..100u64).collect::<Vec<_>>(), |i| i * 2);
@@ -904,8 +943,8 @@ mod tests {
             }
         }
         let exec = Executor::new(3, None);
-        let got = run_seeds(&exec, &sc, 3);
-        for (i, s) in got.iter().enumerate() {
+        let got = run_seeds_batch(&exec, &[sc], 3);
+        for (i, s) in got[0].iter().enumerate() {
             let e = Summary::of(&expect[i]);
             assert_eq!(s.mean.to_bits(), e.mean.to_bits());
         }

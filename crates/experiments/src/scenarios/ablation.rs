@@ -70,10 +70,6 @@ fn a1(cfg: &ExpConfig) -> Figure {
 
 /// A2: ω from connection total vs from the subflow's own rate.
 fn a2(cfg: &ExpConfig) -> Figure {
-    use mpcc::{Mpcc, MpccConfig, StateConfig};
-    use mpcc_netsim::topology::parallel_links;
-    use mpcc_transport::{MpReceiver, MpSender, SchedulerKind, SenderConfig};
-
     let duration = cfg.scale(SimDuration::from_secs(60), SimDuration::from_secs(200));
     let warmup = cfg.scale(SimDuration::from_secs(15), SimDuration::from_secs(30));
     let mut fig = Figure::new(
@@ -81,45 +77,36 @@ fn a2(cfg: &ExpConfig) -> Figure {
         "probe amplitude scaling on asymmetric links (20 + 300 Mbps): §5.2's design choice",
         &["omega_scaling", "goodput_mbps", "slow_link_share_pct"],
     );
-    let links = [
+    let links = vec![
         LinkParams::paper_default().with_capacity(Rate::from_mbps(20.0)),
         LinkParams::paper_default().with_capacity(Rate::from_mbps(300.0)),
     ];
-    // Both ω-scaling variants run independently: fan out via the pool.
-    let variants = vec![("of_connection_total", false), ("of_own_rate", true)];
-    let rows = cfg.exec.map(variants, |(label, own_rate)| {
-        let mut net = parallel_links(splitmix64(cfg.seed ^ 0xA2), &links);
-        let p0 = net.path(0);
-        let p1 = net.path(1);
-        let mut sim = net.sim;
-        let recv = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
-        let mut mcfg = MpccConfig::loss().with_seed(13);
-        mcfg.state = StateConfig {
-            probe_scales_with_own_rate: own_rate,
-            ..mcfg.state
-        };
-        let scfg = SenderConfig::bulk(recv, vec![p0, p1])
-            .with_scheduler(SchedulerKind::paper_rate_based());
-        let sender = sim.add_endpoint(Box::new(MpSender::new(scfg, Box::new(Mpcc::new(mcfg)))));
-        let warm_end = SimTime::ZERO + warmup;
-        sim.run_until(warm_end);
-        let (a0, s0) = {
-            let s = sim.endpoint::<MpSender>(sender);
-            (s.data_acked(), s.subflow_stats(0, warm_end).delivered_bytes)
-        };
-        let end = SimTime::ZERO + duration;
-        sim.run_until(end);
-        let s = sim.endpoint::<MpSender>(sender);
-        let span = duration.as_secs_f64() - warmup.as_secs_f64();
-        let goodput = (s.data_acked() - a0) as f64 * 8.0 / span / 1e6;
-        let slow_bytes = s.subflow_stats(0, end).delivered_bytes - s0;
-        let share = slow_bytes as f64 * 8.0 / span / 1e6 / 20.0 * 100.0;
-        vec![label.to_string(), f2(goodput), f2(share)]
-    });
-    for row in rows {
-        fig.row(row);
+    let variants = [
+        ("of_connection_total", "mpcc-loss"),
+        ("of_own_rate", "mpcc-loss-own-rate"),
+    ];
+    let scs: Vec<Scenario> = variants
+        .iter()
+        .map(|&(_, proto)| {
+            Scenario::new(
+                splitmix64(cfg.seed ^ 0xA2),
+                links.clone(),
+                vec![ConnSpec::bulk(proto, vec![0, 1])],
+            )
+            .with_duration(duration, warmup)
+        })
+        .collect();
+    let warm_end = SimTime::ZERO + warmup;
+    for ((label, _), result) in variants.iter().zip(cfg.exec.run_batch(scs)) {
+        let conn = &result.conns[0];
+        let slow_mbps = conn.subflow_series[0].mean_after(warm_end);
+        fig.row(vec![
+            label.to_string(),
+            f2(conn.goodput_mbps),
+            f2(slow_mbps / 20.0 * 100.0),
+        ]);
     }
-    fig.note("own-rate scaling's probes on the slow link are tiny relative to the fast link's dynamics — gradient estimates stall (§5.2)");
+    fig.note("paper §5.2: own-rate scaling's probes on the slow link are tiny relative to the fast link's dynamics — gradient estimates stall");
     fig
 }
 

@@ -540,32 +540,30 @@ impl ShardHook for ChurnHook {
 /// can diff the output files directly.
 pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
     let c = churn_config(cfg);
-    let mut churn = build(&c);
     // `--trace`/`--metrics` attach one keyed part sink per shard; the
-    // parts are merged in canonical dispatch order after the run, so the
-    // streams are byte-identical at every shard count (DESIGN.md §13).
-    let mut telem = cfg.exec.shard_telemetry("churn");
-    if let Some(t) = telem.as_mut() {
-        t.install(&mut churn.sim)
-            .expect("cannot create churn telemetry part files");
-    }
-    eprintln!(
-        "churn: {} conns over {}s, {} shards, {} backend",
-        c.conns,
-        c.window.as_secs_f64(),
-        c.shards,
-        if churn.sim.threaded() {
-            "threaded"
-        } else {
-            "sequential"
-        },
-    );
-    churn.sim.run_until(c.duration);
-    let out = churn.collect();
-    if let Some(t) = telem {
-        churn.sim.flush_tracers();
-        t.merge().expect("cannot merge churn telemetry part files");
-    }
+    // executor merges the parts in canonical dispatch order after the run,
+    // so the streams are byte-identical at every shard count (DESIGN.md
+    // §13).
+    let out = cfg
+        .exec
+        .run_jobs(vec![c], |c, ctx| {
+            let mut churn = build(&c);
+            ctx.attach_sharded(&mut churn.sim);
+            eprintln!(
+                "churn: {} conns over {}s, {} shards, {} backend",
+                c.conns,
+                c.window.as_secs_f64(),
+                c.shards,
+                if churn.sim.threaded() {
+                    "threaded"
+                } else {
+                    "sequential"
+                },
+            );
+            churn.run()
+        })
+        .pop()
+        .expect("one churn run");
     eprintln!(
         "churn: {} epochs, {} handoffs, peak queue/shard {}, {} reuses, {} fresh boxes",
         out.epochs, out.handoffs, out.peak_queue, out.reuses, out.fresh,

@@ -16,7 +16,7 @@ use crate::ExpConfig;
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
 use mpcc_simcore::rng::splitmix64;
-use mpcc_simcore::{Rate, SimDuration, SimTime};
+use mpcc_simcore::{Rate, SimDuration};
 use mpcc_transport::Workload;
 
 const PROTOCOLS: [&str; 8] = [
@@ -103,10 +103,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
                         ),
                         vec![wifi_path(rtt), lte_path(rtt)],
                         vec![ConnSpec {
-                            proto: proto.to_string(),
-                            links: vec![0, 1],
                             workload: Workload::Finite(file_bytes),
-                            start: SimTime::ZERO,
+                            ..ConnSpec::bulk(proto, vec![0, 1])
                         }],
                     )
                     .with_duration(SimDuration::from_secs(600), SimDuration::ZERO)

@@ -11,7 +11,7 @@
 
 use crate::output::{f3, Figure};
 use crate::protocols;
-use crate::runner::ShardTelemetry;
+use crate::runner::RunCtx;
 use crate::ExpConfig;
 use mpcc_metrics::Summary;
 use mpcc_netsim::topology::{Clos, ClosConfig};
@@ -165,8 +165,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
         })
         .collect();
 
-    // Each protocol's Clos run is an independent simulation: farm them out
-    // across the worker pool and consume results in PROTOCOLS order.
+    // Each protocol's Clos run is an independent simulation: the executor
+    // farms them out and returns results in PROTOCOLS order.
     let outcomes = run_protocols(cfg, &PROTOCOLS, shape(cfg));
     for (proto, (fcts, incomplete)) in PROTOCOLS.iter().zip(outcomes) {
         for (class, fig) in per_class.iter_mut().enumerate() {
@@ -202,32 +202,16 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
     figs
 }
 
-/// Farms `protos` out across the worker pool and returns their outcomes
-/// in input order. Telemetry (when `--trace`/`--metrics` is configured on
-/// the executor) is claimed per protocol *before* the fan-out — so run
-/// ids are worker-count-independent — and the per-shard part files are
-/// merged afterwards in the same deterministic order.
+/// Runs `protos` through the executor, one run each, and returns their
+/// outcomes in input order.
 fn run_protocols(cfg: &ExpConfig, protos: &[&str], shape: Shape) -> Vec<(Vec<Vec<f64>>, usize)> {
-    let jobs: Vec<(&str, Option<ShardTelemetry>)> = protos
-        .iter()
-        .map(|p| (*p, cfg.exec.shard_telemetry(&format!("fig19-{p}"))))
-        .collect();
-    let results = cfg.exec.map(jobs, |(proto, telem)| {
-        run_proto_sharded(cfg, proto, shape, telem)
-    });
-    results
-        .into_iter()
-        .map(|(fcts, incomplete, telem)| {
-            if let Some(t) = telem {
-                t.merge().expect("cannot merge fig19 telemetry part files");
-            }
-            (fcts, incomplete)
-        })
-        .collect()
+    cfg.exec.run_jobs(protos.to_vec(), |proto, ctx| {
+        run_proto_sharded(cfg, proto, shape, ctx)
+    })
 }
 
-/// Test/harness entry: runs `protos` through the executor pool exactly as
-/// [`run`] does (per-protocol telemetry claimed and merged in order), but
+/// Test/harness entry: runs `protos` through the executor exactly as
+/// [`run`] does (telemetry and `--faults` included), but
 /// with a miniature workload — one long / one medium / two short flows
 /// per host with 20×-smaller classes, capped at `cap_secs` — so shard
 /// determinism can be exercised in seconds.
@@ -248,15 +232,14 @@ pub fn run_protocols_scaled(
 /// `cfg.shards` engine instances (DESIGN.md §16; one instance by default).
 /// Every shard registers the identical links/paths/endpoint slots (so ids
 /// line up) and installs only the endpoints of the hosts it owns. Returns
-/// the per-class FCT samples (ms), the number of flows still incomplete
-/// at the cap, and the telemetry handle (ready to merge once back on the
-/// submitting thread).
+/// the per-class FCT samples (ms) and the number of flows still
+/// incomplete at the cap.
 fn run_proto_sharded(
     cfg: &ExpConfig,
     proto: &str,
     shape: Shape,
-    mut telem: Option<ShardTelemetry>,
-) -> (Vec<Vec<f64>>, usize, Option<ShardTelemetry>) {
+    ctx: &mut RunCtx,
+) -> (Vec<Vec<f64>>, usize) {
     let k = cfg.shards.max(1);
     let seed = splitmix64(cfg.seed ^ 0x1919);
     let fab = fabric(cfg);
@@ -312,10 +295,7 @@ fn run_proto_sharded(
         }
         sim
     });
-    if let Some(t) = telem.as_mut() {
-        t.install(&mut sim)
-            .expect("cannot create fig19 telemetry part files");
-    }
+    ctx.attach_sharded(&mut sim);
     let cap = SimTime::from_secs(shape.cap_secs);
     let mut t = SimTime::ZERO;
     loop {
@@ -330,7 +310,6 @@ fn run_proto_sharded(
             break;
         }
     }
-    sim.flush_tracers();
     let mut fcts: Vec<Vec<f64>> = vec![Vec::new(); 3];
     let mut incomplete = 0;
     for (i, flow) in flows.iter().enumerate() {
@@ -343,5 +322,5 @@ fn run_proto_sharded(
             None => incomplete += 1,
         }
     }
-    (fcts, incomplete, telem)
+    (fcts, incomplete)
 }

@@ -86,10 +86,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
                     splitmix64(cfg.seed ^ splitmix64(0x0A4D ^ ((ri as u64) << 20) ^ pi as u64)),
                     vec![wifi_path(*plan), lte_path()],
                     vec![ConnSpec {
-                        proto: proto.to_string(),
-                        links: vec![0, 1],
                         workload: Workload::Finite(file_bytes),
-                        start: SimTime::ZERO,
+                        ..ConnSpec::bulk(proto, vec![0, 1])
                     }],
                 )
                 .with_duration(SimDuration::from_secs(120), SimDuration::ZERO)

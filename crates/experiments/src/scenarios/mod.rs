@@ -27,28 +27,29 @@ pub const ALL: [&str; 20] = [
     "fig13", "fig14", "fig15", "fig16", "fig19", "sched", "ablation", "handover", "churn",
 ];
 
-/// Dispatches one experiment id; returns the produced figures.
-pub fn dispatch(id: &str, cfg: &ExpConfig) -> Vec<Figure> {
-    match id {
-        "fig2" => fig2::run(cfg),
-        "fig5a" => fig5_6::run_fig5a(cfg),
-        "fig5b" => fig5_6::run_fig5b(cfg),
-        "fig6a" => fig5_6::run_fig6a(cfg),
-        "fig6b" => fig5_6::run_fig6b(cfg),
-        "fig7" | "fig8" => fig7_8::run(cfg),
-        "fig9" => fig9::run(cfg),
-        "fig10" => fig10::run(cfg),
-        "fig11" => fig11::run(cfg),
-        "fig12" => fig12_13::run_fig12(cfg),
-        "fig13" => fig12_13::run_fig13(cfg),
-        "fig14" => fig14_15::run_fig14(cfg),
-        "fig15" => fig14_15::run_fig15(cfg),
-        "fig16" | "fig17" => fig16_17::run(cfg),
-        "fig19" => fig19::run(cfg),
-        "sched" => sched::run(cfg),
-        "ablation" => ablation::run(cfg),
-        "handover" => handover::run(cfg),
-        "churn" => churn::run(cfg),
-        other => panic!("unknown experiment id {other:?} (see `experiments list`)"),
-    }
+/// The experiment an id names (every id in [`ALL`], plus `fig17`, which
+/// Fig. 16 produces), or `None` for an unknown id.
+pub fn lookup(id: &str) -> Option<fn(&ExpConfig) -> Vec<Figure>> {
+    Some(match id {
+        "fig2" => fig2::run,
+        "fig5a" => fig5_6::run_fig5a,
+        "fig5b" => fig5_6::run_fig5b,
+        "fig6a" => fig5_6::run_fig6a,
+        "fig6b" => fig5_6::run_fig6b,
+        "fig7" | "fig8" => fig7_8::run,
+        "fig9" => fig9::run,
+        "fig10" => fig10::run,
+        "fig11" => fig11::run,
+        "fig12" => fig12_13::run_fig12,
+        "fig13" => fig12_13::run_fig13,
+        "fig14" => fig14_15::run_fig14,
+        "fig15" => fig14_15::run_fig15,
+        "fig16" | "fig17" => fig16_17::run,
+        "fig19" => fig19::run,
+        "sched" => sched::run,
+        "ablation" => ablation::run,
+        "handover" => handover::run,
+        "churn" => churn::run,
+        _ => return None,
+    })
 }

@@ -29,56 +29,37 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
         "goodput (Mbps) of one 2-subflow BBR connection over 2×100 Mbps, by scheduler",
         &["scheduler", "goodput_mbps"],
     );
-    let schedulers: Vec<(String, SchedulerKind)> = vec![
-        ("default".into(), SchedulerKind::Default),
-        ("rate-based-10%".into(), SchedulerKind::paper_rate_based()),
+    let schedulers = [
+        ("default", SchedulerKind::Default),
+        ("rate-based-10%", SchedulerKind::paper_rate_based()),
         // Threshold ablation around the paper's 10% choice.
         (
-            "rate-based-2%".into(),
+            "rate-based-2%",
             SchedulerKind::RateBased { threshold: 0.02 },
         ),
         (
-            "rate-based-50%".into(),
+            "rate-based-50%",
             SchedulerKind::RateBased { threshold: 0.50 },
         ),
     ];
-    // Each scheduler variant is an independent run: fan out via the pool.
-    let goodputs = cfg.exec.map(schedulers, |(name, kind)| {
-        let mut sc = Scenario::new(
-            splitmix64(cfg.seed ^ 0x5C4ED),
-            links.clone(),
-            vec![ConnSpec::bulk("bbr", vec![0, 1])],
-        )
-        .with_duration(duration, warmup);
-        // Override the factory's scheduler choice.
-        sc.conns[0].proto = "bbr".into();
-        (name, run_with_scheduler(&sc, kind))
-    });
-    for (name, goodput) in goodputs {
-        fig.row(vec![name, f2(goodput)]);
+    // Each scheduler variant is an independent run of the same scenario.
+    let scs = schedulers
+        .iter()
+        .map(|&(_, kind)| {
+            let mut sc = Scenario::new(
+                splitmix64(cfg.seed ^ 0x5C4ED),
+                links.clone(),
+                vec![ConnSpec::bulk("bbr", vec![0, 1])],
+            )
+            .with_duration(duration, warmup);
+            // Override the factory's scheduler choice.
+            sc.conns[0].scheduler = kind;
+            sc
+        })
+        .collect();
+    for ((name, _), result) in schedulers.iter().zip(cfg.exec.run_batch(scs)) {
+        fig.row(vec![name.to_string(), f2(result.conns[0].goodput_mbps)]);
     }
     fig.note("paper §6: default scheduler 148.2 Mbps → rate-based scheduler 179.4 Mbps");
     vec![fig]
-}
-
-/// Runs the scenario with an explicit scheduler (bypassing the per-protocol
-/// default pairing).
-fn run_with_scheduler(sc: &Scenario, kind: SchedulerKind) -> f64 {
-    use mpcc_netsim::topology::parallel_links;
-    use mpcc_transport::{MpReceiver, MpSender, SenderConfig};
-
-    let mut net = parallel_links(sc.seed, &sc.links);
-    let paths: Vec<_> = sc.conns[0].links.iter().map(|&l| net.path(l)).collect();
-    let mut sim = net.sim;
-    let recv = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
-    let cc = crate::protocols::make(&sc.conns[0].proto, sc.seed);
-    let cfg = SenderConfig::bulk(recv, paths).with_scheduler(kind);
-    let sender = sim.add_endpoint(Box::new(MpSender::new(cfg, cc)));
-    let warm_end = mpcc_simcore::SimTime::ZERO + sc.warmup;
-    sim.run_until(warm_end);
-    let at_warm = sim.endpoint::<MpSender>(sender).data_acked();
-    let end = mpcc_simcore::SimTime::ZERO + sc.duration;
-    sim.run_until(end);
-    let total = sim.endpoint::<MpSender>(sender).data_acked();
-    (total - at_warm) as f64 * 8.0 / (sc.duration.as_secs_f64() - sc.warmup.as_secs_f64()) / 1e6
 }

@@ -8,15 +8,17 @@
 //! its first stdout line, and streams until the transfer completes or the
 //! deadline passes.
 //!
-//! The sender emits the same `mpcc-telemetry` events a simulated run
-//! does, into the same keyed part files ([`ShardTelemetry`]) merged into
-//! the executor's `--trace`/`--metrics` files, so `--metrics-bin` and
-//! `experiments report` work unchanged on a real-socket run. Exit status
+//! The sender is one executor run ([`Executor::run_jobs`]): it emits the
+//! same `mpcc-telemetry` events a simulated run does, into the same keyed
+//! part files merged into the executor's `--trace`/`--metrics` files, so
+//! `--metrics-bin` and `experiments report` work unchanged on a
+//! real-socket run. `--faults` does not apply: real sockets have no
+//! simulated links to overlay. Exit status
 //! is nonzero if the transfer does not complete, if either path carried
 //! no data, or if any runtime invariant tripped (`--features invariants`).
 
 use crate::protocols;
-use crate::runner::{Executor, ShardTelemetry};
+use crate::runner::Executor;
 use mpcc_netsim::endpoint_rng;
 use mpcc_simcore::{SimDuration, SimTime};
 use mpcc_telemetry::Tracer;
@@ -125,16 +127,30 @@ fn try_serve_receiver(seed: u64) -> io::Result<i32> {
 }
 
 /// Parent mode (`experiments udp`): run the two-path loopback transfer
-/// end to end, tracing the sender through `exec`'s telemetry. Returns the
-/// process exit code.
+/// end to end as one executor run, tracing the sender through the run's
+/// telemetry. Returns the process exit code.
 pub fn run(opts: &DemoOpts, exec: &Executor) -> i32 {
-    match try_run(opts, exec) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("udp demo: {e}");
-            1
-        }
-    }
+    mpcc_check::reset();
+    exec.run_jobs(vec![opts], |opts, ctx| {
+        let tracer = ctx.tracer();
+        spawn_receiver(opts.seed).and_then(|(mut child, p0, p1)| {
+            eprintln!(
+                ">>> udp demo: {} bytes over two loopback paths (ports {p0}/{p1}), \
+                 protocol {PROTOCOL}, seed {}",
+                opts.bytes, opts.seed
+            );
+            let result = run_sender(opts, &tracer, p0, p1);
+            let _ = child.kill();
+            let _ = child.wait();
+            result
+        })
+    })
+    .pop()
+    .expect("one udp run")
+    .unwrap_or_else(|e| {
+        eprintln!("udp demo: {e}");
+        1
+    })
 }
 
 /// Spawns the receiver process and reads its port line.
@@ -165,29 +181,6 @@ fn spawn_receiver(seed: u64) -> io::Result<(Child, u16, u16)> {
         ));
     }
     Ok((child, ports[0], ports[1]))
-}
-
-fn try_run(opts: &DemoOpts, exec: &Executor) -> io::Result<i32> {
-    mpcc_check::reset();
-    let mut telemetry = exec.shard_telemetry("udp");
-    let tracer = match &mut telemetry {
-        Some(t) => t.single_part_tracer()?,
-        None => Tracer::off(),
-    };
-    let result = spawn_receiver(opts.seed).and_then(|(mut child, p0, p1)| {
-        eprintln!(
-            ">>> udp demo: {} bytes over two loopback paths (ports {p0}/{p1}), \
-             protocol {PROTOCOL}, seed {}",
-            opts.bytes, opts.seed
-        );
-        let result = run_sender(opts, &tracer, p0, p1);
-        let _ = child.kill();
-        let _ = child.wait();
-        result
-    });
-    tracer.flush();
-    telemetry.map_or(Ok(()), ShardTelemetry::merge)?;
-    result
 }
 
 /// The sender half: aims two sockets at the receiver's ports, streams the

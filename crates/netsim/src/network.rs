@@ -13,6 +13,7 @@
 //! partitioned over several instances ([`crate::shard`]) behave exactly
 //! like one instance.
 
+use crate::fault::FaultPlan;
 use crate::ids::{EndpointId, LinkId, PathId};
 use crate::link::{Admission, DropKind, Link, LinkParams, LinkStats, TxOutcome};
 use crate::packet::{Header, Packet};
@@ -446,6 +447,9 @@ pub struct Simulation {
     /// sink (`None` when untraced — the stamping branch then costs one
     /// `Option` check per dispatched event and nothing else).
     trace_stamp: Option<Arc<DispatchStamp>>,
+    /// Fault knobs laid over every link's own plan (see
+    /// [`Simulation::set_fault_overlay`]).
+    fault_overlay: FaultPlan,
 }
 
 impl Simulation {
@@ -473,6 +477,7 @@ impl Simulation {
             digest: 0,
             stale_events: 0,
             trace_stamp: None,
+            fault_overlay: FaultPlan::NONE,
         }
     }
 
@@ -501,6 +506,20 @@ impl Simulation {
     /// singleton keyed like the `TxComplete` they replace.
     pub fn set_trace_stamp(&mut self, stamp: Arc<DispatchStamp>) {
         self.trace_stamp = Some(stamp);
+    }
+
+    /// Lays `plan` over the fault plan of every link (see
+    /// [`FaultPlan::overlay`]): the links already added, every later
+    /// [`Simulation::add_link`], and the parameters of every `LinkChange`
+    /// as it applies. This is the one seam every link's parameters pass
+    /// through, so a run-wide fault spec reaches every topology builder.
+    /// Set it before running.
+    pub fn set_fault_overlay(&mut self, plan: FaultPlan) {
+        self.fault_overlay = plan;
+        for link in &mut self.links {
+            let params = link.params();
+            link.set_params(params.with_faults(params.faults.overlay(plan)));
+        }
     }
 
     /// Current simulation time.
@@ -544,7 +563,7 @@ impl Simulation {
     /// Adds a link and returns its handle.
     pub fn add_link(&mut self, params: LinkParams) -> LinkId {
         let id = LinkId(self.links.len() as u32);
-        let mut link = Link::new(params);
+        let mut link = Link::new(params.with_faults(params.faults.overlay(self.fault_overlay)));
         // Faults draw from their own forked stream so configuring a fault
         // plan never perturbs the random-loss sequence of any link.
         link.set_fault_rng(
@@ -949,7 +968,8 @@ impl Simulation {
                 None
             }
             Event::LinkChange(id, params) => {
-                self.links[id.0 as usize].set_params(*params);
+                let faults = params.faults.overlay(self.fault_overlay);
+                self.links[id.0 as usize].set_params(params.with_faults(faults));
                 None
             }
         };
@@ -1122,7 +1142,6 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
     use crate::packet::{AckHeader, DataHeader, SackBlocks, MSS_PAYLOAD, MSS_WIRE};
     use std::any::Any;
 
@@ -1267,6 +1286,22 @@ mod tests {
         );
         sim.run_until(SimTime::from_millis(20));
         assert_eq!(sim.link(link).params().capacity, Rate::from_mbps(1.0));
+    }
+
+    #[test]
+    fn fault_overlay_reaches_existing_added_and_changed_links() {
+        let mut sim = Simulation::new(3);
+        let plan = FaultPlan::NONE.with_burst(0.01, 0.3, 0.5);
+        let early = sim.add_link(LinkParams::paper_default());
+        // Scheduled before the overlay is set, applied after.
+        let slow = LinkParams::paper_default().with_capacity(Rate::from_mbps(1.0));
+        sim.schedule_link_change(SimTime::from_millis(10), early, slow);
+        sim.set_fault_overlay(plan);
+        let late = sim.add_link(LinkParams::paper_default());
+        assert_eq!(sim.link(early).params().faults, plan);
+        assert_eq!(sim.link(late).params().faults, plan);
+        sim.run_until(SimTime::from_millis(20));
+        assert_eq!(sim.link(early).params(), slow.with_faults(plan));
     }
 
     use mpcc_simcore::Rate;

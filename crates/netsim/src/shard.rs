@@ -187,15 +187,6 @@ impl ShardedSimulation {
         s.set_tracer(tracer);
     }
 
-    /// Flushes every shard's tracer (closing metrics bins and draining
-    /// buffered part-stream writers). Call after the run, before merging
-    /// part files.
-    pub fn flush_tracers(&self) {
-        for s in &self.shards {
-            s.tracer().flush();
-        }
-    }
-
     /// Read access to shard `i`'s hook (downcast via [`ShardHook::as_any`]).
     pub fn hook(&self, i: usize) -> &dyn ShardHook {
         self.hooks[i].as_ref()
@@ -645,7 +636,9 @@ mod tests {
                 parts.push(part);
             }
             sim.run_until(SimTime::from_secs(2));
-            sim.flush_tracers();
+            for i in 0..sim.shards() {
+                sim.shard(i).tracer().flush();
+            }
             let merged = dir.join(format!("n{n}.jsonl"));
             let _ = std::fs::remove_file(&merged);
             let counts = merge_keyed_parts(&merged, &parts, None).unwrap();

@@ -206,86 +206,6 @@ impl Clos {
     }
 }
 
-/// Which links each connection of a scenario uses, by index into the
-/// parallel bundle. This is the abstract "assignment of subflows to links"
-/// of Theorems 4.1/5.1/5.2.
-#[derive(Clone, Debug)]
-pub struct SubflowAssignment {
-    /// `conns[i]` lists the link indices connection `i` places subflows on
-    /// (repeats allowed: several subflows of one connection on one link).
-    pub conns: Vec<Vec<usize>>,
-}
-
-impl SubflowAssignment {
-    /// Fig. 3a: one multipath connection with two subflows on the single
-    /// link, competing with a single-path connection.
-    pub fn fig3a() -> Self {
-        SubflowAssignment {
-            conns: vec![vec![0, 0], vec![0]],
-        }
-    }
-
-    /// Fig. 3b: one multipath connection over two links.
-    pub fn fig3b() -> Self {
-        SubflowAssignment {
-            conns: vec![vec![0, 1]],
-        }
-    }
-
-    /// Fig. 3c ("two links MP-SP"): multipath over links 0 and 1, single
-    /// path on link 1.
-    pub fn fig3c() -> Self {
-        SubflowAssignment {
-            conns: vec![vec![0, 1], vec![1]],
-        }
-    }
-
-    /// Fig. 3d ("two links MP-SP-SP"): multipath over both links, one
-    /// single-path connection on each.
-    pub fn fig3d() -> Self {
-        SubflowAssignment {
-            conns: vec![vec![0, 1], vec![0], vec![1]],
-        }
-    }
-
-    /// Fig. 3e: two multipath connections, each over both links.
-    pub fn fig3e() -> Self {
-        SubflowAssignment {
-            conns: vec![vec![0, 1], vec![0, 1]],
-        }
-    }
-
-    /// Fig. 4a, the "OLIA topology": a single-path connection on link 0 and
-    /// a multipath connection over links 0 and 1.
-    pub fn olia() -> Self {
-        SubflowAssignment {
-            conns: vec![vec![0], vec![0, 1]],
-        }
-    }
-
-    /// Fig. 4b, the "LIA topology": three links, three multipath
-    /// connections in a cycle.
-    pub fn lia() -> Self {
-        SubflowAssignment {
-            conns: vec![vec![0, 1], vec![1, 2], vec![2, 0]],
-        }
-    }
-
-    /// Number of links the assignment references.
-    pub fn n_links(&self) -> usize {
-        self.conns
-            .iter()
-            .flat_map(|c| c.iter())
-            .max()
-            .map_or(0, |m| m + 1)
-    }
-
-    /// Number of connections.
-    pub fn n_conns(&self) -> usize {
-        self.conns.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,20 +217,6 @@ mod tests {
         let p0 = net.path(0);
         let p1 = net.path(2);
         assert_ne!(p0, p1);
-    }
-
-    #[test]
-    fn assignments_match_figure_shapes() {
-        assert_eq!(SubflowAssignment::fig3a().n_links(), 1);
-        assert_eq!(SubflowAssignment::fig3a().n_conns(), 2);
-        assert_eq!(SubflowAssignment::fig3c().n_links(), 2);
-        assert_eq!(SubflowAssignment::lia().n_links(), 3);
-        assert_eq!(SubflowAssignment::lia().n_conns(), 3);
-        // Every LIA connection uses exactly two distinct links.
-        for conn in &SubflowAssignment::lia().conns {
-            assert_eq!(conn.len(), 2);
-            assert_ne!(conn[0], conn[1]);
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use mpcc_experiments::runner::{ConnSpec, Executor, Scenario, TraceConfig};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
 use mpcc_simcore::rng::splitmix64;
-use mpcc_simcore::{Rate, SimDuration, SimTime};
+use mpcc_simcore::{Rate, SimDuration};
 use mpcc_telemetry::LayerMask;
 use mpcc_transport::Workload;
 use std::fs;
@@ -114,10 +114,8 @@ fn scenario(case: &Case) -> Scenario {
         case.seed,
         vec![faulted, clean],
         vec![ConnSpec {
-            proto: case.proto.to_string(),
-            links: vec![0, 1],
             workload: Workload::Finite(TRANSFER_BYTES),
-            start: SimTime::ZERO,
+            ..ConnSpec::bulk(case.proto, vec![0, 1])
         }],
     )
     .with_duration(SimDuration::from_secs(30), SimDuration::ZERO)

@@ -26,7 +26,7 @@ use mpcc_experiments::runner::{ConnSpec, Executor, Scenario, TraceConfig};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
 use mpcc_simcore::rng::splitmix64;
-use mpcc_simcore::{Rate, SimDuration, SimTime};
+use mpcc_simcore::{Rate, SimDuration};
 use mpcc_telemetry::LayerMask;
 use std::fs;
 use std::path::Path;
@@ -68,10 +68,8 @@ fn scenarios() -> Vec<Scenario> {
                 splitmix64(0x601D ^ i),
                 vec![faulted, clean],
                 vec![ConnSpec {
-                    proto: "mpcc-loss".to_string(),
-                    links: vec![0, 1],
                     workload: mpcc_transport::Workload::Finite(1_500_000),
-                    start: SimTime::ZERO,
+                    ..ConnSpec::bulk("mpcc-loss", vec![0, 1])
                 }],
             )
             .with_duration(SimDuration::from_secs(20), SimDuration::ZERO)

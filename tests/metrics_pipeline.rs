@@ -10,7 +10,7 @@
 //! * link rows take their queue depth from `enqueue` events.
 
 use mpcc_experiments::report;
-use mpcc_experiments::runner::{run, ConnSpec, Executor, MetricsConfig, Scenario};
+use mpcc_experiments::runner::{run_traced, ConnSpec, Executor, MetricsConfig, Scenario};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
 use mpcc_simcore::rng::splitmix64;
@@ -117,7 +117,7 @@ fn soak_length_run_keeps_the_metrics_ring_bounded() {
         random_loss: 0.0,
         faults: FaultPlan::NONE,
     };
-    let mut sc = Scenario::new(
+    let sc = Scenario::new(
         0x50AB,
         vec![faulted, clean],
         vec![ConnSpec::bulk("mpcc-loss", vec![0, 1])],
@@ -129,8 +129,7 @@ fn soak_length_run_keeps_the_metrics_ring_bounded() {
         false,
         Box::new(std::io::sink()),
     ));
-    sc.tracer = Tracer::new(pipe.clone(), LayerMask::ALL);
-    let result = run(&sc);
+    let result = run_traced(&sc, Tracer::new(pipe.clone(), LayerMask::ALL));
 
     assert!(
         result.conns[0].goodput_mbps > 1.0,
@@ -167,10 +166,9 @@ fn link_rows_take_queue_depth_from_enqueue_events() {
         faults: FaultPlan::NONE,
     };
     let ring = Arc::new(RingSink::new(1 << 20));
-    let mut sc = Scenario::new(0x0B0F, vec![link], vec![ConnSpec::bulk("reno", vec![0])])
+    let sc = Scenario::new(0x0B0F, vec![link], vec![ConnSpec::bulk("reno", vec![0])])
         .with_duration(SimDuration::from_secs(5), SimDuration::ZERO);
-    sc.tracer = Tracer::new(ring.clone(), LayerMask::only(Layer::Link));
-    let result = run(&sc);
+    let result = run_traced(&sc, Tracer::new(ring.clone(), LayerMask::only(Layer::Link)));
     assert!(
         result.links[0].dropped_overflow > 0,
         "the link must congest"

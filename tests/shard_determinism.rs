@@ -12,6 +12,7 @@ use mpcc_experiments::runner::{Executor, MetricsConfig, TraceConfig};
 use mpcc_experiments::scenarios::churn::{self, ChurnConfig, ChurnOutcome};
 use mpcc_experiments::scenarios::fig19;
 use mpcc_experiments::ExpConfig;
+use mpcc_netsim::fault::FaultPlan;
 use mpcc_telemetry::LayerMask;
 use std::path::PathBuf;
 
@@ -72,7 +73,7 @@ struct TelemetryDir {
 }
 
 impl TelemetryDir {
-    fn new(tag: &str) -> TelemetryDir {
+    fn new(tag: &str, faults: FaultPlan) -> TelemetryDir {
         let dir =
             std::env::temp_dir().join(format!("mpcc-shard-telem-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -85,7 +86,8 @@ impl TelemetryDir {
                 mask: LayerMask::ALL,
             }),
         )
-        .with_metrics(MetricsConfig::new(metrics.clone()));
+        .with_metrics(MetricsConfig::new(metrics.clone()))
+        .with_faults(faults);
         TelemetryDir {
             dir,
             trace,
@@ -103,35 +105,37 @@ impl TelemetryDir {
     }
 }
 
-/// Runs the small churn workload with per-shard trace + metrics sinks
-/// attached and returns the merged byte streams.
+/// Runs the small churn workload as one executor run, with per-shard
+/// trace + metrics sinks attached, and returns the merged byte streams.
 fn churn_telemetry(shards: u8, threaded: bool, tag: &str) -> (Vec<u8>, Vec<u8>) {
-    let td = TelemetryDir::new(tag);
+    let td = TelemetryDir::new(tag, FaultPlan::NONE);
     let cfg = ChurnConfig::small(20201201, shards, 300, 4);
-    let mut run = churn::build(&cfg);
-    run.sim.set_threaded(threaded);
-    let mut telem = td.exec.shard_telemetry("churn").expect("sinks configured");
-    telem
-        .install(&mut run.sim)
-        .expect("install per-shard sinks");
-    run.sim.run_until(cfg.duration);
-    run.sim.flush_tracers();
-    telem.merge().expect("merge part streams");
+    td.exec.run_jobs(vec![cfg], |cfg, ctx| {
+        let mut run = churn::build(&cfg);
+        run.sim.set_threaded(threaded);
+        ctx.attach_sharded(&mut run.sim);
+        run.sim.run_until(cfg.duration);
+    });
     td.collect()
 }
 
+/// The per-class FCT samples and incomplete count of one fig19 protocol.
+type Fig19Outcome = Vec<(Vec<Vec<f64>>, usize)>;
+
 /// Runs the scaled-down fig19 workload (one protocol) through the real
-/// executor path — `run_protocols` claims the telemetry, installs it on
-/// the sharded engine, and merges it — and returns the merged bytes.
-fn fig19_telemetry(shards: u8, tag: &str) -> (Vec<u8>, Vec<u8>) {
-    let td = TelemetryDir::new(tag);
+/// executor path — `run_protocols` hands the run its telemetry and the
+/// `faults` overlay, and merges the parts — and returns the FCTs and the
+/// merged bytes.
+fn fig19_telemetry(shards: u8, faults: FaultPlan, tag: &str) -> (Fig19Outcome, Vec<u8>, Vec<u8>) {
+    let td = TelemetryDir::new(tag, faults);
     let cfg = ExpConfig {
         exec: td.exec.clone(),
         shards,
         ..ExpConfig::default()
     };
-    fig19::run_protocols_scaled(&cfg, &["mpcc-loss"], 5);
-    td.collect()
+    let fcts = fig19::run_protocols_scaled(&cfg, &["mpcc-loss"], 5);
+    let (t, m) = td.collect();
+    (fcts, t, m)
 }
 
 /// DESIGN.md §16 extended to the telemetry plane: the merged `--trace`
@@ -171,16 +175,40 @@ fn churn_telemetry_bytes_invariant_across_shards_and_backends() {
 
 /// Same invariant for fig19 through the executor path, across shard
 /// counts 1, 2 and 4 and across the sequential/threaded backends via
-/// `MPCC_SHARD_THREADS`.
+/// `MPCC_SHARD_THREADS`. The executor's `--faults` overlay reaches the
+/// Clos fabric: a faulted run's FCTs differ from the clean run's and are
+/// still identical at 1 and 4 shards.
 #[test]
 fn fig19_telemetry_bytes_invariant_across_shards_and_backends() {
+    let none = FaultPlan::NONE;
     std::env::set_var("MPCC_SHARD_THREADS", "0");
-    let (t1, m1) = fig19_telemetry(1, "fig19-s1");
-    let (t2, m2) = fig19_telemetry(2, "fig19-s2");
-    let (t4, m4) = fig19_telemetry(4, "fig19-s4");
+    let (f1, t1, m1) = fig19_telemetry(1, none, "fig19-s1");
+    let (_, t2, m2) = fig19_telemetry(2, none, "fig19-s2");
+    let (_, t4, m4) = fig19_telemetry(4, none, "fig19-s4");
+    let faults = FaultPlan::parse(
+        "reorder:p=0.05,extra=10ms;dup:p=0.02;burst:enter=0.003,exit=0.3,loss=0.5",
+    )
+    .expect("CI fault mix parses");
+    let (ff1, ft1, fm1) = fig19_telemetry(1, faults, "fig19-f1");
+    let (ff4, ft4, fm4) = fig19_telemetry(4, faults, "fig19-f4");
     std::env::set_var("MPCC_SHARD_THREADS", "1");
-    let (t4t, m4t) = fig19_telemetry(4, "fig19-s4t");
+    let (_, t4t, m4t) = fig19_telemetry(4, none, "fig19-s4t");
     std::env::remove_var("MPCC_SHARD_THREADS");
+    assert!(f1 != ff1, "--faults left the fig19 FCTs unchanged");
+    assert!(ff1 == ff4, "faulted FCTs differ between 1 and 4 shards");
+    assert!(
+        ft1 == ft4,
+        "faulted trace bytes differ between 1 and 4 shards"
+    );
+    assert!(
+        fm1 == fm4,
+        "faulted metrics bytes differ between 1 and 4 shards"
+    );
+    let faulted_trace = String::from_utf8(ft1).unwrap();
+    assert!(
+        faulted_trace.contains("drop_burst"),
+        "no burst drops in the faulted trace"
+    );
     assert!(
         t2.len() > 10_000,
         "trace suspiciously small ({} bytes): sinks not attached?",
