@@ -5,9 +5,9 @@
 //! `experiments report FILE` (flight-recorder Markdown from a metrics
 //! stream), or `experiments udp [--udp-bytes N]` (real-socket loopback
 //! demo), or `experiments check [--fluid] [--sweep] [--sweep-cases N]`
-//! (theory oracles). Unknown options and experiment ids, and `--faults`
-//! on `udp`, are rejected with the usage text (exit 2) before anything
-//! runs.
+//! (theory oracles). Unknown options and experiment ids, missing or bad
+//! option values, and `--faults` on `udp`, are rejected with the usage
+//! text (exit 2) before anything runs.
 
 use mpcc_experiments::check;
 use mpcc_experiments::report;
@@ -18,6 +18,8 @@ use mpcc_experiments::ExpConfig;
 use mpcc_netsim::fault::{parse_duration, FaultPlan};
 use mpcc_simcore::{Clock, MonotonicClock};
 use mpcc_telemetry::LayerMask;
+use std::fmt::Display;
+use std::str::FromStr;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,86 +46,26 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--full" => cfg.full = true,
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--runs" => {
-                cfg.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--runs needs an integer");
-            }
-            "--shards" => {
-                cfg.shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--shards needs an integer >= 1");
-            }
+            "--seed" => cfg.seed = flag_value(&mut it, &arg, at_least(0)),
+            "--runs" => cfg.runs = flag_value(&mut it, &arg, at_least(0)),
+            "--shards" => cfg.shards = flag_value(&mut it, &arg, at_least(1)),
             "--full-scale" => cfg.full_scale = true,
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--jobs needs an integer >= 1");
-            }
-            "--out" => {
-                cfg.out_dir = it.next().expect("--out needs a directory").into();
-            }
-            "--trace" => {
-                trace_path = Some(it.next().expect("--trace needs a file path"));
-            }
-            "--trace-filter" => {
-                let spec = it.next().expect("--trace-filter needs layers");
-                trace_mask = LayerMask::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("--trace-filter: {e}");
-                    std::process::exit(2);
-                });
-            }
-            "--metrics" => {
-                metrics_path = Some(it.next().expect("--metrics needs a file path"));
-            }
-            "--metrics-bin" => {
-                let spec = it
-                    .next()
-                    .expect("--metrics-bin needs a duration (e.g. 500ms)");
-                metrics_bin = Some(parse_duration(&spec).unwrap_or_else(|e| {
-                    eprintln!("--metrics-bin: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            "--faults" => {
-                let spec = it.next().expect("--faults needs a spec");
-                faults = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("--faults: {e}");
-                    std::process::exit(2);
-                }));
-            }
+            "--jobs" => jobs = flag_value(&mut it, &arg, at_least(1)),
+            "--out" => cfg.out_dir = flag_value(&mut it, &arg, |v| Ok(v.into())),
+            "--trace" => trace_path = Some(flag_value(&mut it, &arg, |v| Ok(v.to_string()))),
+            "--trace-filter" => trace_mask = flag_value(&mut it, &arg, LayerMask::parse),
+            "--metrics" => metrics_path = Some(flag_value(&mut it, &arg, |v| Ok(v.to_string()))),
+            "--metrics-bin" => metrics_bin = Some(flag_value(&mut it, &arg, parse_duration)),
+            "--faults" => faults = Some(flag_value(&mut it, &arg, FaultPlan::parse)),
             "list" => list_mode = true,
             "check" => check_mode = true,
             "--fluid" => check_fluid = true,
             "--sweep" => check_sweep = true,
-            "--sweep-cases" => {
-                sweep_cases = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--sweep-cases needs an integer >= 1");
-            }
+            "--sweep-cases" => sweep_cases = flag_value(&mut it, &arg, at_least(1)),
             "report" => report_mode = true,
             "udp" => udp_mode = true,
             "--udp-receiver" => udp_receiver = true,
-            "--udp-bytes" => {
-                udp_bytes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--udp-bytes needs a byte count >= 1");
-            }
+            "--udp-bytes" => udp_bytes = flag_value(&mut it, &arg, at_least(1)),
             "all" => ids.extend(ALL.iter().map(|s| s.to_string())),
             flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag:?}")),
             id => ids.push(id.to_string()),
@@ -267,6 +209,30 @@ fn main() {
     if violations > 0 {
         eprintln!("{violations} runtime invariant violations");
         std::process::exit(1);
+    }
+}
+
+/// Takes the value after `flag` and converts it with `parse`. A missing
+/// value, or one `parse` rejects, is a usage error.
+fn flag_value<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> T {
+    let Some(value) = args.next() else {
+        usage_error(&format!("{flag} needs a value"))
+    };
+    parse(&value).unwrap_or_else(|e| usage_error(&format!("{flag} {value:?}: {e}")))
+}
+
+/// The `parse` of an integer flag whose value must be at least `min`.
+fn at_least<T: FromStr + PartialOrd + Display>(min: T) -> impl FnOnce(&str) -> Result<T, String> {
+    move |value| {
+        value
+            .parse()
+            .ok()
+            .filter(|n| *n >= min)
+            .ok_or_else(|| format!("needs an integer >= {min}"))
     }
 }
 

@@ -309,8 +309,8 @@ impl Executor {
 /// part), named `<stem>.runNNNNN.shardNN.<ext>` next to the merged file.
 /// The executor merges the parts into the `--trace`/`--metrics` files in
 /// canonical dispatch order once the job returns, so the merged bytes are
-/// identical at every `--jobs` and `--shards` count and across the
-/// sequential/threaded backends (DESIGN.md §13, §16). Untraced runs pay
+/// identical at every `--jobs` and `--shards` count and at either lane
+/// count (DESIGN.md §13, §16). Untraced runs pay
 /// nothing: with neither sink configured no part file exists.
 pub struct RunCtx {
     run_id: u64,

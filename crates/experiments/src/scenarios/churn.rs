@@ -16,14 +16,14 @@
 //! same script, installing only what it owns. Because the epoch boundary
 //! sequence and the simulation state at each boundary are invariant
 //! across shard counts, install and retire times are too — `--shards
-//! 1/2/4` and the sequential/threaded backends all emit byte-identical
+//! 1/2/4`, on one lane or on one lane per shard, all emit byte-identical
 //! figures, which the CI shard-determinism step diffs.
 
 use crate::output::{f3, Figure};
 use crate::protocols;
 use crate::ExpConfig;
 use mpcc_metrics::Summary;
-use mpcc_netsim::topology::{Clos, ClosConfig};
+use mpcc_netsim::topology::{Clos, ClosConfig, ClosPartition};
 use mpcc_netsim::{
     Endpoint, EndpointId, LinkId, LinkParams, PathId, ShardHook, ShardedSimulation, Simulation,
 };
@@ -41,7 +41,7 @@ const PROTO: &str = "reno";
 const PEER_BUFFER: u64 = 300_000_000;
 
 /// One scripted connection. Sampled before the run; identical on every
-/// shard (ids come from the shared deterministic layout pass).
+/// shard (ids come from the rack-partitioned build).
 struct ConnSpec {
     arrival: SimTime,
     bytes: u64,
@@ -172,15 +172,15 @@ fn sample(cfg: &ChurnConfig, hosts: usize) -> Vec<(SimTime, u64, usize, usize)> 
 /// shard. Drive it with `sim.run_until(...)` (slices are fine), then
 /// [`ChurnSim::collect`] the outcome.
 pub struct ChurnSim {
-    /// The sharded engine (public so harnesses control pacing/backend).
+    /// The sharded engine (public so harnesses control pacing and lanes).
     pub sim: ShardedSimulation,
     conns: usize,
     duration: SimTime,
 }
 
 /// The merged outcome of a churn run. Every field except `epochs`,
-/// `handoffs` and `peak_queue` is invariant across shard counts and
-/// backends.
+/// `handoffs` and `peak_queue` is invariant across shard and lane
+/// counts.
 pub struct ChurnOutcome {
     /// `(conn id, bytes, fct_ms)` of completed connections, by conn id.
     pub fcts: Vec<(u32, u64, f64)>,
@@ -207,64 +207,37 @@ pub struct ChurnOutcome {
     pub peak_queue: usize,
 }
 
-/// Builds the sharded churn run: samples the script, lays out ids,
-/// partitions the fabric by rack, and installs one hook per shard.
+/// Builds the sharded churn run: samples the script, builds the
+/// rack-partitioned fabric with every connection's paths and slots, and
+/// installs one hook per shard.
 pub fn build(cfg: &ChurnConfig) -> ChurnSim {
     assert!(cfg.conns > 0, "churn needs at least one connection");
     let k = cfg.shards.max(1);
-    // Layout pass on a scratch fabric: path and endpoint ids are assigned
-    // in registration order, so running the identical sequence here and
-    // in every shard build keeps all ids aligned.
-    let mut scratch = Clos::new(cfg.seed, cfg.clos);
-    let hosts = scratch.hosts();
-    let script = sample(cfg, hosts);
-    let paths: Vec<Vec<PathId>> = script
+    let script = sample(cfg, cfg.clos.hosts());
+    let conns: Vec<_> = script
         .iter()
-        .map(|&(_, _, src, dst)| scratch.subflow_paths(src, dst, cfg.subflows))
+        .map(|&(_, _, src, dst)| (src, dst, cfg.subflows))
         .collect();
-    let shard_of_link = scratch.shard_of_links(k);
-    let mut shard_of_ep = Vec::with_capacity(2 * cfg.conns);
-    let mut specs = Vec::with_capacity(cfg.conns);
-    for (i, &(arrival, bytes, src, dst)) in script.iter().enumerate() {
-        let sender_ep = scratch.sim.reserve_endpoint();
-        let recv_ep = scratch.sim.reserve_endpoint();
-        let (ss, rs) = (scratch.shard_of_host(src, k), scratch.shard_of_host(dst, k));
-        shard_of_ep.push(ss);
-        shard_of_ep.push(rs);
-        specs.push(ConnSpec {
-            arrival,
-            bytes,
-            sender_ep,
-            recv_ep,
-            paths: paths[i].clone(),
-            sender_shard: ss,
-            recv_shard: rs,
-        });
-    }
-    let specs = Arc::new(specs);
+    // Connection `i` reserves slot `2i` for its sender, then `2i + 1` for
+    // its receiver.
+    let slot_hosts: Vec<usize> = script
+        .iter()
+        .flat_map(|&(_, _, src, dst)| [src, dst])
+        .collect();
     let faulted = LinkParams::paper_default()
         .with_capacity(cfg.clos.link_capacity)
         .with_delay(cfg.clos.link_delay)
         .with_buffer(cfg.clos.buffer)
         .with_random_loss(cfg.loss);
-    let mut sim = ShardedSimulation::new(k, shard_of_link.clone(), shard_of_ep, |me| {
-        let mut clos = Clos::new(cfg.seed, cfg.clos);
-        for &(_, _, src, dst) in &script {
-            clos.subflow_paths(src, dst, cfg.subflows);
-        }
-        for _ in 0..script.len() {
-            clos.sim.reserve_endpoint();
-            clos.sim.reserve_endpoint();
-        }
+    let install = |me: u8, sim: &mut Simulation, part: &ClosPartition| {
         if cfg.loss > 0.0 {
             // Fault the fabric at t=0, each link on its owning shard (so
             // the change dispatches exactly once at any shard count). The
             // delay is unchanged — lowering it would invalidate the
             // conservative lookahead computed at build.
-            for (l, &owner) in shard_of_link.iter().enumerate() {
+            for (l, &owner) in part.link_shard.iter().enumerate() {
                 if owner == me {
-                    clos.sim
-                        .schedule_link_change(SimTime::ZERO, LinkId(l as u32), faulted);
+                    sim.schedule_link_change(SimTime::ZERO, LinkId(l as u32), faulted);
                 }
             }
         }
@@ -275,9 +248,24 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
         // allocations). It sizes every wheel slot for 512 entries and the
         // drain buffers and the packet slab for 16,384; at 40 B a wheel
         // entry, the slots take about 7.9 MB per shard.
-        clos.sim.reserve_event_capacity(512, 16_384);
-        clos.sim
-    });
+        sim.reserve_event_capacity(512, 16_384);
+    };
+    let (mut sim, part) = Clos::partitioned(cfg.seed, cfg.clos, k, &conns, &slot_hosts, install);
+    let specs: Vec<ConnSpec> = script
+        .iter()
+        .zip(part.paths)
+        .enumerate()
+        .map(|(i, (&(arrival, bytes, _, _), paths))| ConnSpec {
+            arrival,
+            bytes,
+            sender_ep: part.slots[2 * i],
+            recv_ep: part.slots[2 * i + 1],
+            paths,
+            sender_shard: part.slot_shard[2 * i],
+            recv_shard: part.slot_shard[2 * i + 1],
+        })
+        .collect();
+    let specs = Arc::new(specs);
     for i in 0..k {
         sim.set_hook(
             i as usize,
@@ -536,7 +524,7 @@ impl ShardHook for ChurnHook {
 
 /// Runs the scenario and renders the figure. All emitted values are
 /// invariant across shard counts; N-variant engine stats (epochs,
-/// handoffs, backend) go to stderr only, so the shard-determinism CI step
+/// handoffs, lanes) go to stderr only, so the shard-determinism CI step
 /// can diff the output files directly.
 pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
     let c = churn_config(cfg);
@@ -550,15 +538,11 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
             let mut churn = build(&c);
             ctx.attach_sharded(&mut churn.sim);
             eprintln!(
-                "churn: {} conns over {}s, {} shards, {} backend",
+                "churn: {} conns over {}s, {} shards on {} lane(s)",
                 c.conns,
                 c.window.as_secs_f64(),
                 c.shards,
-                if churn.sim.threaded() {
-                    "threaded"
-                } else {
-                    "sequential"
-                },
+                churn.sim.lanes(),
             );
             churn.run()
         })

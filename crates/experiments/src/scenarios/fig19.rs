@@ -14,8 +14,8 @@ use crate::protocols;
 use crate::runner::RunCtx;
 use crate::ExpConfig;
 use mpcc_metrics::Summary;
-use mpcc_netsim::topology::{Clos, ClosConfig};
-use mpcc_netsim::{PathId, ShardedSimulation};
+use mpcc_netsim::topology::{Clos, ClosConfig, ClosPartition};
+use mpcc_netsim::{EndpointId, Simulation};
 use mpcc_simcore::rng::splitmix64;
 use mpcc_simcore::{SimDuration, SimRng, SimTime};
 use mpcc_transport::{MpReceiver, MpSender, SenderConfig, Workload};
@@ -240,84 +240,56 @@ fn run_proto_sharded(
     shape: Shape,
     ctx: &mut RunCtx,
 ) -> (Vec<Vec<f64>>, usize) {
-    let k = cfg.shards.max(1);
     let seed = splitmix64(cfg.seed ^ 0x1919);
     let fab = fabric(cfg);
-    // Layout pass: flow list, ownership tables, endpoint id assignment.
-    let mut scratch = Clos::new(seed, fab);
-    let hosts = scratch.hosts();
-    let flows = workload(&shape, hosts, splitmix64(seed ^ 1));
-    for f in &flows {
-        scratch.subflow_paths(f.src, f.dst, 3);
-    }
-    let shard_of_link = scratch.shard_of_links(k);
-    let mut shard_of_ep = Vec::with_capacity(2 * flows.len());
-    let mut owners = Vec::with_capacity(flows.len());
-    let mut sender_ids = Vec::with_capacity(flows.len());
-    for f in &flows {
-        // Receiver slot first, as in the per-shard registration below.
-        let _recv = scratch.sim.reserve_endpoint();
-        let sender = scratch.sim.reserve_endpoint();
-        let (so, ro) = (
-            scratch.shard_of_host(f.src, k),
-            scratch.shard_of_host(f.dst, k),
-        );
-        shard_of_ep.push(ro);
-        shard_of_ep.push(so);
-        owners.push((so as usize, ro));
-        sender_ids.push(sender);
-    }
-    let mut sim = ShardedSimulation::new(k, shard_of_link, shard_of_ep, |me| {
-        let mut clos = Clos::new(seed, fab);
-        let flow_paths: Vec<Vec<PathId>> = flows
-            .iter()
-            .map(|f| clos.subflow_paths(f.src, f.dst, 3))
-            .collect();
-        let mut sim = clos.sim;
+    let flows = workload(&shape, fab.hosts(), splitmix64(seed ^ 1));
+    let conns: Vec<_> = flows.iter().map(|f| (f.src, f.dst, 3)).collect();
+    // Flow `i` reserves slot `2i` for its receiver, then `2i + 1` for its
+    // sender.
+    let slot_hosts: Vec<usize> = flows.iter().flat_map(|f| [f.dst, f.src]).collect();
+    let install = |me: u8, sim: &mut Simulation, part: &ClosPartition| {
         for (i, flow) in flows.iter().enumerate() {
-            let recv = sim.reserve_endpoint();
-            let sender = sim.reserve_endpoint();
-            if owners[i].1 == me {
-                sim.install_endpoint(recv, Box::new(MpReceiver::paper_default()));
+            let (recv, sender) = (2 * i, 2 * i + 1);
+            if part.slot_shard[recv] == me {
+                sim.install_endpoint(part.slots[recv], Box::new(MpReceiver::paper_default()));
             }
-            if owners[i].0 == me as usize {
+            if part.slot_shard[sender] == me {
                 let cc = protocols::make(proto, splitmix64(seed ^ (0x5EED + i as u64)));
                 let cfg_s = SenderConfig {
-                    dst: recv,
-                    paths: flow_paths[i].clone(),
+                    dst: part.slots[recv],
+                    paths: part.paths[i].clone(),
                     workload: Workload::Finite(flow.bytes),
                     scheduler: protocols::scheduler_for(proto),
                     start_at: flow.start,
                     peer_buffer: 300_000_000,
                 };
-                sim.install_endpoint(sender, Box::new(MpSender::new(cfg_s, cc)));
+                sim.install_endpoint(part.slots[sender], Box::new(MpSender::new(cfg_s, cc)));
             }
         }
-        sim
-    });
+    };
+    let (mut sim, part) =
+        Clos::partitioned(seed, fab, cfg.shards.max(1), &conns, &slot_hosts, install);
+    // Where flow `i`'s sender lives, and its id.
+    let senders: Vec<(usize, EndpointId)> = (0..flows.len())
+        .map(|i| (part.slot_shard[2 * i + 1] as usize, part.slots[2 * i + 1]))
+        .collect();
     ctx.attach_sharded(&mut sim);
     let cap = SimTime::from_secs(shape.cap_secs);
     let mut t = SimTime::ZERO;
     loop {
         t += SimDuration::from_secs(1);
         sim.run_until(t);
-        let done = (0..flows.len()).all(|i| {
-            sim.shard(owners[i].0)
-                .endpoint::<MpSender>(sender_ids[i])
-                .is_complete()
-        });
+        let done = senders
+            .iter()
+            .all(|&(shard, id)| sim.shard(shard).endpoint::<MpSender>(id).is_complete());
         if done || t >= cap {
             break;
         }
     }
     let mut fcts: Vec<Vec<f64>> = vec![Vec::new(); 3];
     let mut incomplete = 0;
-    for (i, flow) in flows.iter().enumerate() {
-        match sim
-            .shard(owners[i].0)
-            .endpoint::<MpSender>(sender_ids[i])
-            .fct()
-        {
+    for (flow, &(shard, id)) in flows.iter().zip(&senders) {
+        match sim.shard(shard).endpoint::<MpSender>(id).fct() {
             Some(d) => fcts[flow.class].push(d.as_secs_f64() * 1000.0),
             None => incomplete += 1,
         }

@@ -1,6 +1,7 @@
 //! The `experiments` binary rejects bad input up front: an unknown option
-//! or experiment id, and `--faults` on `udp`, exit with status 2 and the
-//! usage text before any experiment runs or any output file exists.
+//! or experiment id, a bad option value, and `--faults` on `udp`, exit
+//! with status 2 and the usage text before any experiment runs or any
+//! output file exists.
 
 use std::path::Path;
 use std::process::Command;
@@ -11,8 +12,10 @@ fn bad_input_exits_2_before_anything_runs() {
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join("results");
     let trace = dir.join("trace.jsonl");
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 7] = [
         &["--bogus"],
+        &["--seed", "x"],
+        &["fig2", "--jobs", "0"],
         &["fig2", "--bogus"],
         &["fig2", "bogus"],
         &["all", "--bogus"],

@@ -413,7 +413,7 @@ pub struct Simulation {
     slab: PacketSlab,
     links: Vec<Link>,
     link_rngs: Vec<SimRng>,
-    paths: Vec<Path>,
+    pub(crate) paths: Vec<Path>,
     endpoints: Vec<Option<Box<dyn Endpoint>>>,
     ep_rngs: Vec<SimRng>,
     /// Per-endpoint packet-id counters (see [`Ctx::next_packet_id`]).
@@ -713,20 +713,10 @@ impl Simulation {
         self.events.schedule(at, ev);
     }
 
-    /// Takes the staged cross-shard packets (cleared on return). The
-    /// sharded engine routes them into the destination shards' wheels at
-    /// the epoch barrier, swapping the buffer back via
-    /// [`Simulation::give_outbox`] to keep its capacity.
-    pub fn take_outbox(&mut self) -> Vec<(u8, SimTime, Packet)> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Returns a drained outbox buffer so its capacity is reused.
-    pub fn give_outbox(&mut self, mut buf: Vec<(u8, SimTime, Packet)>) {
-        buf.clear();
-        if buf.capacity() > self.outbox.capacity() {
-            self.outbox = buf;
-        }
+    /// Moves the staged cross-shard packets to the end of `out`, keeping
+    /// the outbox's capacity for the next epoch.
+    pub(crate) fn drain_outbox_into(&mut self, out: &mut Vec<(u8, SimTime, Packet)>) {
+        out.append(&mut self.outbox);
     }
 
     /// The order-insensitive event digest: a wrapping sum of per-event

@@ -18,8 +18,10 @@
 //! (identical at any shard count), and cross-shard batches are routed in
 //! fixed shard order.
 //! Simulation outcomes are therefore invariant across shard counts *and*
-//! across the sequential / threaded backends, which differ only in who
-//! executes each window.
+//! across lane counts: one epoch loop runs on *lanes*, each driving a
+//! contiguous run of shards, either one lane on the caller's thread or
+//! one thread per shard. The lanes differ only in who executes each
+//! window.
 
 use crate::network::Simulation;
 use crate::packet::Packet;
@@ -27,7 +29,7 @@ use mpcc_simcore::{DispatchStamp, ProfCat, Profiler, SimDuration, SimTime, SpinB
 use mpcc_telemetry::Tracer;
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
 /// Per-shard driver logic that runs between epochs — the seam churn
 /// scenarios use to create and retire connections mid-run.
@@ -73,22 +75,14 @@ impl ShardHook for NoHook {
     }
 }
 
-/// How one epoch relates to the run target.
-enum Plan {
-    /// The window reaches (or nothing is pending before) the run target:
-    /// run to `until` inclusively and stop.
-    Final,
-    /// A full window `[next, end)`; run exclusively and continue.
-    Window(SimTime),
-}
-
-fn plan_epoch(next: SimTime, until: SimTime, lookahead: SimDuration) -> Plan {
-    if next > until {
-        return Plan::Final;
-    }
+/// The epoch starting at the earliest pending time `next`: `(bound,
+/// last)`. A full window `[next, next + lookahead)` runs exclusively and
+/// the run continues; a window reaching `until` (or nothing pending
+/// before it) runs to `until` inclusively and is the last.
+fn plan_epoch(next: SimTime, until: SimTime, lookahead: SimDuration) -> (SimTime, bool) {
     match next.checked_add(lookahead) {
-        Some(end) if end <= until => Plan::Window(end),
-        _ => Plan::Final,
+        Some(end) if end <= until => (end, false),
+        _ => (until, true),
     }
 }
 
@@ -106,7 +100,7 @@ pub struct ShardedSimulation {
     now: SimTime,
     epochs: u64,
     handoffs: u64,
-    threaded: bool,
+    exchange: Exchange,
 }
 
 impl ShardedSimulation {
@@ -141,7 +135,6 @@ impl ShardedSimulation {
         let hooks = (0..n)
             .map(|_| Box::new(NoHook) as Box<dyn ShardHook>)
             .collect();
-        let threaded = default_threaded(n as usize);
         ShardedSimulation {
             shards,
             hooks,
@@ -149,7 +142,7 @@ impl ShardedSimulation {
             now: SimTime::ZERO,
             epochs: 0,
             handoffs: 0,
-            threaded,
+            exchange: Exchange::new(n as usize),
         }
     }
 
@@ -192,17 +185,24 @@ impl ShardedSimulation {
         self.hooks[i].as_ref()
     }
 
-    /// Selects the threaded (one OS thread per shard) or sequential
-    /// backend. The default is threaded when the machine has at least as
-    /// many cores as shards (overridable with `MPCC_SHARD_THREADS=0|1`);
-    /// results are identical either way.
+    /// Runs the epochs on one lane per shard, each on its own thread
+    /// (`true`), or on one lane on the caller's thread (`false`). The
+    /// default is one lane per shard when the machine has at least as
+    /// many cores as shards; results are identical either way.
     pub fn set_threaded(&mut self, on: bool) {
-        self.threaded = on;
+        let lanes = if on { self.shards.len() } else { 1 };
+        self.exchange.lanes = lanes;
+        self.exchange.barrier = SpinBarrier::new(lanes);
     }
 
-    /// `true` if the threaded backend is selected.
+    /// `true` if the shards run on more than one lane.
     pub fn threaded(&self) -> bool {
-        self.threaded
+        self.lanes() > 1
+    }
+
+    /// Lanes the epoch loop runs on: 1, or one per shard.
+    pub fn lanes(&self) -> usize {
+        self.exchange.lanes
     }
 
     /// Current simulation time (all shards agree between `run_until` calls).
@@ -227,7 +227,7 @@ impl ShardedSimulation {
     }
 
     /// Combined order-insensitive event digest; invariant across shard
-    /// counts and backends.
+    /// and lane counts.
     pub fn digest(&self) -> u64 {
         self.shards
             .iter()
@@ -266,170 +266,137 @@ impl ShardedSimulation {
                 return;
             }
         }
-        if self.threaded && self.shards.len() > 1 {
-            self.run_epochs_threaded(until);
+        let per_lane = self.shards.len().div_ceil(self.exchange.lanes);
+        let (ex, start, lookahead) = (&self.exchange, self.now, self.lookahead);
+        let run = |lane: usize, shards: &mut [Simulation], hooks: &mut [Box<dyn ShardHook>]| {
+            ex.run_lane(lane * per_lane, shards, hooks, start, until, lookahead)
+        };
+        let mut lanes = self
+            .shards
+            .chunks_mut(per_lane)
+            .zip(self.hooks.chunks_mut(per_lane))
+            .enumerate();
+        let (_, (shards0, hooks0)) = lanes.next().expect("at least one lane");
+        // Lane 0 runs on the caller's thread; a one-lane run spawns
+        // nothing (and allocates nothing).
+        let (epochs, handoffs) = if lanes.len() == 0 {
+            run(0, shards0, hooks0)
         } else {
-            self.run_epochs_sequential(until);
-        }
+            std::thread::scope(|scope| {
+                let others: Vec<_> = lanes
+                    .map(|(i, (shards, hooks))| scope.spawn(move || run(i, shards, hooks)))
+                    .collect();
+                let (epochs, mut handoffs) = run(0, shards0, hooks0);
+                for lane in others {
+                    handoffs += lane.join().expect("shard lane panicked").1;
+                }
+                (epochs, handoffs)
+            })
+        };
+        self.epochs += epochs;
+        self.handoffs += handoffs;
         self.now = until;
-    }
-
-    fn run_epochs_sequential(&mut self, until: SimTime) {
-        for s in &mut self.shards {
-            s.flush_starts();
-        }
-        let mut now = self.now;
-        loop {
-            let next = self
-                .shards
-                .iter()
-                .zip(&self.hooks)
-                .map(|(s, h)| {
-                    s.next_event_time()
-                        .unwrap_or(SimTime::MAX)
-                        .min(h.next_wake())
-                })
-                .min()
-                .expect("at least one shard");
-            let (bound, last) = match plan_epoch(next, until, self.lookahead) {
-                Plan::Final => (until, true),
-                Plan::Window(end) => (end, false),
-            };
-            for (s, h) in self.shards.iter_mut().zip(self.hooks.iter_mut()) {
-                h.at_boundary(s, now, bound);
-                s.run_epoch(bound, last);
-            }
-            self.route_outboxes();
-            self.epochs += 1;
-            now = bound;
-            if last {
-                break;
-            }
-        }
-    }
-
-    /// Routes every shard's staged cross-shard packets into the owning
-    /// shards' wheels, in fixed (source shard, staging) order.
-    fn route_outboxes(&mut self) {
-        for src in 0..self.shards.len() {
-            #[allow(clippy::let_unit_value)] // `Stamp` is `()` with the feature off
-            let stamp = Profiler::start();
-            let out = self.shards[src].take_outbox();
-            self.handoffs += out.len() as u64;
-            for &(owner, at, pkt) in &out {
-                debug_assert_ne!(owner as usize, src, "outbox entry for own shard");
-                self.shards[owner as usize].inject_arrival(at, pkt);
-            }
-            self.shards[src].give_outbox(out);
-            self.shards[src].profiler_record(ProfCat::ShardSync, stamp);
-        }
-    }
-
-    /// One OS thread per shard; epochs are separated by two spin-barrier
-    /// phases (publish next-event times / exchange mailboxes). Every
-    /// worker derives the same epoch plan from the published times, so
-    /// there is no coordinator thread.
-    fn run_epochs_threaded(&mut self, until: SimTime) {
-        let n = self.shards.len();
-        let barrier = SpinBarrier::new(n);
-        let next_times: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        // mailboxes[dst][src]: written by `src` before the exchange
-        // barrier, drained by `dst` after it, so the locks are never
-        // contended — they exist to satisfy the aliasing rules cheaply.
-        type Mailbox = Mutex<Vec<(SimTime, Packet)>>;
-        let mailboxes: Vec<Vec<Mailbox>> = (0..n)
-            .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-        let epochs = AtomicU64::new(0);
-        let handoffs = AtomicU64::new(0);
-        let lookahead = self.lookahead;
-        let start_now = self.now;
-        std::thread::scope(|scope| {
-            for (i, (sim, hook)) in self
-                .shards
-                .iter_mut()
-                .zip(self.hooks.iter_mut())
-                .enumerate()
-            {
-                let (barrier, next_times, mailboxes) = (&barrier, &next_times, &mailboxes);
-                let (epochs, handoffs) = (&epochs, &handoffs);
-                scope.spawn(move || {
-                    sim.flush_starts();
-                    let mut now = start_now;
-                    loop {
-                        let mine = sim
-                            .next_event_time()
-                            .unwrap_or(SimTime::MAX)
-                            .min(hook.next_wake());
-                        next_times[i].store(mine.as_nanos(), Ordering::Release);
-                        #[allow(clippy::let_unit_value)]
-                        let wait = Profiler::start();
-                        barrier.wait();
-                        sim.profiler_record(ProfCat::ShardSync, wait);
-                        let next = SimTime::from_nanos(
-                            next_times
-                                .iter()
-                                .map(|a| a.load(Ordering::Acquire))
-                                .min()
-                                .expect("at least one shard"),
-                        );
-                        let (bound, last) = match plan_epoch(next, until, lookahead) {
-                            Plan::Final => (until, true),
-                            Plan::Window(end) => (end, false),
-                        };
-                        hook.at_boundary(sim, now, bound);
-                        sim.run_epoch(bound, last);
-                        #[allow(clippy::let_unit_value)]
-                        let sync = Profiler::start();
-                        let out = sim.take_outbox();
-                        if !out.is_empty() {
-                            handoffs.fetch_add(out.len() as u64, Ordering::Relaxed);
-                            for &(owner, at, pkt) in &out {
-                                debug_assert_ne!(owner as usize, i);
-                                mailboxes[owner as usize][i]
-                                    .lock()
-                                    .expect("mailbox poisoned")
-                                    .push((at, pkt));
-                            }
-                        }
-                        sim.give_outbox(out);
-                        barrier.wait();
-                        for src_cell in &mailboxes[i] {
-                            let mut cell = src_cell.lock().expect("mailbox poisoned");
-                            for (at, pkt) in cell.drain(..) {
-                                sim.inject_arrival(at, pkt);
-                            }
-                        }
-                        sim.profiler_record(ProfCat::ShardSync, sync);
-                        if i == 0 {
-                            epochs.fetch_add(1, Ordering::Relaxed);
-                        }
-                        now = bound;
-                        if last {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        self.epochs += epochs.load(Ordering::Relaxed);
-        self.handoffs += handoffs.load(Ordering::Relaxed);
     }
 }
 
-/// Threaded by default only when the machine can actually run the shards
-/// in parallel; `MPCC_SHARD_THREADS=0|1` forces either backend (results
-/// are identical — the override exists for testing and benchmarking).
-fn default_threaded(n: usize) -> bool {
-    match std::env::var("MPCC_SHARD_THREADS").as_deref() {
-        Ok("1") => return n > 1,
-        Ok("0") => return false,
-        _ => {}
+/// The epoch-exchange state the lanes share. Built once per
+/// [`ShardedSimulation`] and reused by every `run_until` call.
+struct Exchange {
+    /// Lanes per run: one, or one per shard.
+    lanes: usize,
+    /// One arrival per lane per phase.
+    barrier: SpinBarrier,
+    /// `next_times[i]`: shard `i`'s earliest pending time (ns), published
+    /// before the planning barrier.
+    next_times: Vec<AtomicU64>,
+    /// `posted[src]`: the `(owner, time, packet)` handoffs shard `src`
+    /// staged in the last epoch. Its lane refills it before the exchange
+    /// barrier and the owners' lanes read it after; the next refill comes
+    /// after the next planning barrier, when every read is done.
+    posted: Vec<RwLock<Vec<(u8, SimTime, Packet)>>>,
+}
+
+impl Exchange {
+    /// One lane per shard when the machine can run the shards in
+    /// parallel, otherwise one lane.
+    fn new(shards: usize) -> Exchange {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let lanes = if cores >= shards { shards } else { 1 };
+        Exchange {
+            lanes,
+            barrier: SpinBarrier::new(lanes),
+            next_times: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            posted: (0..shards).map(|_| RwLock::new(Vec::new())).collect(),
+        }
     }
-    n > 1
-        && std::thread::available_parallelism()
-            .map(|p| p.get() >= n)
-            .unwrap_or(false)
+
+    /// The epoch loop. A lane drives the contiguous shards `first..`
+    /// (with their hooks) from `start` to `until` in lockstep with every
+    /// other lane: each epoch publishes next-event times, passes the
+    /// planning barrier, runs the window on each of its shards, posts
+    /// their handoffs, passes the exchange barrier and schedules the
+    /// handoffs its shards own, in fixed (source shard, staging) order.
+    /// Every lane derives the same plan from the published times, so
+    /// there is no coordinator. Returns the epochs run and the packets
+    /// this lane's shards handed off.
+    fn run_lane(
+        &self,
+        first: usize,
+        shards: &mut [Simulation],
+        hooks: &mut [Box<dyn ShardHook>],
+        start: SimTime,
+        until: SimTime,
+        lookahead: SimDuration,
+    ) -> (u64, u64) {
+        for sim in shards.iter_mut() {
+            sim.flush_starts();
+        }
+        let (mut now, mut epochs, mut handoffs) = (start, 0, 0);
+        loop {
+            for (i, (sim, hook)) in shards.iter().zip(hooks.iter()).enumerate() {
+                let mine = sim
+                    .next_event_time()
+                    .unwrap_or(SimTime::MAX)
+                    .min(hook.next_wake());
+                self.next_times[first + i].store(mine.as_nanos(), Ordering::Release);
+            }
+            #[allow(clippy::let_unit_value)] // `Stamp` is `()` with the feature off
+            let wait = Profiler::start();
+            self.barrier.wait();
+            shards[0].profiler_record(ProfCat::ShardSync, wait);
+            let next = self.next_times.iter().map(|a| a.load(Ordering::Acquire));
+            let next = SimTime::from_nanos(next.min().expect("at least one shard"));
+            let (bound, last) = plan_epoch(next, until, lookahead);
+            for (sim, hook) in shards.iter_mut().zip(hooks.iter_mut()) {
+                hook.at_boundary(sim, now, bound);
+                sim.run_epoch(bound, last);
+            }
+            #[allow(clippy::let_unit_value)]
+            let sync = Profiler::start();
+            for (i, sim) in shards.iter_mut().enumerate() {
+                let mut cell = self.posted[first + i].write().expect("mailbox poisoned");
+                cell.clear();
+                sim.drain_outbox_into(&mut cell);
+                handoffs += cell.len() as u64;
+            }
+            self.barrier.wait();
+            for (i, sim) in shards.iter_mut().enumerate() {
+                let me = (first + i) as u8;
+                for cell in &self.posted {
+                    let cell = cell.read().expect("mailbox poisoned");
+                    for &(_, at, pkt) in cell.iter().filter(|e| e.0 == me) {
+                        sim.inject_arrival(at, pkt);
+                    }
+                }
+            }
+            shards[0].profiler_record(ProfCat::ShardSync, sync);
+            epochs += 1;
+            now = bound;
+            if last {
+                return (epochs, handoffs);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@
 //! Builders create links inside a fresh [`Simulation`]; the experiment layer
 //! then adds paths and transport endpoints.
 
-use crate::ids::{LinkId, PathId};
+use crate::ids::{EndpointId, LinkId, PathId};
 use crate::link::LinkParams;
 use crate::network::Simulation;
+use crate::shard::ShardedSimulation;
 use mpcc_simcore::{Rate, SimDuration};
 
 /// A parallel-link network: `links[i]` is the i-th bottleneck.
@@ -82,6 +83,13 @@ pub struct ClosConfig {
     pub buffer: u64,
 }
 
+impl ClosConfig {
+    /// Total number of hosts.
+    pub fn hosts(&self) -> usize {
+        self.tors * self.hosts_per_tor
+    }
+}
+
 impl Default for ClosConfig {
     fn default() -> Self {
         ClosConfig {
@@ -95,6 +103,20 @@ impl Default for ClosConfig {
     }
 }
 
+/// What a rack-partitioned Clos registers on every shard, and which
+/// shard owns each piece. Ids are assigned in registration order, so
+/// they are identical on every shard.
+pub struct ClosPartition {
+    /// `paths[c]`: the subflow paths of connection `c`.
+    pub paths: Vec<Vec<PathId>>,
+    /// `slots[i]`: the `i`-th reserved endpoint slot.
+    pub slots: Vec<EndpointId>,
+    /// `slot_shard[i]`: the shard owning slot `i`.
+    pub slot_shard: Vec<u8>,
+    /// `link_shard[l]`: the shard owning link `l`.
+    pub link_shard: Vec<u8>,
+}
+
 impl Clos {
     /// Builds the Clos fabric.
     pub fn new(seed: u64, cfg: ClosConfig) -> Self {
@@ -106,7 +128,7 @@ impl Clos {
             random_loss: 0.0,
             faults: crate::fault::FaultPlan::NONE,
         };
-        let n_hosts = cfg.tors * cfg.hosts_per_tor;
+        let n_hosts = cfg.hosts();
         let host_up = (0..n_hosts).map(|_| sim.add_link(params)).collect();
         let host_down = (0..n_hosts).map(|_| sim.add_link(params)).collect();
         let tor_up = (0..cfg.tors)
@@ -160,36 +182,6 @@ impl Clos {
             .collect()
     }
 
-    /// The shard owning host `h` in a `k`-way partition: racks are dealt
-    /// round-robin over shards, so a host, its access links and its ToR's
-    /// spine uplinks always land together (see DESIGN.md §16).
-    pub fn shard_of_host(&self, host: usize, k: u8) -> u8 {
-        (self.tor_of(host) % k as usize) as u8
-    }
-
-    /// Link-ownership table for a `k`-way partition by rack, indexed by
-    /// [`LinkId`]. Host access links belong to the host's shard; ToR↔spine
-    /// links belong to the ToR's shard. A forward route then crosses
-    /// shards at most once (between the spine uplink and the destination
-    /// rack's spine downlink), and the first hop of every route is
-    /// co-owned with its source endpoint, as the engine requires.
-    pub fn shard_of_links(&self, k: u8) -> Vec<u8> {
-        let n_links = 2 * self.hosts() + 2 * self.n_tors * self.n_spines;
-        let mut owners = vec![0u8; n_links];
-        for h in 0..self.hosts() {
-            owners[self.host_up[h].0 as usize] = self.shard_of_host(h, k);
-            owners[self.host_down[h].0 as usize] = self.shard_of_host(h, k);
-        }
-        for t in 0..self.n_tors {
-            let owner = (t % k as usize) as u8;
-            for s in 0..self.n_spines {
-                owners[self.tor_up[t][s].0 as usize] = owner;
-                owners[self.tor_down[t][s].0 as usize] = owner;
-            }
-        }
-        owners
-    }
-
     /// Registers `n_subflows` paths from `src` to `dst`, spreading subflows
     /// over the ECMP routes round-robin starting at a hash of the pair —
     /// the per-subflow 5-tuple hashing of the testbed.
@@ -203,6 +195,65 @@ impl Clos {
                 self.sim.add_path(route, None)
             })
             .collect()
+    }
+
+    /// Builds the Clos fabric as a `shards`-way [`ShardedSimulation`]
+    /// partitioned by rack (DESIGN.md §16). Racks are dealt round-robin
+    /// over the shards, so a host, its access links and its ToR's spine
+    /// links always land together: a forward route crosses shards at most
+    /// once (between the spine uplink and the destination rack's spine
+    /// downlink), and the first hop of every route is co-owned with its
+    /// source endpoint, as the engine requires.
+    ///
+    /// Every shard registers the fabric, then `conns[c] = (src, dst,
+    /// subflows)`'s paths ([`Clos::subflow_paths`]) in order, then one
+    /// endpoint slot per entry of `slot_hosts` (the host of each slot, in
+    /// reservation order); slot `i` belongs to its host's shard. Then
+    /// `install(shard, sim, partition)` adds that shard's endpoints and
+    /// events. Returns the engine and the partition.
+    pub fn partitioned<F>(
+        seed: u64,
+        cfg: ClosConfig,
+        shards: u8,
+        conns: &[(usize, usize, usize)],
+        slot_hosts: &[usize],
+        mut install: F,
+    ) -> (ShardedSimulation, ClosPartition)
+    where
+        F: FnMut(u8, &mut Simulation, &ClosPartition),
+    {
+        let rack_shard = |tor: usize| (tor % shards as usize) as u8;
+        // Each link's rack, in `Clos::new`'s link order: host uplinks,
+        // host downlinks, ToR uplinks, ToR downlinks.
+        let hosts = (0..cfg.hosts()).map(|h| h / cfg.hosts_per_tor);
+        let tors = (0..cfg.tors * cfg.spines).map(|i| i / cfg.spines);
+        let racks = hosts.clone().chain(hosts).chain(tors.clone()).chain(tors);
+        let link_shard: Vec<u8> = racks.map(rack_shard).collect();
+        let slot_shard: Vec<u8> = slot_hosts
+            .iter()
+            .map(|&h| rack_shard(h / cfg.hosts_per_tor))
+            .collect();
+        let mut partition: Option<ClosPartition> = None;
+        let sim = ShardedSimulation::new(shards, link_shard.clone(), slot_shard.clone(), |me| {
+            let mut clos = Clos::new(seed, cfg);
+            let paths: Vec<Vec<PathId>> = conns
+                .iter()
+                .map(|&(src, dst, n)| clos.subflow_paths(src, dst, n))
+                .collect();
+            let slots: Vec<EndpointId> = slot_hosts
+                .iter()
+                .map(|_| clos.sim.reserve_endpoint())
+                .collect();
+            let part = partition.get_or_insert_with(|| ClosPartition {
+                paths,
+                slots,
+                slot_shard: slot_shard.clone(),
+                link_shard: link_shard.clone(),
+            });
+            install(me, &mut clos.sim, part);
+            clos.sim
+        });
+        (sim, partition.expect("at least one shard"))
     }
 }
 
@@ -243,8 +294,43 @@ mod tests {
         let mut clos = Clos::new(7, ClosConfig::default());
         let paths = clos.subflow_paths(0, 7, 3);
         assert_eq!(paths.len(), 3);
-        // With 2 ECMP routes and 3 subflows, at least two distinct paths.
-        let a = clos.sim.now(); // silence unused warnings in some cfgs
-        let _ = a;
+        // Host 0 reaches host 7 over 2 ECMP routes, one per spine; 3
+        // subflows dealt round-robin over them cover both spines.
+        let mut uplinks: Vec<LinkId> = paths
+            .iter()
+            .map(|p| clos.sim.paths[p.0 as usize].links[1])
+            .collect();
+        uplinks.sort_unstable();
+        uplinks.dedup();
+        assert_eq!(uplinks, clos.tor_up[0]);
+    }
+
+    #[test]
+    fn partition_deals_whole_racks_round_robin() {
+        // Three hosts a rack against two spines, so the host links and the
+        // spine links of a rack do not line up by index.
+        let cfg = ClosConfig {
+            hosts_per_tor: 3,
+            ..ClosConfig::default()
+        };
+        let (_, part) = Clos::partitioned(7, cfg, 3, &[(2, 7, 2)], &[7, 2], |_, _, _| {});
+        let clos = Clos::new(7, cfg);
+        let owned_by = |links: &[LinkId], rack: usize| {
+            links
+                .iter()
+                .all(|l| part.link_shard[l.0 as usize] == (rack % 3) as u8)
+        };
+        for h in 0..clos.hosts() {
+            assert!(owned_by(
+                &[clos.host_up[h], clos.host_down[h]],
+                clos.tor_of(h)
+            ));
+        }
+        for t in 0..cfg.tors {
+            assert!(owned_by(&clos.tor_up[t], t) && owned_by(&clos.tor_down[t], t));
+        }
+        assert_eq!(part.slot_shard, [2, 0]);
+        assert_eq!(part.slots, [EndpointId(0), EndpointId(1)]);
+        assert_eq!(part.paths, [[PathId(0), PathId(1)]]);
     }
 }
