@@ -121,11 +121,6 @@ impl Mpcc {
         self.published.iter().sum()
     }
 
-    /// The per-subflow controller (diagnostics/tests).
-    pub fn subflow_ctl(&self, j: usize) -> &SubflowCtl {
-        &self.subflows[j]
-    }
-
     /// Control-state invariants (see crates/check and DESIGN.md §12),
     /// probed after every decision point: the commanded rate must respect
     /// the configured bounds and the issued-MI bookkeeping queue must stay

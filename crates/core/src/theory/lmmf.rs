@@ -8,6 +8,7 @@
 //! integer kbps, so results are exact to 1 kbps.
 
 use super::maxflow::MaxFlow;
+use mpcc_netsim::topology::NetSpec;
 
 /// A parallel-link network with a subflow-to-link assignment.
 #[derive(Clone, Debug)]
@@ -27,6 +28,28 @@ impl ParallelNetSpec {
         ParallelNetSpec {
             capacities: vec![100.0, 100.0, 100.0],
             conns: vec![vec![0], vec![0, 1, 2]],
+        }
+    }
+
+    /// The parallel-link view of `net`: each link's capacity, and the
+    /// link of every subflow.
+    ///
+    /// # Panics
+    ///
+    /// If a route crosses more than one link: feasibility over multi-link
+    /// routes is a linear program, not this module's bipartite max-flow.
+    pub fn of(net: &NetSpec) -> Self {
+        let link_of = |route: &Vec<usize>| match route[..] {
+            [l] => l,
+            _ => panic!("LMMF needs single-link routes, got route {route:?}"),
+        };
+        ParallelNetSpec {
+            capacities: net.links.iter().map(|l| l.capacity.mbps()).collect(),
+            conns: net
+                .conns
+                .iter()
+                .map(|routes| routes.iter().map(link_of).collect())
+                .collect(),
         }
     }
 
@@ -163,6 +186,14 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 0.01
+    }
+
+    #[test]
+    #[should_panic(expected = "LMMF needs single-link routes")]
+    fn of_rejects_multi_link_routes() {
+        // Host 0 to host 7 crosses the fabric: a 4-hop route.
+        let net = mpcc_netsim::topology::ClosConfig::default().net(&[(0, 7, 1)]);
+        ParallelNetSpec::of(&net);
     }
 
     #[test]

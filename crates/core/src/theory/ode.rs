@@ -27,6 +27,8 @@
 //! trajectory-shape comparison.
 
 use super::lmmf::ParallelNetSpec;
+use mpcc_netsim::topology::NetSpec;
+use mpcc_netsim::LinkParams;
 
 /// Wire bytes per packet (mirrors `mpcc_transport::MSS_WIRE`; link
 /// capacities are converted Mbps → packets/s with this).
@@ -198,6 +200,7 @@ pub fn loss_decrease(kind: CoupledKind, w: &[f64], tau: &[f64], i: usize) -> f64
 /// A parallel-link network with per-link round-trip times — the fluid
 /// model's topology. Shares [`ParallelNetSpec`] with the LMMF/fluid
 /// modules; `rtt_secs[l]` is the operating RTT of a subflow on link `l`.
+/// [`FluidTopo::of`] derives one from a simulated network.
 #[derive(Clone, Debug)]
 pub struct FluidTopo {
     /// Capacities and connection→link assignment.
@@ -207,6 +210,22 @@ pub struct FluidTopo {
 }
 
 impl FluidTopo {
+    /// The fluid view of the parallel-link network `net`
+    /// ([`ParallelNetSpec::of`], which panics on multi-link routes). A
+    /// link's operating RTT is its round-trip propagation delay plus half
+    /// its buffer's drain time: the loss-based sawtooth keeps the queue
+    /// half-full on average.
+    pub fn of(net: &NetSpec) -> Self {
+        let rtt_secs = |l: &LinkParams| {
+            let buf_secs = l.buffer as f64 * 8.0 / l.capacity.bps();
+            2.0 * l.delay.as_secs_f64() + 0.5 * buf_secs
+        };
+        FluidTopo {
+            spec: ParallelNetSpec::of(net),
+            rtt_secs: net.links.iter().map(rtt_secs).collect(),
+        }
+    }
+
     /// A topology with one common RTT on every link.
     pub fn uniform_rtt(spec: ParallelNetSpec, rtt_secs: f64) -> Self {
         let n = spec.capacities.len();
@@ -264,24 +283,10 @@ pub struct FluidTrajectory {
 }
 
 impl FluidTrajectory {
-    /// Connection `i`'s trajectory as `(secs, mbps)` pairs.
-    pub fn conn_points(&self, i: usize) -> Vec<(f64, f64)> {
-        self.secs
-            .iter()
-            .zip(&self.conn_mbps[i])
-            .map(|(&t, &m)| (t, m))
-            .collect()
-    }
-
     /// Mean of the last `frac` of connection `i`'s trajectory — the
     /// equilibrium estimate.
     pub fn conn_tail_mean(&self, i: usize, frac: f64) -> f64 {
         tail_mean(&self.conn_mbps[i], frac)
-    }
-
-    /// Mean of the last `frac` of subflow `(i, k)`'s trajectory.
-    pub fn subflow_tail_mean(&self, i: usize, k: usize, frac: f64) -> f64 {
-        tail_mean(&self.subflow_mbps[i][k], frac)
     }
 }
 
@@ -555,6 +560,35 @@ mod tests {
             },
             rtt,
         )
+    }
+
+    #[test]
+    fn of_keeps_the_check_harness_rtt_arithmetic() {
+        // `experiments check`'s fluid-rtt case: 50 Mbps links at 10 and
+        // 40 ms one way, each buffering half its bandwidth-delay product.
+        let link = |delay_ms, buffer| {
+            LinkParams::paper_default()
+                .with_capacity(mpcc_simcore::Rate::from_mbps(50.0))
+                .with_delay(mpcc_simcore::SimDuration::from_millis(delay_ms))
+                .with_buffer(buffer)
+        };
+        let net = NetSpec {
+            links: vec![link(10, 62_500), link(40, 250_000)],
+            conns: vec![vec![vec![0], vec![1]]],
+        };
+        let topo = FluidTopo::of(&net);
+        // The harness's own formula, from Mbps and whole milliseconds.
+        let old = |delay_ms: u64, buffer: u64| {
+            let buf_secs = buffer as f64 * 8.0 / (50.0 * 1e6);
+            2.0 * delay_ms as f64 / 1e3 + 0.5 * buf_secs
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&topo.rtt_secs),
+            bits(&[old(10, 62_500), old(40, 250_000)])
+        );
+        assert_eq!(topo.spec.capacities, [50.0, 50.0]);
+        assert_eq!(topo.spec.conns, [[0, 1]]);
     }
 
     #[test]

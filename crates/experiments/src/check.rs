@@ -28,9 +28,10 @@ use crate::ExpConfig;
 use mpcc::theory::ode::{self, CoupledKind, FluidConfig, FluidTopo};
 use mpcc::theory::{lmmf_allocation, lmmf_with_flows, ParallelNetSpec};
 use mpcc_metrics::{TrajStats, Trajectory};
+use mpcc_netsim::topology::NetSpec;
 use mpcc_netsim::LinkParams;
 use mpcc_simcore::rng::{splitmix64, SimRng};
-use mpcc_simcore::{Rate, SimDuration};
+use mpcc_simcore::{Rate, SimDuration, SimTime};
 
 /// Relative tolerance on per-connection totals and nonzero subflow rates.
 pub const REL_TOL: f64 = 0.15;
@@ -38,91 +39,97 @@ pub const REL_TOL: f64 = 0.15;
 /// subflow still carries its probing floor.
 pub const ABS_TOL: f64 = 10.0;
 
-/// One oracle topology: a parallel-link network run with one MPCC-loss
-/// connection per `spec.conns` entry.
+/// One oracle's running tally: a report line per check and the count of
+/// failures, closed by a verdict line.
+#[derive(Default)]
+struct Tally {
+    out: String,
+    checks: usize,
+    failures: usize,
+    /// Report failed checks only.
+    failures_only: bool,
+}
+
+impl Tally {
+    /// Records one check, reporting `line()` marked `ok` or `FAIL`.
+    fn check(&mut self, ok: bool, line: impl FnOnce() -> String) {
+        self.checks += 1;
+        self.failures += usize::from(!ok);
+        if !ok || !self.failures_only {
+            self.out.push_str(&line());
+            self.out.push_str(if ok { "  ok\n" } else { "  FAIL\n" });
+        }
+    }
+
+    /// Appends `verdict(passed, checks)`; `Ok` if every check passed,
+    /// `Err` otherwise, carrying the report either way.
+    fn finish(mut self, verdict: impl FnOnce(usize, usize) -> String) -> Result<String, String> {
+        self.out
+            .push_str(&verdict(self.checks - self.failures, self.checks));
+        if self.failures == 0 {
+            Ok(self.out)
+        } else {
+            Err(self.out)
+        }
+    }
+}
+
+/// One oracle topology: a parallel-link scenario with one MPCC-loss
+/// connection per entry, checked against the LMMF allocation of its
+/// network.
 struct OracleCase {
     name: &'static str,
-    spec: ParallelNetSpec,
+    sc: Scenario,
     /// Whether the LMMF per-(connection, link) split is unique, making the
     /// per-subflow rates checkable (totals are always checked).
     check_flows: bool,
-    /// Reduced-scale run length, seconds (`--full` always runs the paper's
-    /// 200 s). Shared-link topologies, where the MP connection must vacate
-    /// a link a single-path flow needs, drain the shared subflow slowly
-    /// and need longer than the 60 s that suffices elsewhere.
-    reduced_secs: u64,
 }
 
-fn cases() -> Vec<OracleCase> {
-    vec![
+fn cases(cfg: &ExpConfig) -> Vec<OracleCase> {
+    // `reduced_secs` is the reduced-scale run length (`--full` always runs
+    // the paper's 200 s). Shared-link topologies, where the MP connection
+    // must vacate a link a single-path flow needs, drain the shared
+    // subflow slowly and need longer than the 60 s that suffices
+    // elsewhere. Measure the last ~35 s (reduced) / 140 s (paper scale):
+    // equilibrium behaviour, not the transient.
+    let case = |name, caps: &[f64], conns: &[&[usize]], check_flows, reduced_secs| {
+        let link = |&c: &f64| LinkParams::paper_default().with_capacity(Rate::from_mbps(c));
+        let mpcc = |ls: &&[usize]| ConnSpec::bulk("mpcc-loss", ls.to_vec());
+        let dur_secs = cfg.scale(reduced_secs, 200);
+        let warm_secs = dur_secs - cfg.scale(35, 140);
+        let sc = Scenario::new(
+            cfg.seed,
+            caps.iter().map(link).collect(),
+            conns.iter().map(mpcc).collect(),
+        )
+        .with_duration(
+            SimDuration::from_secs(dur_secs),
+            SimDuration::from_secs(warm_secs),
+        );
         OracleCase {
-            // One MP connection pools two equal links (resource pooling,
-            // §4.1): unique split (100, 100).
-            name: "pool-solo",
-            spec: ParallelNetSpec {
-                capacities: vec![100.0, 100.0],
-                conns: vec![vec![0, 1]],
-            },
-            check_flows: true,
-            reduced_secs: 60,
-        },
-        OracleCase {
-            // Fig. 3c: MP on {0, 1} vs SP on {1}. LMMF gives each a full
-            // link, with the MP connection vacating the shared one.
-            name: "sp-mp-share",
-            spec: ParallelNetSpec {
-                capacities: vec![100.0, 100.0],
-                conns: vec![vec![0, 1], vec![1]],
-            },
-            check_flows: true,
-            reduced_secs: 140,
-        },
-        OracleCase {
-            // Two identical MP connections over the same two links: totals
-            // are unique (100 each) but the split is not — totals only.
-            name: "two-mp",
-            spec: ParallelNetSpec {
-                capacities: vec![100.0, 100.0],
-                conns: vec![vec![0, 1], vec![0, 1]],
-            },
-            check_flows: false,
-            reduced_secs: 60,
-        },
-        OracleCase {
-            // Asymmetric capacities: SP on a 50 Mbps link, MP on {that,
-            // 100 Mbps}. LMMF: SP keeps its whole link, MP vacates it.
-            name: "asym-sp-mp",
-            spec: ParallelNetSpec {
-                capacities: vec![50.0, 100.0],
-                conns: vec![vec![0], vec![0, 1]],
-            },
-            check_flows: true,
-            reduced_secs: 140,
-        },
-    ]
-}
-
-fn scenario_for(case: &OracleCase, cfg: &ExpConfig, idx: u64) -> Scenario {
-    let links: Vec<LinkParams> = case
-        .spec
-        .capacities
-        .iter()
-        .map(|&c| LinkParams::paper_default().with_capacity(Rate::from_mbps(c)))
-        .collect();
-    let conns: Vec<ConnSpec> = case
-        .spec
-        .conns
-        .iter()
-        .map(|ls| ConnSpec::bulk("mpcc-loss", ls.clone()))
-        .collect();
-    // Measure the last ~35 s (reduced) / 140 s (paper scale): equilibrium
-    // behaviour, not the transient.
-    let dur_secs = cfg.scale(case.reduced_secs, 200);
-    let warm_secs = dur_secs - cfg.scale(35, 140);
-    Scenario::new(cfg.seed.wrapping_add(idx), links, conns).with_duration(
-        SimDuration::from_secs(dur_secs),
-        SimDuration::from_secs(warm_secs),
-    )
+            name,
+            sc,
+            check_flows,
+        }
+    };
+    let mut cases = vec![
+        // One MP connection pools two equal links (resource pooling,
+        // §4.1): unique split (100, 100).
+        case("pool-solo", &[100.0, 100.0], &[&[0, 1]], true, 60),
+        // Fig. 3c: MP on {0, 1} vs SP on {1}. LMMF gives each a full
+        // link, with the MP connection vacating the shared one.
+        case("sp-mp-share", &[100.0, 100.0], &[&[0, 1], &[1]], true, 140),
+        // Two identical MP connections over the same two links: totals
+        // are unique (100 each) but the split is not — totals only.
+        case("two-mp", &[100.0, 100.0], &[&[0, 1], &[0, 1]], false, 60),
+        // Asymmetric capacities: SP on a 50 Mbps link, MP on {that,
+        // 100 Mbps}. LMMF: SP keeps its whole link, MP vacates it.
+        case("asym-sp-mp", &[50.0, 100.0], &[&[0], &[0, 1]], true, 140),
+    ];
+    for (i, case) in cases.iter_mut().enumerate() {
+        case.sc.seed = cfg.seed.wrapping_add(i as u64);
+    }
+    cases
 }
 
 fn within(observed: f64, expected: f64) -> bool {
@@ -135,66 +142,39 @@ fn within(observed: f64, expected: f64) -> bool {
 /// `Err(report)` otherwise; the report is the human-readable comparison
 /// table either way.
 pub fn run(cfg: &ExpConfig) -> Result<String, String> {
-    let cases = cases();
-    let scenarios: Vec<Scenario> = cases
-        .iter()
-        .enumerate()
-        .map(|(i, c)| scenario_for(c, cfg, i as u64))
-        .collect();
-    let warmups: Vec<_> = scenarios.iter().map(|s| s.warmup).collect();
-    let results = cfg.exec.run_batch(scenarios);
+    let cases = cases(cfg);
+    let results = cfg
+        .exec
+        .run_batch(cases.iter().map(|c| c.sc.clone()).collect());
 
-    let mut out = String::new();
-    let mut failures = 0usize;
-    let mut checks = 0usize;
-    let mut line = |s: String, ok: bool, failures: &mut usize| {
-        if !ok {
-            *failures += 1;
-        }
-        out.push_str(&s);
-        out.push_str(if ok { "  ok\n" } else { "  FAIL\n" });
-    };
-
-    for (i, (case, result)) in cases.iter().zip(&results).enumerate() {
-        let (totals, flows) = lmmf_with_flows(&case.spec);
-        let warm = mpcc_simcore::SimTime::ZERO + warmups[i];
+    let mut tally = Tally::default();
+    for (case, result) in cases.iter().zip(&results) {
+        let (totals, flows) = lmmf_with_flows(&ParallelNetSpec::of(&case.sc.net()));
+        let warm = SimTime::ZERO + case.sc.warmup;
         for (c, conn) in result.conns.iter().enumerate() {
-            checks += 1;
-            line(
+            tally.check(within(conn.goodput_mbps, totals[c]), || {
                 format!(
                     "{:<12} conn {c} total: measured {:7.2} Mbps, lmmf {:7.2} Mbps",
                     case.name, conn.goodput_mbps, totals[c]
-                ),
-                within(conn.goodput_mbps, totals[c]),
-                &mut failures,
-            );
+                )
+            });
             if !case.check_flows {
                 continue;
             }
-            for (k, &l) in case.spec.conns[c].iter().enumerate() {
+            for (k, &l) in case.sc.conns[c].links.iter().enumerate() {
                 let measured = conn.subflow_series[k].mean_after(warm);
-                checks += 1;
-                line(
+                tally.check(within(measured, flows[c][l]), || {
                     format!(
                         "{:<12} conn {c} link {l}: measured {:7.2} Mbps, lmmf {:7.2} Mbps",
                         case.name, measured, flows[c][l]
-                    ),
-                    within(measured, flows[c][l]),
-                    &mut failures,
-                );
+                    )
+                });
             }
         }
     }
-    let verdict = format!(
-        "theory oracle: {}/{checks} checks within tolerance (rel {REL_TOL}, abs {ABS_TOL} Mbps)",
-        checks - failures
-    );
-    out.push_str(&verdict);
-    if failures == 0 {
-        Ok(out)
-    } else {
-        Err(out)
-    }
+    tally.finish(|passed, checks| {
+        format!("theory oracle: {passed}/{checks} checks within tolerance (rel {REL_TOL}, abs {ABS_TOL} Mbps)")
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -255,116 +235,46 @@ pub fn fluid_tol(kind: CoupledKind) -> FluidTol {
     }
 }
 
-/// One fluid-oracle topology: the coupled connection spans every link;
-/// `sp_reno_on` optionally adds a competing single-path Reno connection
-/// (the friendliness check).
-struct FluidCase {
-    name: &'static str,
-    caps: Vec<f64>,
-    delays_ms: Vec<u64>,
-    sp_reno_on: Option<usize>,
-}
-
-fn fluid_cases() -> Vec<FluidCase> {
+/// The fluid-oracle topologies under controller `kind`, named: the
+/// coupled connection spans every link, and `fluid-share` adds a competing
+/// single-path Reno connection (the friendliness check). Seeds are
+/// assigned by the caller.
+fn fluid_cases(kind: CoupledKind, cfg: &ExpConfig) -> Vec<(&'static str, Scenario)> {
+    let dur_secs = cfg.scale(60, 200);
+    let case = |name, links: &[(f64, u64)], sp_reno_on: Option<usize>| {
+        let links: Vec<LinkParams> = links.iter().map(|&(c, d)| fluid_link(c, d)).collect();
+        let mut conns = vec![ConnSpec::bulk(kind.name(), (0..links.len()).collect())];
+        conns.extend(sp_reno_on.map(|l| ConnSpec::bulk("reno", vec![l])));
+        let sc = Scenario::new(cfg.seed, links, conns)
+            .with_duration(
+                SimDuration::from_secs(dur_secs),
+                SimDuration::from_secs(dur_secs / 4),
+            )
+            .with_sampling(SimDuration::from_millis(TRAJ_SAMPLE_MS));
+        (name, sc)
+    };
     vec![
-        FluidCase {
-            // Resource pooling over two equal links.
-            name: "fluid-pool",
-            caps: vec![60.0, 60.0],
-            delays_ms: vec![20, 20],
-            sp_reno_on: None,
-        },
-        FluidCase {
-            // 3:1 capacity asymmetry.
-            name: "fluid-asym",
-            caps: vec![30.0, 90.0],
-            delays_ms: vec![20, 20],
-            sp_reno_on: None,
-        },
-        FluidCase {
-            // 4:1 RTT asymmetry at equal capacity.
-            name: "fluid-rtt",
-            caps: vec![50.0, 50.0],
-            delays_ms: vec![10, 40],
-            sp_reno_on: None,
-        },
-        FluidCase {
-            // TCP-friendliness: single-path Reno shares link 1.
-            name: "fluid-share",
-            caps: vec![60.0, 60.0],
-            delays_ms: vec![20, 20],
-            sp_reno_on: Some(1),
-        },
+        // Resource pooling over two equal links.
+        case("fluid-pool", &[(60.0, 20), (60.0, 20)], None),
+        // 3:1 capacity asymmetry.
+        case("fluid-asym", &[(30.0, 20), (90.0, 20)], None),
+        // 4:1 RTT asymmetry at equal capacity.
+        case("fluid-rtt", &[(50.0, 10), (50.0, 40)], None),
+        // TCP-friendliness: single-path Reno shares link 1.
+        case("fluid-share", &[(60.0, 20), (60.0, 20)], Some(1)),
     ]
 }
 
-/// Link buffer for the fluid comparison: half a bandwidth-delay product
-/// (floored at 8 packets). Small enough that the mean queueing delay stays
-/// a modest, predictable fraction of the RTT the ODE uses.
-fn fluid_buffer_bytes(cap_mbps: f64, delay_ms: u64) -> u64 {
-    let bdp = cap_mbps * 1e6 / 8.0 * (2.0 * delay_ms as f64 / 1e3);
-    ((0.5 * bdp) as u64).max(8 * 1500)
-}
-
+/// A fluid-comparison link of `cap_mbps` and `delay_ms` one way. Its
+/// buffer is half a bandwidth-delay product (floored at 8 packets): small
+/// enough that the mean queueing delay stays a modest, predictable
+/// fraction of the RTT the ODE uses ([`FluidTopo::of`]).
 fn fluid_link(cap_mbps: f64, delay_ms: u64) -> LinkParams {
+    let bdp = cap_mbps * 1e6 / 8.0 * (2.0 * delay_ms as f64 / 1e3);
     LinkParams::paper_default()
         .with_capacity(Rate::from_mbps(cap_mbps))
         .with_delay(SimDuration::from_millis(delay_ms))
-        .with_buffer(fluid_buffer_bytes(cap_mbps, delay_ms))
-}
-
-/// The ODE's operating RTT for a link: propagation plus half the buffer
-/// drain time (the loss-based sawtooth keeps the queue half-full on
-/// average).
-fn fluid_rtt_secs(cap_mbps: f64, delay_ms: u64) -> f64 {
-    let buf_secs = fluid_buffer_bytes(cap_mbps, delay_ms) as f64 * 8.0 / (cap_mbps * 1e6);
-    2.0 * delay_ms as f64 / 1e3 + 0.5 * buf_secs
-}
-
-/// Builds the (packet-level scenario, fluid topology, per-connection
-/// kinds) triple for one case × controller. Connection 0 is always the
-/// coupled multipath connection.
-fn fluid_setup(
-    case: &FluidCase,
-    kind: CoupledKind,
-    cfg: &ExpConfig,
-    idx: u64,
-) -> (Scenario, FluidTopo, Vec<CoupledKind>) {
-    let links: Vec<LinkParams> = case
-        .caps
-        .iter()
-        .zip(&case.delays_ms)
-        .map(|(&c, &d)| fluid_link(c, d))
-        .collect();
-    let all_links: Vec<usize> = (0..case.caps.len()).collect();
-    let mut conns = vec![ConnSpec::bulk(kind.name(), all_links.clone())];
-    let mut spec_conns = vec![all_links];
-    let mut kinds = vec![kind];
-    if let Some(l) = case.sp_reno_on {
-        conns.push(ConnSpec::bulk("reno", vec![l]));
-        spec_conns.push(vec![l]);
-        kinds.push(CoupledKind::Reno);
-    }
-    let dur_secs = cfg.scale(60, 200);
-    let sc = Scenario::new(cfg.seed.wrapping_add(idx), links, conns)
-        .with_duration(
-            SimDuration::from_secs(dur_secs),
-            SimDuration::from_secs(dur_secs / 4),
-        )
-        .with_sampling(SimDuration::from_millis(TRAJ_SAMPLE_MS));
-    let topo = FluidTopo {
-        spec: ParallelNetSpec {
-            capacities: case.caps.clone(),
-            conns: spec_conns,
-        },
-        rtt_secs: case
-            .caps
-            .iter()
-            .zip(&case.delays_ms)
-            .map(|(&c, &d)| fluid_rtt_secs(c, d))
-            .collect(),
-    };
-    (sc, topo, kinds)
+        .with_buffer(((0.5 * bdp) as u64).max(8 * 1500))
 }
 
 /// The controllers the fluid oracle sweeps.
@@ -378,39 +288,31 @@ fn traj_stats(t: &Trajectory) -> TrajStats {
 /// simulator vs RK4 integrator, trajectory-shape metrics within
 /// [`fluid_tol`]. `Ok`/`Err` carry the comparison table either way.
 pub fn run_fluid(cfg: &ExpConfig) -> Result<String, String> {
-    let cases = fluid_cases();
-    let mut setups = Vec::new();
+    let mut setups: Vec<(CoupledKind, &str, Scenario)> = Vec::new();
     for kind in FLUID_KINDS {
-        for case in &cases {
-            let idx = setups.len() as u64;
-            let (sc, topo, kinds) = fluid_setup(case, kind, cfg, idx);
-            setups.push((kind, case.name, case.sp_reno_on, sc, topo, kinds));
+        for (name, mut sc) in fluid_cases(kind, cfg) {
+            sc.seed = cfg.seed.wrapping_add(setups.len() as u64);
+            setups.push((kind, name, sc));
         }
     }
-    let scenarios: Vec<Scenario> = setups.iter().map(|s| s.3.clone()).collect();
+    let scenarios: Vec<Scenario> = setups.iter().map(|s| s.2.clone()).collect();
     let dur_secs = cfg.scale(60, 200) as f64;
     let results = cfg.exec.run_batch(scenarios);
 
-    let mut out = String::new();
-    let mut failures = 0usize;
-    let mut checks = 0usize;
-    let mut line = |s: String, ok: bool, failures: &mut usize, checks: &mut usize| {
-        *checks += 1;
-        if !ok {
-            *failures += 1;
-        }
-        out.push_str(&s);
-        out.push_str(if ok { "  ok\n" } else { "  FAIL\n" });
-    };
-
-    for ((kind, name, sp_on, _, topo, kinds), result) in setups.iter().zip(&results) {
+    let mut tally = Tally::default();
+    for ((kind, name, sc), result) in setups.iter().zip(&results) {
         let tol = fluid_tol(*kind);
         let ode_cfg = FluidConfig {
             duration: dur_secs,
             sample_every: TRAJ_SAMPLE_MS as f64 / 1e3,
             ..FluidConfig::default()
         };
-        let ft = ode::integrate(topo, kinds, &ode_cfg);
+        let kinds: Vec<CoupledKind> = sc
+            .conns
+            .iter()
+            .map(|c| CoupledKind::parse(&c.proto).expect("fluid cases run coupled controllers"))
+            .collect();
+        let ft = ode::integrate(&FluidTopo::of(&sc.net()), &kinds, &ode_cfg);
 
         let sim_t = Trajectory::from_series(&result.conns[0].series);
         let ode_t = Trajectory::from_samples(&ft.secs, &ft.conn_mbps[0]);
@@ -418,48 +320,48 @@ pub fn run_fluid(cfg: &ExpConfig) -> Result<String, String> {
         let ode_s = traj_stats(&ode_t);
         let tag = format!("{:<12} {:<6}", name, kind.name());
 
-        line(
-            format!(
-                "{tag} rate:      sim {:7.2} Mbps, ode {:7.2} Mbps",
-                sim.final_mean, ode_s.final_mean
-            ),
+        tally.check(
             (sim.final_mean - ode_s.final_mean).abs()
                 <= (tol.rate_rel * ode_s.final_mean).max(tol.rate_abs),
-            &mut failures,
-            &mut checks,
+            || {
+                format!(
+                    "{tag} rate:      sim {:7.2} Mbps, ode {:7.2} Mbps",
+                    sim.final_mean, ode_s.final_mean
+                )
+            },
         );
-        line(
-            format!(
-                "{tag} converge:  sim {:7.1} s,    ode {:7.1} s",
-                sim.convergence_secs, ode_s.convergence_secs
-            ),
+        tally.check(
             sim.convergence_secs.is_finite()
                 && ode_s.convergence_secs.is_finite()
                 && (sim.convergence_secs - ode_s.convergence_secs).abs() <= tol.conv_abs_secs,
-            &mut failures,
-            &mut checks,
+            || {
+                format!(
+                    "{tag} converge:  sim {:7.1} s,    ode {:7.1} s",
+                    sim.convergence_secs, ode_s.convergence_secs
+                )
+            },
         );
-        line(
-            format!(
-                "{tag} overshoot: sim {:7.3},      ode {:7.3}",
-                sim.overshoot, ode_s.overshoot
-            ),
+        tally.check(
             (sim.overshoot - ode_s.overshoot).abs() <= tol.overshoot_abs,
-            &mut failures,
-            &mut checks,
+            || {
+                format!(
+                    "{tag} overshoot: sim {:7.3},      ode {:7.3}",
+                    sim.overshoot, ode_s.overshoot
+                )
+            },
         );
-        line(
-            format!(
-                "{tag} rise-80%:  sim {:7.1} s,    ode {:7.1} s",
-                sim.rise_secs_80, ode_s.rise_secs_80
-            ),
+        tally.check(
             sim.rise_secs_80.is_finite()
                 && ode_s.rise_secs_80.is_finite()
                 && (sim.rise_secs_80 - ode_s.rise_secs_80).abs() <= tol.rise_abs_secs,
-            &mut failures,
-            &mut checks,
+            || {
+                format!(
+                    "{tag} rise-80%:  sim {:7.1} s,    ode {:7.1} s",
+                    sim.rise_secs_80, ode_s.rise_secs_80
+                )
+            },
         );
-        if sp_on.is_some() {
+        if kinds.len() > 1 {
             // Friendliness: the single-path Reno competitor's share of the
             // aggregate, simulator vs fluid model.
             let sim_sp = traj_stats(&Trajectory::from_series(&result.conns[1].series)).final_mean;
@@ -467,24 +369,14 @@ pub fn run_fluid(cfg: &ExpConfig) -> Result<String, String> {
                 traj_stats(&Trajectory::from_samples(&ft.secs, &ft.conn_mbps[1])).final_mean;
             let sim_share = sim_sp / (sim_sp + sim.final_mean).max(1e-9);
             let ode_share = ode_sp / (ode_sp + ode_s.final_mean).max(1e-9);
-            line(
-                format!("{tag} sp-share:  sim {sim_share:7.3},      ode {ode_share:7.3}"),
-                (sim_share - ode_share).abs() <= tol.share_abs,
-                &mut failures,
-                &mut checks,
-            );
+            tally.check((sim_share - ode_share).abs() <= tol.share_abs, || {
+                format!("{tag} sp-share:  sim {sim_share:7.3},      ode {ode_share:7.3}")
+            });
         }
     }
-    let verdict = format!(
-        "fluid oracle: {}/{checks} trajectory checks within tolerance",
-        checks - failures
-    );
-    out.push_str(&verdict);
-    if failures == 0 {
-        Ok(out)
-    } else {
-        Err(out)
-    }
+    tally.finish(|passed, checks| {
+        format!("fluid oracle: {passed}/{checks} trajectory checks within tolerance")
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -544,14 +436,23 @@ pub struct SweepSpec {
     pub name: String,
     /// Scenario seed.
     pub seed: u64,
-    /// Link capacities, Mbps.
-    pub caps: Vec<f64>,
-    /// One-way link delays, ms.
-    pub delays_ms: Vec<u64>,
-    /// Connection → link-set assignment.
-    pub conns: Vec<Vec<usize>>,
+    /// The parallel-link network: fluid-comparison links (half-BDP
+    /// buffers) and each connection's single-link subflow routes.
+    pub net: NetSpec,
     /// The coupled controller run on the fluid side of this case.
     pub kind: CoupledKind,
+}
+
+/// A sweep network: one [`fluid_link`] per `(capacity Mbps, one-way delay
+/// ms)` entry, and one subflow per link of each connection's link set.
+fn sweep_net(links: &[(f64, u64)], conns: &[Vec<usize>]) -> NetSpec {
+    NetSpec {
+        links: links.iter().map(|&(c, d)| fluid_link(c, d)).collect(),
+        conns: conns
+            .iter()
+            .map(|ls| ls.iter().map(|&l| vec![l]).collect())
+            .collect(),
+    }
 }
 
 /// The 3 committed failing-shaped regression cases: shapes that historically
@@ -564,25 +465,19 @@ pub fn regression_specs() -> Vec<SweepSpec> {
         SweepSpec {
             name: "near-equal-caps".into(),
             seed: 0x5EED_0001,
-            caps: vec![40.0, 40.4],
-            delays_ms: vec![20, 20],
-            conns: vec![vec![0, 1]],
+            net: sweep_net(&[(40.0, 20), (40.4, 20)], &[vec![0, 1]]),
             kind: CoupledKind::Lia,
         },
         SweepSpec {
             name: "extreme-asym".into(),
             seed: 0x5EED_0002,
-            caps: vec![8.0, 80.0],
-            delays_ms: vec![20, 20],
-            conns: vec![vec![0, 1]],
+            net: sweep_net(&[(8.0, 20), (80.0, 20)], &[vec![0, 1]]),
             kind: CoupledKind::Balia,
         },
         SweepSpec {
             name: "high-rtt-ratio".into(),
             seed: 0x5EED_0003,
-            caps: vec![40.0, 40.0],
-            delays_ms: vec![5, 45],
-            conns: vec![vec![0, 1]],
+            net: sweep_net(&[(40.0, 5), (40.0, 45)], &[vec![0, 1]]),
             kind: CoupledKind::Olia,
         },
     ]
@@ -600,7 +495,10 @@ pub fn random_sweep_specs(master_seed: u64, count: usize) -> Vec<SweepSpec> {
         let caps: Vec<f64> = (0..n_links)
             .map(|_| (rng.range_f64(15.0, 70.0) * 10.0).round() / 10.0)
             .collect();
-        let delays_ms: Vec<u64> = (0..n_links).map(|_| rng.range_u64(8, 36)).collect();
+        let links: Vec<(f64, u64)> = caps
+            .into_iter()
+            .map(|c| (c, rng.range_u64(8, 36)))
+            .collect();
         let n_conns = 1 + rng.index(2);
         let conns: Vec<Vec<usize>> = (0..n_conns)
             .map(|_| {
@@ -618,28 +516,11 @@ pub fn random_sweep_specs(master_seed: u64, count: usize) -> Vec<SweepSpec> {
         out.push(SweepSpec {
             name: format!("rand-{i:03}-{}", kind.name()),
             seed: splitmix64(master_seed ^ splitmix64(0xCA5E_0000 + i as u64)),
-            caps,
-            delays_ms,
-            conns,
+            net: sweep_net(&links, &conns),
             kind,
         });
     }
     out
-}
-
-fn sweep_links(spec: &SweepSpec) -> Vec<LinkParams> {
-    spec.caps
-        .iter()
-        .zip(&spec.delays_ms)
-        .map(|(&c, &d)| fluid_link(c, d))
-        .collect()
-}
-
-fn sweep_net_spec(spec: &SweepSpec) -> ParallelNetSpec {
-    ParallelNetSpec {
-        capacities: spec.caps.clone(),
-        conns: spec.conns.clone(),
-    }
 }
 
 /// Runs every spec against both oracles: an MPCC-loss scenario checked
@@ -654,13 +535,17 @@ pub fn run_sweep(cfg: &ExpConfig, specs: &[SweepSpec]) -> Result<String, String>
     let lmmf_secs = cfg.scale(200, 400);
     let fluid_secs = cfg.scale(140, 280);
     let tail = cfg.scale(40, 80);
-    let mk_scenario = |spec: &SweepSpec, proto: &str, dur: u64, salt: u64| {
-        let conns: Vec<ConnSpec> = spec
+    let lmmf_specs: Vec<ParallelNetSpec> = specs
+        .iter()
+        .map(|spec| ParallelNetSpec::of(&spec.net))
+        .collect();
+    let mk_scenario = |spec: &SweepSpec, lmmf: &ParallelNetSpec, proto, dur, salt| {
+        let conns: Vec<ConnSpec> = lmmf
             .conns
             .iter()
             .map(|ls| ConnSpec::bulk(proto, ls.clone()))
             .collect();
-        Scenario::new(spec.seed.wrapping_add(salt), sweep_links(spec), conns).with_duration(
+        Scenario::new(spec.seed.wrapping_add(salt), spec.net.links.clone(), conns).with_duration(
             SimDuration::from_secs(dur),
             SimDuration::from_secs(dur - tail),
         )
@@ -668,88 +553,77 @@ pub fn run_sweep(cfg: &ExpConfig, specs: &[SweepSpec]) -> Result<String, String>
     // Two scenarios per spec, interleaved: 2i = LMMF side, 2i+1 = fluid side.
     let scenarios: Vec<Scenario> = specs
         .iter()
-        .flat_map(|spec| {
+        .zip(&lmmf_specs)
+        .flat_map(|(spec, lmmf)| {
             [
-                mk_scenario(spec, "mpcc-loss", lmmf_secs, 0),
-                mk_scenario(spec, spec.kind.name(), fluid_secs, 1),
+                mk_scenario(spec, lmmf, "mpcc-loss", lmmf_secs, 0),
+                mk_scenario(spec, lmmf, spec.kind.name(), fluid_secs, 1),
             ]
         })
         .collect();
     let results = cfg.exec.run_batch(scenarios);
 
-    let mut out = String::new();
-    let mut failures = 0usize;
-    let mut checks = 0usize;
-    for (i, spec) in specs.iter().enumerate() {
-        let net = sweep_net_spec(spec);
-        let lmmf = lmmf_allocation(&net);
-        let topo = FluidTopo {
-            spec: net.clone(),
-            rtt_secs: spec
-                .caps
-                .iter()
-                .zip(&spec.delays_ms)
-                .map(|(&c, &d)| fluid_rtt_secs(c, d))
-                .collect(),
-        };
-        let kinds = vec![spec.kind; spec.conns.len()];
+    let mut tally = Tally {
+        failures_only: true,
+        ..Tally::default()
+    };
+    for (i, (spec, net)) in specs.iter().zip(&lmmf_specs).enumerate() {
+        let lmmf = lmmf_allocation(net);
+        let kinds = vec![spec.kind; net.conns.len()];
         let fluid_eq = ode::equilibrium(
-            &topo,
+            &FluidTopo::of(&spec.net),
             &kinds,
             &FluidConfig {
                 duration: fluid_secs as f64,
                 ..FluidConfig::default()
             },
         );
+        let delays_ms: Vec<u64> = spec
+            .net
+            .links
+            .iter()
+            .map(|l| l.delay.as_nanos() / 1_000_000)
+            .collect();
         let shape = format!(
-            "caps {:?} delays {:?} conns {:?}",
-            spec.caps, spec.delays_ms, spec.conns
+            "caps {:?} delays {delays_ms:?} conns {:?}",
+            net.capacities, net.conns
         );
         let (lmmf_run, fluid_run) = (&results[2 * i], &results[2 * i + 1]);
-        let lmmf_rel = if is_slow_drain(&spec.conns) {
+        let lmmf_rel = if is_slow_drain(&net.conns) {
             SWEEP_DRAIN_REL
         } else {
             SWEEP_REL_TOL
         };
         for (c, conn) in lmmf_run.conns.iter().enumerate() {
-            checks += 1;
             let ok =
                 (conn.goodput_mbps - lmmf[c]).abs() <= (lmmf_rel * lmmf[c]).max(SWEEP_LMMF_ABS);
-            if !ok {
-                failures += 1;
-                out.push_str(&format!(
-                    "{} conn {c} lmmf: measured {:7.2} Mbps, lmmf {:7.2} Mbps ({shape})  FAIL\n",
+            tally.check(ok, || {
+                format!(
+                    "{} conn {c} lmmf: measured {:7.2} Mbps, lmmf {:7.2} Mbps ({shape})",
                     spec.name, conn.goodput_mbps, lmmf[c]
-                ));
-            }
+                )
+            });
         }
         let (fluid_rel, fluid_abs) = sweep_fluid_tol(spec.kind);
         for (c, conn) in fluid_run.conns.iter().enumerate() {
-            checks += 1;
             let ok =
                 (conn.goodput_mbps - fluid_eq[c]).abs() <= (fluid_rel * fluid_eq[c]).max(fluid_abs);
-            if !ok {
-                failures += 1;
-                out.push_str(&format!(
-                    "{} conn {c} {}: measured {:7.2} Mbps, ode {:7.2} Mbps ({shape})  FAIL\n",
+            tally.check(ok, || {
+                format!(
+                    "{} conn {c} {}: measured {:7.2} Mbps, ode {:7.2} Mbps ({shape})",
                     spec.name,
                     spec.kind.name(),
                     conn.goodput_mbps,
                     fluid_eq[c]
-                ));
-            }
+                )
+            });
         }
     }
-    let verdict = format!(
-        "equilibrium sweep: {}/{checks} checks within tolerance over {} topologies \
-         (rel {SWEEP_REL_TOL}, abs lmmf {SWEEP_LMMF_ABS} / fluid {SWEEP_FLUID_ABS} Mbps)",
-        checks - failures,
-        specs.len()
-    );
-    out.push_str(&verdict);
-    if failures == 0 {
-        Ok(out)
-    } else {
-        Err(out)
-    }
+    tally.finish(|passed, checks| {
+        format!(
+            "equilibrium sweep: {passed}/{checks} checks within tolerance over {} topologies \
+             (rel {SWEEP_REL_TOL}, abs lmmf {SWEEP_LMMF_ABS} / fluid {SWEEP_FLUID_ABS} Mbps)",
+            specs.len()
+        )
+    })
 }

@@ -16,7 +16,7 @@ use mpcc_experiments::scenarios::{self, ALL};
 use mpcc_experiments::udp_demo;
 use mpcc_experiments::ExpConfig;
 use mpcc_netsim::fault::{parse_duration, FaultPlan};
-use mpcc_simcore::{Clock, MonotonicClock};
+use mpcc_simcore::{Clock, MonotonicClock, SimDuration};
 use mpcc_telemetry::LayerMask;
 use std::fmt::Display;
 use std::str::FromStr;
@@ -28,7 +28,7 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut trace_mask = LayerMask::ALL;
     let mut metrics_path: Option<String> = None;
-    let mut metrics_bin: Option<mpcc_simcore::SimDuration> = None;
+    let mut metrics_bin: Option<SimDuration> = None;
     let mut report_mode = false;
     let mut faults: Option<FaultPlan> = None;
     let mut list_mode = false;
@@ -47,7 +47,7 @@ fn main() {
         match arg.as_str() {
             "--full" => cfg.full = true,
             "--seed" => cfg.seed = flag_value(&mut it, &arg, at_least(0)),
-            "--runs" => cfg.runs = flag_value(&mut it, &arg, at_least(0)),
+            "--runs" => cfg.runs = flag_value(&mut it, &arg, at_least(1)),
             "--shards" => cfg.shards = flag_value(&mut it, &arg, at_least(1)),
             "--full-scale" => cfg.full_scale = true,
             "--jobs" => jobs = flag_value(&mut it, &arg, at_least(1)),
@@ -55,7 +55,7 @@ fn main() {
             "--trace" => trace_path = Some(flag_value(&mut it, &arg, |v| Ok(v.to_string()))),
             "--trace-filter" => trace_mask = flag_value(&mut it, &arg, LayerMask::parse),
             "--metrics" => metrics_path = Some(flag_value(&mut it, &arg, |v| Ok(v.to_string()))),
-            "--metrics-bin" => metrics_bin = Some(flag_value(&mut it, &arg, parse_duration)),
+            "--metrics-bin" => metrics_bin = Some(flag_value(&mut it, &arg, nonzero_duration)),
             "--faults" => faults = Some(flag_value(&mut it, &arg, FaultPlan::parse)),
             "list" => list_mode = true,
             "check" => check_mode = true,
@@ -233,6 +233,14 @@ fn at_least<T: FromStr + PartialOrd + Display>(min: T) -> impl FnOnce(&str) -> R
             .ok()
             .filter(|n| *n >= min)
             .ok_or_else(|| format!("needs an integer >= {min}"))
+    }
+}
+
+/// The `parse` of a duration flag whose value must be nonzero.
+fn nonzero_duration(value: &str) -> Result<SimDuration, String> {
+    match parse_duration(value)? {
+        d if d.is_zero() => Err("needs a nonzero duration".into()),
+        d => Ok(d),
     }
 }
 

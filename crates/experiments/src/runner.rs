@@ -13,8 +13,8 @@ use crate::protocols;
 use mpcc_metrics::{RateSeries, Summary};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::{LinkParams, LinkStats};
-use mpcc_netsim::topology::parallel_links;
-use mpcc_netsim::{EndpointId, ShardedSimulation, Simulation};
+use mpcc_netsim::topology::NetSpec;
+use mpcc_netsim::{EndpointId, LinkId, ShardedSimulation, Simulation};
 use mpcc_simcore::{rng::splitmix64, DispatchStamp, SimDuration, SimTime};
 use mpcc_telemetry::{
     merge_keyed_parts, KeyedSink, LayerMask, MetricsPipeline, PipelineConfig, Record, TeeSink,
@@ -523,6 +523,16 @@ impl Scenario {
         self.sample_every = every;
         self
     }
+
+    /// The network this scenario runs on: its links, and one single-link
+    /// route per subflow.
+    pub fn net(&self) -> NetSpec {
+        let routes = |c: &ConnSpec| c.links.iter().map(|&l| vec![l]).collect();
+        NetSpec {
+            links: self.links.clone(),
+            conns: self.conns.iter().map(routes).collect(),
+        }
+    }
 }
 
 /// Per-connection outcome of a run.
@@ -597,18 +607,13 @@ pub fn run_traced(sc: &Scenario, tracer: Tracer) -> RunResult {
 /// self-contained: it owns its simulation, so concurrent runs never share
 /// mutable state.
 fn simulate(sc: &Scenario, attach: impl FnOnce(&mut Simulation)) -> RunResult {
-    let mut net = parallel_links(sc.seed, &sc.links);
     // Paths: one per (connection, subflow); paths over the same link are
     // distinct PathIds but share the Link object.
-    let mut sim_paths: Vec<Vec<_>> = Vec::new();
-    for conn in &sc.conns {
-        let paths = conn.links.iter().map(|&l| net.path(l)).collect();
-        sim_paths.push(paths);
-    }
-    let mut sim = net.sim;
+    let net = sc.net();
+    let mut sim = net.build(sc.seed);
     attach(&mut sim);
     for (t, link, params) in &sc.link_changes {
-        sim.schedule_link_change(*t, net.links[*link], *params);
+        sim.schedule_link_change(*t, LinkId(*link as u32), *params);
     }
 
     let mut senders: Vec<EndpointId> = Vec::new();
@@ -622,7 +627,7 @@ fn simulate(sc: &Scenario, attach: impl FnOnce(&mut Simulation)) -> RunResult {
         );
         let cfg = SenderConfig {
             dst: recv,
-            paths: sim_paths[i].clone(),
+            paths: net.paths(i),
             workload: conn.workload,
             scheduler: conn.scheduler,
             start_at: conn.start,
@@ -690,7 +695,9 @@ fn simulate(sc: &Scenario, attach: impl FnOnce(&mut Simulation)) -> RunResult {
         });
     }
     let total = conns.iter().map(|c| c.goodput_mbps).sum();
-    let links = net.links.iter().map(|&l| sim.link_stats(l)).collect();
+    let links = (0..sc.links.len() as u32)
+        .map(|l| sim.link_stats(LinkId(l)))
+        .collect();
     RunResult {
         conns,
         links,

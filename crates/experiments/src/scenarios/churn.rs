@@ -23,7 +23,7 @@ use crate::output::{f3, Figure};
 use crate::protocols;
 use crate::ExpConfig;
 use mpcc_metrics::Summary;
-use mpcc_netsim::topology::{Clos, ClosConfig, ClosPartition};
+use mpcc_netsim::topology::{ClosConfig, ClosPartition};
 use mpcc_netsim::{
     Endpoint, EndpointId, LinkId, LinkParams, PathId, ShardHook, ShardedSimulation, Simulation,
 };
@@ -250,7 +250,9 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
         // entry, the slots take about 7.9 MB per shard.
         sim.reserve_event_capacity(512, 16_384);
     };
-    let (mut sim, part) = Clos::partitioned(cfg.seed, cfg.clos, k, &conns, &slot_hosts, install);
+    let (mut sim, part) = cfg
+        .clos
+        .partitioned(cfg.seed, k, &conns, &slot_hosts, install);
     let specs: Vec<ConnSpec> = script
         .iter()
         .zip(part.paths)

@@ -14,7 +14,7 @@ use crate::protocols;
 use crate::runner::RunCtx;
 use crate::ExpConfig;
 use mpcc_metrics::Summary;
-use mpcc_netsim::topology::{Clos, ClosConfig, ClosPartition};
+use mpcc_netsim::topology::{ClosConfig, ClosPartition};
 use mpcc_netsim::{EndpointId, Simulation};
 use mpcc_simcore::rng::splitmix64;
 use mpcc_simcore::{SimDuration, SimRng, SimTime};
@@ -267,8 +267,7 @@ fn run_proto_sharded(
             }
         }
     };
-    let (mut sim, part) =
-        Clos::partitioned(seed, fab, cfg.shards.max(1), &conns, &slot_hosts, install);
+    let (mut sim, part) = fab.partitioned(seed, cfg.shards.max(1), &conns, &slot_hosts, install);
     // Where flow `i`'s sender lives, and its id.
     let senders: Vec<(usize, EndpointId)> = (0..flows.len())
         .map(|i| (part.slot_shard[2 * i + 1] as usize, part.slots[2 * i + 1]))

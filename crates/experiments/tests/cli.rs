@@ -1,5 +1,6 @@
 //! The `experiments` binary rejects bad input up front: an unknown option
-//! or experiment id, a bad option value, and `--faults` on `udp`, exit
+//! or experiment id, a bad option value (`--runs 0` and `--metrics-bin 0s`
+//! included), and `--faults` on `udp`, exit
 //! with status 2 and the usage text before any experiment runs or any
 //! output file exists.
 
@@ -12,7 +13,8 @@ fn bad_input_exits_2_before_anything_runs() {
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join("results");
     let trace = dir.join("trace.jsonl");
-    let cases: [&[&str]; 7] = [
+    let metrics = dir.join("metrics.jsonl");
+    let cases: [&[&str]; 9] = [
         &["--bogus"],
         &["--seed", "x"],
         &["fig2", "--jobs", "0"],
@@ -20,6 +22,8 @@ fn bad_input_exits_2_before_anything_runs() {
         &["fig2", "bogus"],
         &["all", "--bogus"],
         &["udp", "--faults", "dup:p=0.1"],
+        &["fig5a", "--runs", "0"],
+        &["fig2", "--metrics-bin", "0s"],
     ];
     for args in cases {
         let run = Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -28,6 +32,8 @@ fn bad_input_exits_2_before_anything_runs() {
             .arg(&out)
             .arg("--trace")
             .arg(&trace)
+            .arg("--metrics")
+            .arg(&metrics)
             .output()
             .expect("the experiments binary runs");
         let stderr = String::from_utf8_lossy(&run.stderr);
@@ -37,7 +43,7 @@ fn bad_input_exits_2_before_anything_runs() {
             !stderr.contains(">>> running"),
             "{args:?} started a run: {stderr}"
         );
-        for path in [&out, &trace] {
+        for path in [&out, &trace, &metrics] {
             assert!(!Path::new(path).exists(), "{args:?} created {path:?}");
         }
     }

@@ -344,11 +344,6 @@ impl FaultState {
         self.in_bad = false;
     }
 
-    /// `true` if the burst-loss chain is currently in the bad state.
-    pub fn in_burst(&self) -> bool {
-        self.in_bad
-    }
-
     /// Advances the Gilbert–Elliott chain one offered packet and reports
     /// whether the packet should be dropped. No-op without a burst config.
     pub fn burst_verdict(&mut self, plan: &FaultPlan) -> bool {

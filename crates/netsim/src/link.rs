@@ -213,11 +213,6 @@ impl Link {
         self.queued_bytes
     }
 
-    /// Packets currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Invariant probe (see crates/check): the droptail bound. Returns
     /// `Some((queued_bytes, buffer))` when the queue exceeds the buffer.
     /// Only meaningful right after a successful admission — a mid-run
@@ -322,12 +317,6 @@ impl Link {
     /// One-way propagation delay (current parameters).
     pub fn delay(&self) -> SimDuration {
         self.params.delay
-    }
-
-    /// Queueing delay a packet admitted right now would experience before
-    /// starting serialization, assuming current capacity.
-    pub fn queue_delay(&self) -> SimDuration {
-        self.params.capacity.serialize_time(self.queued_bytes)
     }
 }
 

@@ -267,23 +267,6 @@ impl<'a> Ctx<'a> {
         self.events.schedule(at, self.slab.arrive(pkt));
     }
 
-    /// The links of `path`, for topology-aware helpers (e.g. base-RTT
-    /// computation at connection setup). Transport logic must not use this
-    /// to peek at queue state.
-    pub fn path_links(&self, path: PathId) -> &[LinkId] {
-        &self.paths[path.0 as usize].links
-    }
-
-    /// The reverse-direction delay of `path`.
-    pub fn path_reverse_delay(&self, path: PathId) -> SimDuration {
-        self.paths[path.0 as usize].reverse_delay
-    }
-
-    /// Current parameters of a link (for experiment oracles).
-    pub fn link_params(&self, link: LinkId) -> LinkParams {
-        self.links[link.0 as usize].params()
-    }
-
     fn forward(&mut self, pkt: Packet) {
         let path = &self.paths[pkt.path.0 as usize];
         if pkt.hop >= path.links.len() {
@@ -575,16 +558,13 @@ impl Simulation {
         id
     }
 
-    /// Adds a forward path over `links`. If `reverse_delay` is `None` it
-    /// defaults to the sum of the links' current propagation delays
-    /// (a symmetric path).
-    pub fn add_path(&mut self, links: Vec<LinkId>, reverse_delay: Option<SimDuration>) -> PathId {
-        let reverse_delay = reverse_delay.unwrap_or_else(|| {
-            links
-                .iter()
-                .map(|l| self.links[l.0 as usize].delay())
-                .fold(SimDuration::ZERO, |a, b| a + b)
-        });
+    /// Adds a forward path over `links`. Its reverse (ACK) delay is the
+    /// sum of the links' current propagation delays: a symmetric path.
+    pub fn add_path(&mut self, links: Vec<LinkId>) -> PathId {
+        let reverse_delay = links
+            .iter()
+            .map(|l| self.links[l.0 as usize].delay())
+            .fold(SimDuration::ZERO, |a, b| a + b);
         let id = PathId(self.paths.len() as u32);
         self.paths.push(Path {
             links,
@@ -601,6 +581,15 @@ impl Simulation {
         self.endpoints[id.0 as usize] = Some(ep);
         self.started.push(id);
         id
+    }
+
+    /// Reserves `n` endpoint slots at once ([`Simulation::reserve_endpoint`]),
+    /// growing the per-endpoint tables once.
+    pub(crate) fn reserve_endpoints(&mut self, n: usize) -> Vec<EndpointId> {
+        self.endpoints.reserve(n);
+        self.ep_rngs.reserve(n);
+        self.ep_pkt_seqs.reserve(n);
+        (0..n).map(|_| self.reserve_endpoint()).collect()
     }
 
     /// Reserves an endpoint slot without installing an endpoint.
@@ -636,11 +625,6 @@ impl Simulation {
         self.endpoints[id.0 as usize]
             .take()
             .expect("removing an endpoint that is not installed")
-    }
-
-    /// `true` while the slot holds an installed endpoint.
-    pub fn endpoint_installed(&self, id: EndpointId) -> bool {
-        self.endpoints[id.0 as usize].is_some()
     }
 
     /// Events dropped because their endpoint slot was empty.
@@ -766,16 +750,6 @@ impl Simulation {
             .expect("endpoint is mid-dispatch")
             .as_any()
             .downcast_ref::<T>()
-            .expect("endpoint type mismatch")
-    }
-
-    /// Mutable variant of [`Simulation::endpoint`].
-    pub fn endpoint_mut<T: 'static>(&mut self, id: EndpointId) -> &mut T {
-        self.endpoints[id.0 as usize]
-            .as_mut()
-            .expect("endpoint is mid-dispatch")
-            .as_any_mut()
-            .downcast_mut::<T>()
             .expect("endpoint type mismatch")
     }
 
@@ -1217,7 +1191,7 @@ mod tests {
     fn packets_traverse_link_and_acks_return() {
         let mut sim = Simulation::new(1);
         let link = sim.add_link(LinkParams::paper_default());
-        let path = sim.add_path(vec![link], None);
+        let path = sim.add_path(vec![link]);
         // Sender must be endpoint 0 (receiver addresses ACKs to it).
         let sender = sim.add_endpoint(Box::new(TestSender {
             path,
@@ -1249,7 +1223,7 @@ mod tests {
         let mut sim = Simulation::new(2);
         let l1 = sim.add_link(LinkParams::paper_default());
         let l2 = sim.add_link(LinkParams::paper_default().with_delay(SimDuration::from_millis(10)));
-        let path = sim.add_path(vec![l1, l2], None);
+        let path = sim.add_path(vec![l1, l2]);
         let sender = sim.add_endpoint(Box::new(TestSender {
             path,
             peer: EndpointId(1),
@@ -1312,7 +1286,7 @@ mod tests {
     fn direct_packets_dispatch_with_max_hop_key() {
         let mut sim = Simulation::new(5);
         let link = sim.add_link(LinkParams::paper_default());
-        let path = sim.add_path(vec![link], None);
+        let path = sim.add_path(vec![link]);
         let sender = sim.add_endpoint(Box::new(TestSender {
             path,
             peer: EndpointId(1),
@@ -1358,7 +1332,7 @@ mod tests {
         let mut sim = Simulation::new(6);
         let faults = FaultPlan::NONE.with_duplicate(1.0, SimDuration::from_millis(1));
         let link = sim.add_link(LinkParams::paper_default().with_faults(faults));
-        let path = sim.add_path(vec![link], None);
+        let path = sim.add_path(vec![link]);
         sim.add_endpoint(Box::new(TestSender {
             path,
             peer: EndpointId(1),
@@ -1385,7 +1359,7 @@ mod tests {
             .with_burst(0.01, 0.3, 0.5);
         let l1 = sim.add_link(LinkParams::paper_default().with_faults(faults));
         let l2 = sim.add_link(LinkParams::paper_default().with_faults(faults));
-        let path = sim.add_path(vec![l1, l2], None);
+        let path = sim.add_path(vec![l1, l2]);
         sim.add_endpoint(Box::new(TestSender {
             path,
             peer: EndpointId(1),

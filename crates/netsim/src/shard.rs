@@ -490,7 +490,7 @@ mod tests {
         let mut sim = Simulation::new(42);
         let l0 = sim.add_link(LinkParams::paper_default());
         let l1 = sim.add_link(LinkParams::paper_default().with_capacity(Rate::from_mbps(50.0)));
-        let path = sim.add_path(vec![l0, l1], None);
+        let path = sim.add_path(vec![l0, l1]);
         let sender = sim.reserve_endpoint();
         let receiver = sim.reserve_endpoint();
         if me == 0 {

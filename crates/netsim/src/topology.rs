@@ -1,21 +1,70 @@
-//! Builders for the paper's evaluation topologies.
+//! Network descriptions and the paper's evaluation topologies.
+//!
+//! A [`NetSpec`] describes a simulated network: its links, plus one link
+//! route per subflow of every connection. [`NetSpec::build`] is the only
+//! code that turns a description into a [`Simulation`]; the LMMF and fluid
+//! oracles (`mpcc::theory`) derive their inputs from the same value.
 //!
 //! * Parallel-link networks (Fig. 3a–3e and Fig. 4a): a bundle of
-//!   independent bottleneck links between two vertices; connections differ
-//!   only in which subset of links their subflows use.
-//! * The "LIA topology" (Fig. 4b): three links, three multipath connections
-//!   in a cycle.
+//!   independent bottleneck links between two vertices; every route is a
+//!   single link, and connections differ only in which links their
+//!   subflows use.
 //! * The data-center Clos (Fig. 18): two spines, four ToRs, dual-homed
-//!   hosts, ECMP across the spines.
+//!   hosts, ECMP across the spines ([`ClosConfig::net`]).
 //!
-//! Builders create links inside a fresh [`Simulation`]; the experiment layer
-//! then adds paths and transport endpoints.
+//! The experiment layer then adds transport endpoints.
 
 use crate::ids::{EndpointId, LinkId, PathId};
 use crate::link::LinkParams;
 use crate::network::Simulation;
 use crate::shard::ShardedSimulation;
 use mpcc_simcore::{Rate, SimDuration};
+use std::ops::Range;
+
+/// A network description: links plus a route per subflow.
+#[derive(Clone, Debug)]
+pub struct NetSpec {
+    /// The links; `LinkId(i)` of a built network is `links[i]`.
+    pub links: Vec<LinkParams>,
+    /// `conns[c][k]`: the route of connection `c`'s subflow `k`, as
+    /// indices into `links` in forward order.
+    pub conns: Vec<Vec<Vec<usize>>>,
+}
+
+impl NetSpec {
+    /// Builds the network: the links in order, then one path per subflow
+    /// in `(c, k)` order, so `PathId`s are those [`NetSpec::paths`] names.
+    pub fn build(&self, seed: u64) -> Simulation {
+        let mut sim = Simulation::new(seed);
+        for params in &self.links {
+            sim.add_link(*params);
+        }
+        sim.paths
+            .reserve_exact(self.conns.iter().map(Vec::len).sum());
+        for route in self.conns.iter().flatten() {
+            sim.add_path(route.iter().map(|&l| LinkId(l as u32)).collect());
+        }
+        sim
+    }
+
+    /// Connection `c`'s path ids in a built network, one per subflow.
+    pub fn paths(&self, c: usize) -> Vec<PathId> {
+        let ids = self
+            .path_ranges()
+            .nth(c)
+            .expect("connection index in range");
+        ids.map(PathId).collect()
+    }
+
+    /// Each connection's range of path ids, in `conns` order.
+    fn path_ranges(&self) -> impl Iterator<Item = Range<u32>> + '_ {
+        self.conns.iter().scan(0u32, |next, routes| {
+            let first = *next;
+            *next += routes.len() as u32;
+            Some(first..*next)
+        })
+    }
+}
 
 /// A parallel-link network: `links[i]` is the i-th bottleneck.
 pub struct ParallelNet {
@@ -27,9 +76,14 @@ pub struct ParallelNet {
 
 /// Builds a parallel-link network with one link per entry of `params`.
 pub fn parallel_links(seed: u64, params: &[LinkParams]) -> ParallelNet {
-    let mut sim = Simulation::new(seed);
-    let links = params.iter().map(|p| sim.add_link(*p)).collect();
-    ParallelNet { sim, links }
+    let net = NetSpec {
+        links: params.to_vec(),
+        conns: Vec::new(),
+    };
+    ParallelNet {
+        sim: net.build(seed),
+        links: (0..params.len() as u32).map(LinkId).collect(),
+    }
 }
 
 /// Builds a parallel-link network of `n` identical links.
@@ -41,7 +95,7 @@ impl ParallelNet {
     /// Adds a single-bottleneck path over link `i`.
     pub fn path(&mut self, i: usize) -> PathId {
         let link = self.links[i];
-        self.sim.add_path(vec![link], None)
+        self.sim.add_path(vec![link])
     }
 }
 
@@ -52,21 +106,6 @@ impl ParallelNet {
 /// used 25 Gbps DAC cables and 6 hosts on 4 dual-homed machines; we default
 /// to a 10× scale-down (2.5 Gbps) and place `hosts_per_tor` hosts on each
 /// ToR for symmetry (see DESIGN.md §1 for the substitution rationale).
-pub struct Clos {
-    /// The simulation owning the links.
-    pub sim: Simulation,
-    n_spines: usize,
-    n_tors: usize,
-    hosts_per_tor: usize,
-    /// `host_up[h]` / `host_down[h]`: host h ↔ its ToR.
-    host_up: Vec<LinkId>,
-    host_down: Vec<LinkId>,
-    /// `tor_up[t][s]` / `tor_down[t][s]`: ToR t ↔ spine s.
-    tor_up: Vec<Vec<LinkId>>,
-    tor_down: Vec<Vec<LinkId>>,
-}
-
-/// Configuration of the Clos builder.
 #[derive(Clone, Copy, Debug)]
 pub struct ClosConfig {
     /// Number of spine switches.
@@ -81,13 +120,6 @@ pub struct ClosConfig {
     pub link_delay: SimDuration,
     /// Switch buffer per link, bytes.
     pub buffer: u64,
-}
-
-impl ClosConfig {
-    /// Total number of hosts.
-    pub fn hosts(&self) -> usize {
-        self.tors * self.hosts_per_tor
-    }
 }
 
 impl Default for ClosConfig {
@@ -117,103 +149,88 @@ pub struct ClosPartition {
     pub link_shard: Vec<u8>,
 }
 
-impl Clos {
-    /// Builds the Clos fabric.
-    pub fn new(seed: u64, cfg: ClosConfig) -> Self {
-        let mut sim = Simulation::new(seed);
+impl ClosConfig {
+    /// Total number of hosts.
+    pub fn hosts(&self) -> usize {
+        self.tors * self.hosts_per_tor
+    }
+
+    /// The ToR (rack) of each link, in [`ClosConfig::net`]'s link order:
+    /// host uplinks, host downlinks, ToR uplinks, ToR downlinks (the ToR
+    /// links `t * spines + s` of each block join ToR `t` and spine `s`).
+    fn link_racks(&self) -> impl Iterator<Item = usize> {
+        let hpt = self.hosts_per_tor;
+        let spines = self.spines;
+        let hosts = (0..self.hosts()).map(move |h| h / hpt);
+        let tors = (0..self.tors * spines).map(move |i| i / spines);
+        hosts.clone().chain(hosts).chain(tors.clone()).chain(tors)
+    }
+
+    /// The fabric with `conns[c] = (src, dst, subflows)`'s routes.
+    ///
+    /// A same-ToR pair has one 2-link route (up to the ToR, down to the
+    /// host); a cross-ToR pair has one 4-link route per spine. Subflows
+    /// take the pair's routes round-robin, starting at a hash of the pair
+    /// — the per-subflow 5-tuple ECMP hashing of the testbed.
+    pub fn net(&self, conns: &[(usize, usize, usize)]) -> NetSpec {
         let params = LinkParams {
-            capacity: cfg.link_capacity,
-            delay: cfg.link_delay,
-            buffer: cfg.buffer,
+            capacity: self.link_capacity,
+            delay: self.link_delay,
+            buffer: self.buffer,
             random_loss: 0.0,
             faults: crate::fault::FaultPlan::NONE,
         };
-        let n_hosts = cfg.hosts();
-        let host_up = (0..n_hosts).map(|_| sim.add_link(params)).collect();
-        let host_down = (0..n_hosts).map(|_| sim.add_link(params)).collect();
-        let tor_up = (0..cfg.tors)
-            .map(|_| (0..cfg.spines).map(|_| sim.add_link(params)).collect())
+        let n_hosts = self.hosts();
+        let n_links = 2 * n_hosts + 2 * self.tors * self.spines;
+        let (host_down, tor_up) = (n_hosts, 2 * n_hosts);
+        let tor_down = tor_up + self.tors * self.spines;
+        let conns = conns
+            .iter()
+            .map(|&(src, dst, subflows)| {
+                assert_ne!(src, dst, "no self-routes");
+                let (ts, td) = (src / self.hosts_per_tor, dst / self.hosts_per_tor);
+                let n_routes = if ts == td { 1 } else { self.spines };
+                let pair = (src as u64) << 32 | dst as u64;
+                let offset = mpcc_simcore::rng::splitmix64(pair) as usize % n_routes;
+                (0..subflows)
+                    .map(|k| {
+                        if ts == td {
+                            return vec![src, host_down + dst];
+                        }
+                        let s = (offset + k) % n_routes;
+                        vec![
+                            src,
+                            tor_up + ts * self.spines + s,
+                            tor_down + td * self.spines + s,
+                            host_down + dst,
+                        ]
+                    })
+                    .collect()
+            })
             .collect();
-        let tor_down = (0..cfg.tors)
-            .map(|_| (0..cfg.spines).map(|_| sim.add_link(params)).collect())
-            .collect();
-        Clos {
-            sim,
-            n_spines: cfg.spines,
-            n_tors: cfg.tors,
-            hosts_per_tor: cfg.hosts_per_tor,
-            host_up,
-            host_down,
-            tor_up,
-            tor_down,
+        NetSpec {
+            links: vec![params; n_links],
+            conns,
         }
     }
 
-    /// Total number of hosts.
-    pub fn hosts(&self) -> usize {
-        self.n_tors * self.hosts_per_tor
-    }
-
-    /// The ToR a host hangs off.
-    pub fn tor_of(&self, host: usize) -> usize {
-        host / self.hosts_per_tor
-    }
-
-    /// All distinct shortest link-level routes from `src` to `dst` hosts.
+    /// Builds the fabric carrying `conns` ([`ClosConfig::net`]) as a
+    /// `shards`-way [`ShardedSimulation`] partitioned by rack (DESIGN.md
+    /// §16). Racks are dealt round-robin over the shards, so a host, its
+    /// access links and its ToR's spine links always land together: a
+    /// forward route crosses shards at most once (between the spine
+    /// uplink and the destination rack's spine downlink), and the first
+    /// hop of every route is co-owned with its source endpoint, as the
+    /// engine requires.
     ///
-    /// Same-ToR pairs have a single 2-link route (up to the ToR, down to the
-    /// host); cross-ToR pairs have one 4-link route per spine. ECMP at flow
-    /// setup picks among these.
-    pub fn routes(&self, src: usize, dst: usize) -> Vec<Vec<LinkId>> {
-        assert_ne!(src, dst, "no self-routes");
-        let (ts, td) = (self.tor_of(src), self.tor_of(dst));
-        if ts == td {
-            return vec![vec![self.host_up[src], self.host_down[dst]]];
-        }
-        (0..self.n_spines)
-            .map(|s| {
-                vec![
-                    self.host_up[src],
-                    self.tor_up[ts][s],
-                    self.tor_down[td][s],
-                    self.host_down[dst],
-                ]
-            })
-            .collect()
-    }
-
-    /// Registers `n_subflows` paths from `src` to `dst`, spreading subflows
-    /// over the ECMP routes round-robin starting at a hash of the pair —
-    /// the per-subflow 5-tuple hashing of the testbed.
-    pub fn subflow_paths(&mut self, src: usize, dst: usize, n_subflows: usize) -> Vec<PathId> {
-        let routes = self.routes(src, dst);
-        let offset = (mpcc_simcore::rng::splitmix64((src as u64) << 32 | dst as u64) as usize)
-            % routes.len();
-        (0..n_subflows)
-            .map(|i| {
-                let route = routes[(offset + i) % routes.len()].clone();
-                self.sim.add_path(route, None)
-            })
-            .collect()
-    }
-
-    /// Builds the Clos fabric as a `shards`-way [`ShardedSimulation`]
-    /// partitioned by rack (DESIGN.md §16). Racks are dealt round-robin
-    /// over the shards, so a host, its access links and its ToR's spine
-    /// links always land together: a forward route crosses shards at most
-    /// once (between the spine uplink and the destination rack's spine
-    /// downlink), and the first hop of every route is co-owned with its
-    /// source endpoint, as the engine requires.
-    ///
-    /// Every shard registers the fabric, then `conns[c] = (src, dst,
-    /// subflows)`'s paths ([`Clos::subflow_paths`]) in order, then one
-    /// endpoint slot per entry of `slot_hosts` (the host of each slot, in
-    /// reservation order); slot `i` belongs to its host's shard. Then
-    /// `install(shard, sim, partition)` adds that shard's endpoints and
-    /// events. Returns the engine and the partition.
+    /// Every shard builds the network, then reserves one endpoint slot per
+    /// entry of `slot_hosts` (the host of each slot, in reservation
+    /// order); slot `i` belongs to its host's shard. Then `install(shard,
+    /// sim, partition)` adds that shard's endpoints and events. Returns
+    /// the engine and the partition.
     pub fn partitioned<F>(
+        &self,
         seed: u64,
-        cfg: ClosConfig,
         shards: u8,
         conns: &[(usize, usize, usize)],
         slot_hosts: &[usize],
@@ -222,38 +239,28 @@ impl Clos {
     where
         F: FnMut(u8, &mut Simulation, &ClosPartition),
     {
-        let rack_shard = |tor: usize| (tor % shards as usize) as u8;
-        // Each link's rack, in `Clos::new`'s link order: host uplinks,
-        // host downlinks, ToR uplinks, ToR downlinks.
-        let hosts = (0..cfg.hosts()).map(|h| h / cfg.hosts_per_tor);
-        let tors = (0..cfg.tors * cfg.spines).map(|i| i / cfg.spines);
-        let racks = hosts.clone().chain(hosts).chain(tors.clone()).chain(tors);
-        let link_shard: Vec<u8> = racks.map(rack_shard).collect();
-        let slot_shard: Vec<u8> = slot_hosts
-            .iter()
-            .map(|&h| rack_shard(h / cfg.hosts_per_tor))
-            .collect();
-        let mut partition: Option<ClosPartition> = None;
-        let sim = ShardedSimulation::new(shards, link_shard.clone(), slot_shard.clone(), |me| {
-            let mut clos = Clos::new(seed, cfg);
-            let paths: Vec<Vec<PathId>> = conns
+        let rack_shard = |rack: usize| (rack % shards as usize) as u8;
+        let net = self.net(conns);
+        let mut part = ClosPartition {
+            paths: net
+                .path_ranges()
+                .map(|ids| ids.map(PathId).collect())
+                .collect(),
+            slots: Vec::new(),
+            slot_shard: slot_hosts
                 .iter()
-                .map(|&(src, dst, n)| clos.subflow_paths(src, dst, n))
-                .collect();
-            let slots: Vec<EndpointId> = slot_hosts
-                .iter()
-                .map(|_| clos.sim.reserve_endpoint())
-                .collect();
-            let part = partition.get_or_insert_with(|| ClosPartition {
-                paths,
-                slots,
-                slot_shard: slot_shard.clone(),
-                link_shard: link_shard.clone(),
-            });
-            install(me, &mut clos.sim, part);
-            clos.sim
+                .map(|&h| rack_shard(h / self.hosts_per_tor))
+                .collect(),
+            link_shard: self.link_racks().map(rack_shard).collect(),
+        };
+        let (link_shard, slot_shard) = (part.link_shard.clone(), part.slot_shard.clone());
+        let sim = ShardedSimulation::new(shards, link_shard, slot_shard, |me| {
+            let mut sim = net.build(seed);
+            part.slots = sim.reserve_endpoints(slot_hosts.len());
+            install(me, &mut sim, &part);
+            sim
         });
-        (sim, partition.expect("at least one shard"))
+        (sim, part)
     }
 }
 
@@ -271,16 +278,41 @@ mod tests {
     }
 
     #[test]
+    fn build_numbers_links_in_order_and_paths_by_connection_then_subflow() {
+        let mbps = |c| LinkParams::paper_default().with_capacity(Rate::from_mbps(c));
+        let net = NetSpec {
+            links: vec![mbps(10.0), mbps(20.0), mbps(30.0)],
+            conns: vec![vec![vec![2], vec![0, 1]], vec![], vec![vec![1]]],
+        };
+        let sim = net.build(1);
+        for (i, params) in net.links.iter().enumerate() {
+            assert_eq!(
+                sim.link(LinkId(i as u32)).params().capacity,
+                params.capacity
+            );
+        }
+        assert_eq!(net.paths(0), [PathId(0), PathId(1)]);
+        assert!(net.paths(1).is_empty());
+        assert_eq!(net.paths(2), [PathId(2)]);
+        let routes: Vec<&[LinkId]> = sim.paths.iter().map(|p| &p.links[..]).collect();
+        assert_eq!(
+            routes,
+            [&[LinkId(2)][..], &[LinkId(0), LinkId(1)], &[LinkId(1)]]
+        );
+    }
+
+    #[test]
     fn clos_routes() {
-        let clos = Clos::new(7, ClosConfig::default());
-        assert_eq!(clos.hosts(), 8);
-        // Same ToR: one 2-hop route.
-        assert_eq!(clos.routes(0, 1).len(), 1);
-        assert_eq!(clos.routes(0, 1)[0].len(), 2);
+        let cfg = ClosConfig::default();
+        assert_eq!(cfg.hosts(), 8);
+        // Same ToR: one 2-hop route, whatever the subflow count.
+        let same = cfg.net(&[(0, 1, 2)]);
+        assert_eq!(same.conns[0][0], same.conns[0][1]);
+        assert_eq!(same.conns[0][0].len(), 2);
         // Cross ToR: one route per spine, 4 hops each.
-        let routes = clos.routes(0, 7);
+        let routes = &cfg.net(&[(0, 7, 2)]).conns[0];
         assert_eq!(routes.len(), 2);
-        for r in &routes {
+        for r in routes {
             assert_eq!(r.len(), 4);
         }
         // The two routes differ only in the spine links.
@@ -291,18 +323,21 @@ mod tests {
 
     #[test]
     fn clos_subflow_paths_spread_over_spines() {
-        let mut clos = Clos::new(7, ClosConfig::default());
-        let paths = clos.subflow_paths(0, 7, 3);
+        let cfg = ClosConfig::default();
+        let net = cfg.net(&[(0, 7, 3)]);
+        let sim = net.build(7);
+        let paths = net.paths(0);
         assert_eq!(paths.len(), 3);
         // Host 0 reaches host 7 over 2 ECMP routes, one per spine; 3
         // subflows dealt round-robin over them cover both spines.
         let mut uplinks: Vec<LinkId> = paths
             .iter()
-            .map(|p| clos.sim.paths[p.0 as usize].links[1])
+            .map(|p| sim.paths[p.0 as usize].links[1])
             .collect();
         uplinks.sort_unstable();
         uplinks.dedup();
-        assert_eq!(uplinks, clos.tor_up[0]);
+        // ToR 0's spine uplinks follow the 2 × 8 host links.
+        assert_eq!(uplinks, [LinkId(16), LinkId(17)]);
     }
 
     #[test]
@@ -313,22 +348,31 @@ mod tests {
             hosts_per_tor: 3,
             ..ClosConfig::default()
         };
-        let (_, part) = Clos::partitioned(7, cfg, 3, &[(2, 7, 2)], &[7, 2], |_, _, _| {});
-        let clos = Clos::new(7, cfg);
-        let owned_by = |links: &[LinkId], rack: usize| {
+        let (_, part) = cfg.partitioned(7, 3, &[(2, 7, 2)], &[7, 2], |_, _, _| {});
+        // Every link of a route from `src` to `dst` on spine `s`: host
+        // uplink and ToR uplink in the source rack, ToR downlink and host
+        // downlink in the destination rack. Together the routes of all
+        // cross-rack pairs name every link of the fabric.
+        let rack = |h: usize| h / cfg.hosts_per_tor;
+        let pairs: Vec<_> = (0..cfg.hosts())
+            .flat_map(|src| (0..cfg.hosts()).map(move |dst| (src, dst, 2)))
+            .filter(|&(src, dst, _)| rack(src) != rack(dst))
+            .collect();
+        let net = cfg.net(&pairs);
+        let owned_by = |links: &[usize], rack: usize| {
             links
                 .iter()
-                .all(|l| part.link_shard[l.0 as usize] == (rack % 3) as u8)
+                .all(|&l| part.link_shard[l] == (rack % 3) as u8)
         };
-        for h in 0..clos.hosts() {
-            assert!(owned_by(
-                &[clos.host_up[h], clos.host_down[h]],
-                clos.tor_of(h)
-            ));
+        let mut seen = vec![false; net.links.len()];
+        for (&(src, dst, _), routes) in pairs.iter().zip(&net.conns) {
+            for r in routes {
+                assert!(owned_by(&r[..2], rack(src)) && owned_by(&r[2..], rack(dst)));
+                r.iter().for_each(|&l| seen[l] = true);
+            }
         }
-        for t in 0..cfg.tors {
-            assert!(owned_by(&clos.tor_up[t], t) && owned_by(&clos.tor_down[t], t));
-        }
+        assert!(seen.iter().all(|&s| s));
+        assert_eq!(part.link_shard.len(), net.links.len());
         assert_eq!(part.slot_shard, [2, 0]);
         assert_eq!(part.slots, [EndpointId(0), EndpointId(1)]);
         assert_eq!(part.paths, [[PathId(0), PathId(1)]]);

@@ -170,11 +170,6 @@ impl ProfileReport {
     pub fn total_count(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Total attributed wall-clock nanoseconds.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
-    }
 }
 
 #[cfg(test)]

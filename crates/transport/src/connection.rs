@@ -208,11 +208,6 @@ impl ConnSend {
     pub fn next_dsn(&self) -> u64 {
         self.next_dsn
     }
-
-    /// Chunks waiting for retransmission.
-    pub fn retx_backlog(&self) -> usize {
-        self.retx.len()
-    }
 }
 
 #[cfg(test)]

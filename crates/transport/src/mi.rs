@@ -201,11 +201,6 @@ impl MiTracker {
         self.current.as_ref().map(|mi| mi.id)
     }
 
-    /// The rate of the running interval, if any.
-    pub fn current_rate(&self) -> Option<Rate> {
-        self.current.as_ref().map(|mi| mi.rate)
-    }
-
     /// Records a packet transmission (sequence numbers are attributed to
     /// the running interval).
     pub fn on_sent(&mut self, _seq: u64) {

@@ -117,12 +117,6 @@ impl SenderConfig {
         self
     }
 
-    /// Replaces the start time.
-    pub fn with_start_at(mut self, at: SimTime) -> Self {
-        self.start_at = at;
-        self
-    }
-
     /// Replaces the assumed peer receive buffer.
     pub fn with_peer_buffer(mut self, bytes: u64) -> Self {
         self.peer_buffer = bytes;
@@ -216,11 +210,6 @@ impl MpSender {
             self.check_tick = 0;
         }
         true
-    }
-
-    /// The controller's protocol name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
     }
 
     /// Number of subflows.

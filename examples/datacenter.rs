@@ -8,7 +8,7 @@
 
 use mpcc_experiments::protocols;
 use mpcc_metrics::Summary;
-use mpcc_netsim::topology::{Clos, ClosConfig};
+use mpcc_netsim::topology::ClosConfig;
 use mpcc_simcore::{SimDuration, SimTime};
 use mpcc_transport::{MpReceiver, MpSender, SenderConfig, Workload};
 
@@ -20,7 +20,7 @@ const CLASSES: [(u64, usize, &str); 3] = [
 ];
 
 fn run(proto: &str) -> Vec<Summary> {
-    let mut clos = Clos::new(7, ClosConfig::default());
+    let clos = ClosConfig::default();
     let hosts = clos.hosts();
     // Deterministic all-to-all-ish workload: host h sends to (h + k) % hosts.
     let mut flows: Vec<(usize, usize, u64, usize)> = Vec::new();
@@ -34,18 +34,15 @@ fn run(proto: &str) -> Vec<Summary> {
             }
         }
     }
-    let paths: Vec<_> = flows
-        .iter()
-        .map(|&(src, dst, _, _)| clos.subflow_paths(src, dst, 3))
-        .collect();
-    let mut sim = clos.sim;
+    let net = clos.net(&flows.iter().map(|f| (f.0, f.1, 3)).collect::<Vec<_>>());
+    let mut sim = net.build(7);
     let mut senders = Vec::new();
     for (i, &(_, _, bytes, _)) in flows.iter().enumerate() {
         let recv = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
         let cc = protocols::make(proto, 1000 + i as u64);
         let cfg = SenderConfig {
             dst: recv,
-            paths: paths[i].clone(),
+            paths: net.paths(i),
             workload: Workload::Finite(bytes),
             scheduler: protocols::scheduler_for(proto),
             start_at: SimTime::ZERO,

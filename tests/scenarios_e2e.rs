@@ -5,7 +5,7 @@
 use mpcc::{Mpcc, MpccConfig};
 use mpcc_cc::{Bbr, MpCubic};
 use mpcc_netsim::link::LinkParams;
-use mpcc_netsim::topology::{parallel_links, uniform_parallel_links, Clos, ClosConfig};
+use mpcc_netsim::topology::{parallel_links, uniform_parallel_links, ClosConfig};
 use mpcc_simcore::{Rate, SimDuration, SimTime};
 use mpcc_transport::{MpReceiver, MpSender, MultipathCc, SchedulerKind, SenderConfig, Workload};
 
@@ -108,15 +108,13 @@ fn paced_workload_is_app_limited_not_network_limited() {
 
 #[test]
 fn clos_fabric_carries_cross_tor_traffic() {
-    let mut clos = Clos::new(
-        5,
-        ClosConfig {
-            link_capacity: Rate::from_gbps(1.0),
-            ..ClosConfig::default()
-        },
-    );
-    let paths = clos.subflow_paths(0, 7, 3);
-    let mut sim = clos.sim;
+    let net = ClosConfig {
+        link_capacity: Rate::from_gbps(1.0),
+        ..ClosConfig::default()
+    }
+    .net(&[(0, 7, 3)]);
+    let mut sim = net.build(5);
+    let paths = net.paths(0);
     let recv = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
     let cfg = SenderConfig::file(recv, paths, 20_000_000)
         .with_scheduler(SchedulerKind::paper_rate_based());

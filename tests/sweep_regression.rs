@@ -15,6 +15,7 @@
 use mpcc_experiments::check;
 use mpcc_experiments::runner::Executor;
 use mpcc_experiments::ExpConfig;
+use mpcc_simcore::SimDuration;
 
 #[test]
 fn committed_regression_topologies_stay_within_tolerance() {
@@ -44,13 +45,20 @@ fn committed_regression_topologies_stay_within_tolerance() {
 #[test]
 fn regression_specs_are_pinned() {
     let specs = check::regression_specs();
+    let caps = |s: &check::SweepSpec| -> Vec<f64> {
+        s.net.links.iter().map(|l| l.capacity.mbps()).collect()
+    };
     let near = &specs[0];
     assert_eq!(near.seed, 0x5EED_0001);
-    assert_eq!(near.caps, vec![40.0, 40.4]);
+    assert_eq!(caps(near), vec![40.0, 40.4]);
     let asym = &specs[1];
     assert_eq!(asym.seed, 0x5EED_0002);
-    assert_eq!(asym.caps, vec![8.0, 80.0]);
+    assert_eq!(caps(asym), vec![8.0, 80.0]);
     let rtt = &specs[2];
     assert_eq!(rtt.seed, 0x5EED_0003);
-    assert_eq!(rtt.delays_ms, vec![5, 45]);
+    let delays: Vec<SimDuration> = rtt.net.links.iter().map(|l| l.delay).collect();
+    assert_eq!(
+        delays,
+        [SimDuration::from_millis(5), SimDuration::from_millis(45)]
+    );
 }

@@ -12,6 +12,7 @@
 //! this fails.
 
 use mpcc::{Mpcc, MpccConfig};
+use mpcc_netsim::topology::NetSpec;
 use mpcc_netsim::{endpoint_rng, Blackhole, LinkParams, Simulation, Tap};
 use mpcc_simcore::{Rate, SimDuration, SimTime};
 use mpcc_telemetry::{ControllerEvent, LayerMask, Record, RingSink, TraceEvent, Tracer};
@@ -24,21 +25,21 @@ use std::sync::Arc;
 const SEED: u64 = 7;
 const HORIZON: SimTime = SimTime::from_secs(2);
 
-/// The two-path topology both the recording and the sim replay use.
-/// Returns (sim, per-path base RTTs) — the base RTTs must be handed to
-/// the udp replay host verbatim.
-fn build_topology(sim: &mut Simulation) -> Vec<SimDuration> {
-    let l0 = sim.add_link(LinkParams::paper_default()); // 100 Mbps, 30 ms
-    let l1 = sim.add_link(
-        LinkParams::paper_default()
-            .with_capacity(Rate::from_mbps(40.0))
-            .with_delay(SimDuration::from_millis(10)),
-    );
-    let p0 = sim.add_path(vec![l0], None);
-    let p1 = sim.add_path(vec![l1], None);
-    assert_eq!((p0.0, p1.0), (0, 1));
-    // Symmetric paths: base RTT = forward delay + equal reverse delay.
-    vec![SimDuration::from_millis(60), SimDuration::from_millis(20)]
+/// The two-path topology both the recording and the sim replay use:
+/// paths 0 and 1 over a 100 Mbps / 30 ms and a 40 Mbps / 10 ms link.
+/// The paths are symmetric, so their base RTTs, which the udp replay host
+/// takes verbatim, are 60 and 20 ms.
+fn build_topology() -> Simulation {
+    let net = NetSpec {
+        links: vec![
+            LinkParams::paper_default(),
+            LinkParams::paper_default()
+                .with_capacity(Rate::from_mbps(40.0))
+                .with_delay(SimDuration::from_millis(10)),
+        ],
+        conns: vec![vec![vec![0], vec![1]]],
+    };
+    net.build(SEED)
 }
 
 fn sender_config() -> SenderConfig {
@@ -81,8 +82,7 @@ fn mi_decisions(records: &[Record]) -> Vec<(SimTime, u32, u64)> {
 
 /// Live run: sender behind a recording tap, real receiver, two paths.
 fn record_trace() -> PacketTrace {
-    let mut sim = Simulation::new(SEED);
-    build_topology(&mut sim);
+    let mut sim = build_topology();
     let sender = sim.add_endpoint(Box::new(Tap::new(fresh_sender())));
     let receiver = sim.add_endpoint(Box::new(mpcc_transport::MpReceiver::new(300_000_000)));
     assert_eq!((sender.0, receiver.0), (0, 1));
@@ -100,8 +100,7 @@ fn record_trace() -> PacketTrace {
 /// trace injected up front, peer replaced by a blackhole.
 fn replay_in_sim(trace: &PacketTrace) -> Vec<(SimTime, u32, u64)> {
     let (sink, tracer) = controller_tracer();
-    let mut sim = Simulation::new(SEED);
-    build_topology(&mut sim);
+    let mut sim = build_topology();
     sim.set_tracer(tracer);
     let sender = sim.add_endpoint(Box::new(fresh_sender()));
     sim.add_endpoint(Box::new(Blackhole::default()));
