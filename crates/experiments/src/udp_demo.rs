@@ -118,8 +118,9 @@ fn try_serve_receiver(seed: u64) -> io::Result<i32> {
         } else if got > 0 && t.saturating_since(last_change) >= RECEIVER_IDLE_EXIT {
             let st = peer.stats();
             eprintln!(
-                "udp receiver: done ({} datagrams, {} decode errors)",
-                st.received_datagrams, st.decode_errors
+                "udp receiver: done ({} datagrams, {} decode errors, {} send drops, \
+                 {} foreign datagrams)",
+                st.received_datagrams, st.decode_errors, st.send_drops, st.foreign_datagrams
             );
             return Ok(if st.decode_errors == 0 { 0 } else { 1 });
         }
@@ -242,12 +243,14 @@ fn run_sender(opts: &DemoOpts, tracer: &Tracer, p0: u16, p1: u16) -> io::Result<
     }
     println!(
         "  driver: {} datagrams sent ({} dropped at send), {} received, \
-         {} decode errors, {} timers",
+         {} decode errors, {} foreign datagrams, {} timers, {} idle sleeps",
         stats.sent_datagrams,
         stats.send_drops,
         stats.received_datagrams,
         stats.decode_errors,
+        stats.foreign_datagrams,
         stats.timers_fired,
+        stats.idle_sleeps,
     );
     // Sanity: the datagram count must cover the payload we claim to have
     // moved (each full segment carries MSS_PAYLOAD bytes).

@@ -380,7 +380,7 @@ fn check_admission(_: &Tracer, _: SimTime, _: LinkId, _: &Link, _: &Admission) {
 /// The deterministic random stream endpoint `id` receives in a simulation
 /// seeded with `seed`.
 ///
-/// Public so alternate drivers (the UDP replay host in `mpcc-udp`, the
+/// Public so alternate drivers (`mpcc_udp::UdpPeer`, replaying or live, the
 /// sim-vs-real cross-check harness) can hand an endpoint the exact stream
 /// it would draw inside the simulator — a prerequisite for reproducing its
 /// controller decisions bit-for-bit.
@@ -639,8 +639,9 @@ impl Simulation {
     /// Injected arrivals dispatch in the canonical same-time order: at one
     /// instant an endpoint's arrivals run by packet id, ahead of its timers
     /// by token, whatever order they were scheduled in, and timers armed
-    /// while that instant dispatches run after it. The UDP replay host
-    /// drains its queue by the same rule (`EventQueue::order_batch`).
+    /// while that instant dispatches run after it. The UDP driver
+    /// (`mpcc_udp::UdpPeer`, on sockets and under replay) drains its queue
+    /// by the same rule (`EventQueue::order_batch`).
     pub fn inject(&mut self, at: SimTime, mut pkt: Packet) {
         // Mark the packet past its last hop so arrival delivers it instead
         // of re-offering it to a link of whatever path id it recorded.

@@ -3,8 +3,8 @@
 //! The sim-vs-real cross-check (DESIGN.md §14) runs one endpoint twice:
 //! once inside a live simulation with a [`Tap`] recording every packet it
 //! receives, and once per driver under replay, where the recorded trace is
-//! fed back verbatim ([`Simulation::inject`] on the simulator side, the
-//! `mpcc-udp` replay host on the socket side). Because the endpoint is
+//! fed back verbatim ([`Simulation::inject`] on the simulator side,
+//! `mpcc_udp::UdpPeer::replay` on the socket side). Because the endpoint is
 //! deterministic given its packet arrivals, timer order and random stream,
 //! both replays must reproduce the original controller decisions exactly.
 //!

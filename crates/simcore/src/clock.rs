@@ -71,10 +71,11 @@ impl Clock for MonotonicClock {
 /// Virtual time under explicit control: the clock only moves when the
 /// owner advances it.
 ///
-/// This is the replay half of the sim/real cross-check: a real I/O driver
-/// run against a `ManualClock` steps through a recorded trace at the
-/// trace's own timestamps, making its behaviour as deterministic as the
-/// simulator's. Advancing backwards is a no-op (the trait contract is
+/// This is the replay half of the sim/real cross-check: the UDP driver's
+/// replay mode (`mpcc_udp::UdpPeer::replay`) runs its one event loop
+/// against a `ManualClock`, stepping through a recorded trace at the
+/// trace's own timestamps, which makes its behaviour as deterministic as
+/// the simulator's. Advancing backwards is a no-op (the trait contract is
 /// non-decreasing), so feeding unsorted timestamps cannot produce a
 /// time-travelling clock.
 #[derive(Clone, Copy, Debug, Default)]

@@ -4,17 +4,16 @@
 //! behind the [`mpcc_transport::HostCtx`] seam (the first is the
 //! `mpcc-netsim` simulator).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`codec`] — the binary wire format: one datagram per packet,
 //!   fixed-width little-endian fields, total (panic-free) decoding;
-//! * [`UdpPeer`] — a work-batching non-blocking socket loop under a
-//!   monotonic clock, one UDP socket per path, driving an unmodified
-//!   transport endpoint ([`MpSender`](mpcc_transport::MpSender) /
-//!   [`MpReceiver`](mpcc_transport::MpReceiver));
-//! * [`ReplayHost`] — the same endpoint-facing machinery with I/O and the
-//!   real clock removed, replaying a recorded packet trace under a manual
-//!   clock. This is what makes the socket path *testable against the
+//! * [`UdpPeer`] — one event loop driving an unmodified transport endpoint
+//!   ([`MpSender`](mpcc_transport::MpSender) /
+//!   [`MpReceiver`](mpcc_transport::MpReceiver)), either over non-blocking
+//!   UDP sockets (one per path) under a monotonic clock, or
+//!   ([`UdpPeer::replay`]) over a recorded packet trace under a manual
+//!   clock. Replay is what makes the socket loop *testable against the
 //!   simulator*: replaying one recorded ACK trace through both drivers
 //!   must reproduce the controller's decisions bit-for-bit (see
 //!   DESIGN.md §14 and `tests/udp_crosscheck.rs` at the workspace root).
@@ -23,8 +22,6 @@
 
 pub mod codec;
 pub mod host;
-pub mod replay;
 
 pub use codec::{decode, encode, DecodeError};
 pub use host::{HostStats, UdpPath, UdpPeer};
-pub use replay::{ReplayHost, ReplayStats};

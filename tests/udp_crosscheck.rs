@@ -3,13 +3,14 @@
 //! Records the ACK trace an MPCC sender sees in a live two-path
 //! simulation, then replays that exact trace into a fresh copy of the
 //! sender under BOTH drivers — the netsim simulator
-//! (`Simulation::inject`) and the mpcc-udp socket driver's replay host
-//! (`ReplayHost`, the socket event machinery under a manual clock) — and
-//! asserts the controller's monitor-interval decisions match
-//! bit-for-bit. This is the test that keeps the two data planes honest:
-//! if the socket driver's callback ordering, clock handling or rng
-//! plumbing ever drifts from the simulator's contract, rates diverge and
-//! this fails.
+//! (`Simulation::inject`) and the mpcc-udp socket driver
+//! (`UdpPeer::replay`: the loop that runs real sockets, with its I/O
+//! swapped for the trace and its clock for a manual one) — and asserts
+//! the controller's monitor-interval decisions and the senders' end
+//! states match bit-for-bit. This is the test that keeps the two data
+//! planes honest: if the socket driver's callback ordering, clock
+//! handling or rng plumbing ever drifts from the simulator's contract,
+//! rates diverge and this fails.
 
 use mpcc::{Mpcc, MpccConfig};
 use mpcc_netsim::topology::NetSpec;
@@ -18,7 +19,7 @@ use mpcc_simcore::{Rate, SimDuration, SimTime};
 use mpcc_telemetry::{ControllerEvent, LayerMask, Record, RingSink, TraceEvent, Tracer};
 use mpcc_transport::wire::{AckHeader, EndpointId, Header, Packet, PathId, SackBlocks};
 use mpcc_transport::{Endpoint, HostCtx, MpSender, PacketTrace, SchedulerKind, SenderConfig};
-use mpcc_udp::ReplayHost;
+use mpcc_udp::UdpPeer;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -27,7 +28,7 @@ const HORIZON: SimTime = SimTime::from_secs(2);
 
 /// The two-path topology both the recording and the sim replay use:
 /// paths 0 and 1 over a 100 Mbps / 30 ms and a 40 Mbps / 10 ms link.
-/// The paths are symmetric, so their base RTTs, which the udp replay host
+/// The paths are symmetric, so their base RTTs, which the udp replay
 /// takes verbatim, are 60 and 20 ms.
 fn build_topology() -> Simulation {
     let net = NetSpec {
@@ -96,9 +97,18 @@ fn record_trace() -> PacketTrace {
     tap.trace().clone()
 }
 
+/// What a replayed sender ends with: bytes acked and both subflows'
+/// stats at the horizon, compared field by field through `Debug`.
+type EndState = (u64, [String; 2]);
+
+fn end_state(snd: &MpSender) -> EndState {
+    let st = |i| format!("{:?}", snd.subflow_stats(i, HORIZON));
+    (snd.data_acked(), [st(0), st(1)])
+}
+
 /// Replay through the simulator: same topology and seed, fresh sender,
 /// trace injected up front, peer replaced by a blackhole.
-fn replay_in_sim(trace: &PacketTrace) -> Vec<(SimTime, u32, u64)> {
+fn replay_in_sim(trace: &PacketTrace) -> (Vec<(SimTime, u32, u64)>, EndState) {
     let (sink, tracer) = controller_tracer();
     let mut sim = build_topology();
     sim.set_tracer(tracer);
@@ -109,31 +119,34 @@ fn replay_in_sim(trace: &PacketTrace) -> Vec<(SimTime, u32, u64)> {
         sim.inject(e.at, e.pkt);
     }
     sim.run_until(HORIZON);
-    mi_decisions(&sink.records())
+    let end = end_state(sim.endpoint::<MpSender>(sender));
+    (mi_decisions(&sink.records()), end)
 }
 
-/// Replay through the socket driver's replay host: manual clock, same
-/// rng stream, same base-RTT hints.
-fn replay_in_udp(trace: &PacketTrace) -> Vec<(SimTime, u32, u64)> {
+/// Replay through the socket driver: manual clock, same rng stream, same
+/// base-RTT hints, `run` called once per deadline in `slices`.
+fn replay_in_udp(trace: &PacketTrace, slices: &[SimTime]) -> (Vec<(SimTime, u32, u64)>, UdpPeer) {
     let (sink, tracer) = controller_tracer();
     let base_rtts = vec![SimDuration::from_millis(60), SimDuration::from_millis(20)];
-    let mut host = ReplayHost::new(
+    let mut host = UdpPeer::replay(
         EndpointId(0),
         endpoint_rng(SEED, EndpointId(0)),
         tracer,
         base_rtts,
+        trace,
         Box::new(fresh_sender()),
     );
-    host.load(trace);
-    host.run(HORIZON);
-    mi_decisions(&sink.records())
+    for &deadline in slices {
+        host.run(deadline, |_| false);
+    }
+    (mi_decisions(&sink.records()), host)
 }
 
 #[test]
 fn sim_and_udp_replays_make_identical_mi_decisions() {
     let trace = record_trace();
-    let sim_decisions = replay_in_sim(&trace);
-    let udp_decisions = replay_in_udp(&trace);
+    let (sim_decisions, sim_end) = replay_in_sim(&trace);
+    let (udp_decisions, host) = replay_in_udp(&trace, &[HORIZON]);
     assert!(
         sim_decisions.len() > 20,
         "sim replay produced only {} MI decisions",
@@ -147,6 +160,17 @@ fn sim_and_udp_replays_make_identical_mi_decisions() {
     for (i, (s, u)) in sim_decisions.iter().zip(udp_decisions.iter()).enumerate() {
         assert_eq!(s, u, "decision {i} diverges: sim {s:?} vs udp {u:?}");
     }
+    let snd = host.endpoint::<MpSender>();
+    assert_eq!(sim_end, end_state(snd), "replayed senders end apart");
+    let sent: u64 = (0..2)
+        .map(|i| snd.subflow_stats(i, HORIZON).sent_packets)
+        .sum();
+    assert_eq!(host.stats().sent_datagrams, sent);
+    // `run` in slices (as `experiments udp`'s receiver drives it) decides
+    // the same as one call.
+    let half = SimTime::from_nanos(HORIZON.as_nanos() / 2);
+    let (sliced, _) = replay_in_udp(&trace, &[half, HORIZON]);
+    assert_eq!(udp_decisions, sliced, "slicing `run` changed the decisions");
 }
 
 /// The instant every [`TieProbe`] event lands on.
@@ -218,15 +242,15 @@ fn same_instant_events_fire_in_canonical_order_under_both_drivers() {
     sim.run_until(HORIZON);
     let in_sim = sim.endpoint::<TieProbe>(probe).fired.clone();
 
-    let mut host = ReplayHost::new(
+    let mut host = UdpPeer::replay(
         probe,
         endpoint_rng(SEED, probe),
         Tracer::off(),
         Vec::new(),
+        &trace,
         Box::<TieProbe>::default(),
     );
-    host.load(&trace);
-    host.run(HORIZON);
+    host.run(HORIZON, |_| false);
     let in_udp = host.endpoint::<TieProbe>().fired.clone();
 
     assert_eq!(
