@@ -38,10 +38,9 @@ pub struct ExpConfig {
     /// and fault-free by default; `--jobs`, `--trace`, `--metrics` and
     /// `--faults` configure it in the binary).
     pub exec: Executor,
-    /// Intra-run shard count (`--shards N`) for the scenarios that run on
-    /// the partitioned engine (`churn`, `fig19`). Every shard count
-    /// produces identical results; 1, the default, is one instance owning
-    /// the whole topology.
+    /// Intra-run shard count (`--shards N`) of `churn`, the one scenario
+    /// on the partitioned engine. Every shard count produces identical
+    /// results; 1, the default, is one instance owning the whole topology.
     pub shards: u8,
     /// `fig19 --full-scale`: the full-size 25 Gbps fabric and the paper's
     /// flow classes instead of the ~20x-scaled-down defaults.

@@ -6,8 +6,8 @@
 //! stream), or `experiments udp [--udp-bytes N]` (real-socket loopback
 //! demo), or `experiments check [--fluid] [--sweep] [--sweep-cases N]`
 //! (theory oracles). Unknown options and experiment ids, missing or bad
-//! option values, and `--faults` on `udp`, are rejected with the usage
-//! text (exit 2) before anything runs.
+//! option values, `--faults` on `udp` and `--shards` without `churn` are
+//! rejected with the usage text (exit 2) before anything runs.
 
 use mpcc_experiments::check;
 use mpcc_experiments::report;
@@ -31,13 +31,13 @@ fn main() {
     let mut metrics_bin: Option<SimDuration> = None;
     let mut report_mode = false;
     let mut faults: Option<FaultPlan> = None;
+    let mut shards: Option<u8> = None;
     let mut list_mode = false;
     let mut check_mode = false;
     let mut check_fluid = false;
     let mut check_sweep = false;
     let mut sweep_cases = check::SWEEP_DEFAULT_CASES;
     let mut udp_mode = false;
-    let mut udp_receiver = false;
     let mut udp_bytes = udp_demo::DEFAULT_BYTES;
     let mut jobs: usize = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -48,7 +48,7 @@ fn main() {
             "--full" => cfg.full = true,
             "--seed" => cfg.seed = flag_value(&mut it, &arg, at_least(0)),
             "--runs" => cfg.runs = flag_value(&mut it, &arg, at_least(1)),
-            "--shards" => cfg.shards = flag_value(&mut it, &arg, at_least(1)),
+            "--shards" => shards = Some(flag_value(&mut it, &arg, at_least(1))),
             "--full-scale" => cfg.full_scale = true,
             "--jobs" => jobs = flag_value(&mut it, &arg, at_least(1)),
             "--out" => cfg.out_dir = flag_value(&mut it, &arg, |v| Ok(v.into())),
@@ -64,7 +64,6 @@ fn main() {
             "--sweep-cases" => sweep_cases = flag_value(&mut it, &arg, at_least(1)),
             "report" => report_mode = true,
             "udp" => udp_mode = true,
-            "--udp-receiver" => udp_receiver = true,
             "--udp-bytes" => udp_bytes = flag_value(&mut it, &arg, at_least(1)),
             "all" => ids.extend(ALL.iter().map(|s| s.to_string())),
             flag if flag.starts_with("--") => usage_error(&format!("unknown option {flag:?}")),
@@ -74,9 +73,6 @@ fn main() {
     if list_mode {
         println!("available experiments: {}", ALL.join(" "));
         return;
-    }
-    if udp_receiver {
-        std::process::exit(udp_demo::serve_receiver(cfg.seed));
     }
     if report_mode {
         // `experiments report FILE...`: flight-recorder Markdown from the
@@ -105,6 +101,12 @@ fn main() {
     }
     if udp_mode && faults.is_some() {
         usage_error("--faults does not apply to `udp`: real sockets have no simulated links");
+    }
+    if let Some(n) = shards {
+        if !ids.iter().any(|id| id == "churn") {
+            usage_error("--shards applies only to `churn`, the one partitioned scenario");
+        }
+        cfg.shards = n;
     }
     // One executor for every mode that runs something: it alone applies
     // run ids, the `--trace`/`--metrics` telemetry and the `--faults`
@@ -249,7 +251,7 @@ fn usage_error(msg: &str) -> ! {
     eprintln!("experiments: {msg}");
     eprintln!(
         "usage: experiments <id>... | all | list  [--full] [--seed N] [--runs N] [--jobs N] \
-         [--shards N] [--full-scale] \
+         [--shards N (churn only)] [--full-scale] \
          [--out DIR] [--trace FILE] [--trace-filter controller,transport,link] \
          [--metrics FILE] [--metrics-bin 500ms] \
          [--faults 'reorder:p=0.05,extra=20ms;outage:at=5s,down=1s']\n\

@@ -14,8 +14,8 @@ use crate::protocols;
 use crate::runner::RunCtx;
 use crate::ExpConfig;
 use mpcc_metrics::Summary;
-use mpcc_netsim::topology::{ClosConfig, ClosPartition};
-use mpcc_netsim::{EndpointId, Simulation};
+use mpcc_netsim::topology::ClosConfig;
+use mpcc_netsim::EndpointId;
 use mpcc_simcore::rng::splitmix64;
 use mpcc_simcore::{SimDuration, SimRng, SimTime};
 use mpcc_transport::{MpReceiver, MpSender, SenderConfig, Workload};
@@ -190,13 +190,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
     }
     for mut fig in per_class {
         if cfg.full_scale {
-            fig.note("full-size fabric: 25 Gbps links, 8 hosts, flow classes 10KB/10MB/1GB (paper's 10 GB bulk cut 10× for runtime), 3 subflows via ECMP, sharded engine");
+            fig.note("full-size fabric: 25 Gbps links, 8 hosts, flow classes 10KB/10MB/1GB (paper's 10 GB bulk cut 10× for runtime), 3 subflows via ECMP");
         } else {
             fig.note("fabric scaled 20×: 1.25 Gbps links, 8 hosts, flow classes 10KB/1MB/50MB, 3 subflows via ECMP");
         }
-        fig.note(
-            "simulated on the partitioned engine; results are identical at every --shards count",
-        );
         figs.push(fig);
     }
     figs
@@ -206,15 +203,15 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
 /// outcomes in input order.
 fn run_protocols(cfg: &ExpConfig, protos: &[&str], shape: Shape) -> Vec<(Vec<Vec<f64>>, usize)> {
     cfg.exec.run_jobs(protos.to_vec(), |proto, ctx| {
-        run_proto_sharded(cfg, proto, shape, ctx)
+        run_proto(cfg, proto, shape, ctx)
     })
 }
 
 /// Test/harness entry: runs `protos` through the executor exactly as
 /// [`run`] does (telemetry and `--faults` included), but
 /// with a miniature workload — one long / one medium / two short flows
-/// per host with 20×-smaller classes, capped at `cap_secs` — so shard
-/// determinism can be exercised in seconds.
+/// per host with 20×-smaller classes, capped at `cap_secs` — so tests
+/// run it in seconds.
 pub fn run_protocols_scaled(
     cfg: &ExpConfig,
     protos: &[&str],
@@ -228,13 +225,10 @@ pub fn run_protocols_scaled(
     run_protocols(cfg, protos, shape)
 }
 
-/// Runs one protocol's complete Clos workload, partitioned by rack over
-/// `cfg.shards` engine instances (DESIGN.md §16; one instance by default).
-/// Every shard registers the identical links/paths/endpoint slots (so ids
-/// line up) and installs only the endpoints of the hosts it owns. Returns
+/// Runs one protocol's complete Clos workload on one simulation. Returns
 /// the per-class FCT samples (ms) and the number of flows still
 /// incomplete at the cap.
-fn run_proto_sharded(
+fn run_proto(
     cfg: &ExpConfig,
     proto: &str,
     shape: Shape,
@@ -244,35 +238,28 @@ fn run_proto_sharded(
     let fab = fabric(cfg);
     let flows = workload(&shape, fab.hosts(), splitmix64(seed ^ 1));
     let conns: Vec<_> = flows.iter().map(|f| (f.src, f.dst, 3)).collect();
-    // Flow `i` reserves slot `2i` for its receiver, then `2i + 1` for its
+    let net = fab.net(&conns);
+    let mut sim = net.build(seed);
+    // Flow `i` gets endpoint `2i` for its receiver, then `2i + 1` for its
     // sender.
-    let slot_hosts: Vec<usize> = flows.iter().flat_map(|f| [f.dst, f.src]).collect();
-    let install = |me: u8, sim: &mut Simulation, part: &ClosPartition| {
-        for (i, flow) in flows.iter().enumerate() {
-            let (recv, sender) = (2 * i, 2 * i + 1);
-            if part.slot_shard[recv] == me {
-                sim.install_endpoint(part.slots[recv], Box::new(MpReceiver::paper_default()));
-            }
-            if part.slot_shard[sender] == me {
-                let cc = protocols::make(proto, splitmix64(seed ^ (0x5EED + i as u64)));
-                let cfg_s = SenderConfig {
-                    dst: part.slots[recv],
-                    paths: part.paths[i].clone(),
-                    workload: Workload::Finite(flow.bytes),
-                    scheduler: protocols::scheduler_for(proto),
-                    start_at: flow.start,
-                    peer_buffer: 300_000_000,
-                };
-                sim.install_endpoint(part.slots[sender], Box::new(MpSender::new(cfg_s, cc)));
-            }
-        }
-    };
-    let (mut sim, part) = fab.partitioned(seed, cfg.shards.max(1), &conns, &slot_hosts, install);
-    // Where flow `i`'s sender lives, and its id.
-    let senders: Vec<(usize, EndpointId)> = (0..flows.len())
-        .map(|i| (part.slot_shard[2 * i + 1] as usize, part.slots[2 * i + 1]))
+    let senders: Vec<EndpointId> = flows
+        .iter()
+        .enumerate()
+        .map(|(i, flow)| {
+            let dst = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
+            let cc = protocols::make(proto, splitmix64(seed ^ (0x5EED + i as u64)));
+            let cfg_s = SenderConfig {
+                dst,
+                paths: net.paths(i),
+                workload: Workload::Finite(flow.bytes),
+                scheduler: protocols::scheduler_for(proto),
+                start_at: flow.start,
+                peer_buffer: 300_000_000,
+            };
+            sim.add_endpoint(Box::new(MpSender::new(cfg_s, cc)))
+        })
         .collect();
-    ctx.attach_sharded(&mut sim);
+    ctx.attach(&mut sim);
     let cap = SimTime::from_secs(shape.cap_secs);
     let mut t = SimTime::ZERO;
     loop {
@@ -280,15 +267,15 @@ fn run_proto_sharded(
         sim.run_until(t);
         let done = senders
             .iter()
-            .all(|&(shard, id)| sim.shard(shard).endpoint::<MpSender>(id).is_complete());
+            .all(|&id| sim.endpoint::<MpSender>(id).is_complete());
         if done || t >= cap {
             break;
         }
     }
     let mut fcts: Vec<Vec<f64>> = vec![Vec::new(); 3];
     let mut incomplete = 0;
-    for (flow, &(shard, id)) in flows.iter().zip(&senders) {
-        match sim.shard(shard).endpoint::<MpSender>(id).fct() {
+    for (flow, &id) in flows.iter().zip(&senders) {
+        match sim.endpoint::<MpSender>(id).fct() {
             Some(d) => fcts[flow.class].push(d.as_secs_f64() * 1000.0),
             None => incomplete += 1,
         }

@@ -1,6 +1,6 @@
 //! The `experiments` binary rejects bad input up front: an unknown option
 //! or experiment id, a bad option value (`--runs 0` and `--metrics-bin 0s`
-//! included), and `--faults` on `udp`, exit
+//! included), `--faults` on `udp` and `--shards` without `churn` exit
 //! with status 2 and the usage text before any experiment runs or any
 //! output file exists.
 
@@ -14,7 +14,7 @@ fn bad_input_exits_2_before_anything_runs() {
     let out = dir.join("results");
     let trace = dir.join("trace.jsonl");
     let metrics = dir.join("metrics.jsonl");
-    let cases: [&[&str]; 9] = [
+    let cases: [&[&str]; 10] = [
         &["--bogus"],
         &["--seed", "x"],
         &["fig2", "--jobs", "0"],
@@ -24,6 +24,7 @@ fn bad_input_exits_2_before_anything_runs() {
         &["udp", "--faults", "dup:p=0.1"],
         &["fig5a", "--runs", "0"],
         &["fig2", "--metrics-bin", "0s"],
+        &["fig19", "--shards", "4"],
     ];
     for args in cases {
         let run = Command::new(env!("CARGO_BIN_EXE_experiments"))

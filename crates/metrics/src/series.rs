@@ -89,20 +89,6 @@ impl RateSeries {
         }
         pts.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>() / (pts.len() - 1) as f64
     }
-
-    /// Mean absolute tracking error against a reference series `opt`
-    /// (time-aligned by index) — how closely the sender follows the
-    /// optimal rate in Fig. 7/8.
-    pub fn tracking_error(&self, opt: &[f64]) -> f64 {
-        let n = self.points.len().min(opt.len());
-        if n == 0 {
-            return 0.0;
-        }
-        (0..n)
-            .map(|i| (self.points[i].mbps - opt[i]).abs())
-            .sum::<f64>()
-            / n as f64
-    }
 }
 
 /// Renders `vals` as a unicode sparkline (`▁▂▃▄▅▆▇█`), scaled between the
@@ -228,16 +214,6 @@ mod tests {
         }
         // Rates alternate 10, 20, 10, 20... jitter = 10.
         assert!((s.jitter_after(SimTime::ZERO) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tracking_error_against_reference() {
-        let mut s = RateSeries::new();
-        s.push_cumulative(t(0), 0);
-        s.push_cumulative(t(1000), 1_250_000); // 10
-        s.push_cumulative(t(2000), 3_750_000); // 20
-        let err = s.tracking_error(&[12.0, 18.0]);
-        assert!((err - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use packet::{
     MSS_PAYLOAD, MSS_WIRE,
 };
 pub use replay::{Blackhole, Tap};
-pub use shard::{NoHook, ShardHook, ShardedSimulation};
+pub use shard::{ShardHook, ShardedSimulation};

@@ -824,11 +824,6 @@ impl Simulation {
         self.run_until(until);
     }
 
-    /// Runs until no events remain (useful for finite workloads).
-    pub fn run_to_completion(&mut self) {
-        self.run_until(SimTime::MAX);
-    }
-
     fn start_pending(&mut self) {
         // Same-instant starts run in ascending endpoint-id order — the
         // canonical order for starts, exactly as same-time events dispatch
@@ -1369,7 +1364,7 @@ mod tests {
             timer_fired: false,
         }));
         let receiver = sim.add_endpoint(Box::new(TestReceiver { received: 0 }));
-        sim.run_to_completion();
+        sim.run_until(SimTime::MAX);
         assert!(sim.endpoint::<TestReceiver>(receiver).received > 0);
         assert!(sim.link_stats(l1).duplicated + sim.link_stats(l2).duplicated > 0);
         assert!(sim.events.is_empty());

@@ -63,7 +63,7 @@ pub trait ShardHook: Send {
 }
 
 /// The default hook: no mid-run driver logic.
-pub struct NoHook;
+struct NoHook;
 
 impl ShardHook for NoHook {
     fn at_boundary(&mut self, _sim: &mut Simulation, _now: SimTime, _bound: SimTime) {}
@@ -254,17 +254,6 @@ impl ShardedSimulation {
     pub fn run_until(&mut self, until: SimTime) {
         if until <= self.now {
             return;
-        }
-        if let ([sim], [hook]) = (&mut self.shards[..], &self.hooks[..]) {
-            if hook.as_any().is::<NoHook>() {
-                // One shard with no boundary hook: no handoff and no hook
-                // call happens at an epoch boundary, so windows would only
-                // cut the run into pieces. The outcome is the same either
-                // way (inline link service is outcome-neutral).
-                sim.run_until(until);
-                self.now = until;
-                return;
-            }
         }
         let per_lane = self.shards.len().div_ceil(self.exchange.lanes);
         let (ex, start, lookahead) = (&self.exchange, self.now, self.lookahead);
