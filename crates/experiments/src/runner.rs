@@ -113,9 +113,10 @@ struct ExecInner {
 ///
 /// [`Executor::run_jobs`] gives every job its run id, its part-file
 /// telemetry and the `--faults` overlay (through a [`RunCtx`]) in
-/// submission order, runs the jobs on up to `jobs` threads, and merges the
-/// part files in run-id order, so any worker count produces identical
-/// output. Cloning shares the pool configuration and the run-id counter.
+/// submission order, runs the jobs on up to `jobs` threads, and merges
+/// each run's part files as soon as it and every earlier run are done, in
+/// run-id order, so any worker count produces identical output. Cloning
+/// shares the pool configuration and the run-id counter.
 #[derive(Clone, Debug)]
 pub struct Executor {
     inner: Arc<ExecInner>,
@@ -214,27 +215,38 @@ impl Executor {
     /// through. Each job gets a [`RunCtx`] holding its run id (assigned
     /// here, in submission order, before anything executes), its keyed
     /// part-file telemetry and the `--faults` overlay; the job attaches
-    /// it to the simulation it builds. Once every job is done, the
-    /// executor flushes each run's tracers and merges its part files into
-    /// the `--trace`/`--metrics` files, one run after another in run-id
-    /// order, so the merged bytes are independent of the worker count.
+    /// it to the simulation it builds. As soon as a job and every earlier
+    /// job of the batch are done, the executor flushes that run's tracers
+    /// and merges its part files into the `--trace`/`--metrics` files.
+    /// Merges happen under one lock, one run after another in run-id
+    /// order, so the merged bytes are independent of the worker count and
+    /// a finished run's parts leave the disk without waiting for the
+    /// whole batch.
     pub fn run_jobs<J, R, F>(&self, jobs: Vec<J>, f: F) -> Vec<R>
     where
         J: Send,
         R: Send,
         F: Fn(J, &mut RunCtx) -> R + Sync,
     {
-        let jobs: Vec<(J, RunCtx)> = jobs.into_iter().map(|j| (j, self.claim())).collect();
-        let done = self.map(jobs, |(job, mut ctx)| {
+        let jobs: Vec<(usize, J, RunCtx)> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(i, j)| (i, j, self.claim()))
+            .collect();
+        // The next batch index to merge, and finished runs waiting for it.
+        let unmerged: Vec<Option<RunCtx>> = jobs.iter().map(|_| None).collect();
+        let merger = Mutex::new((0, unmerged));
+        self.map(jobs, |(i, job, mut ctx)| {
             let result = f(job, &mut ctx);
-            (result, ctx)
-        });
-        done.into_iter()
-            .map(|(result, ctx)| {
+            let mut guard = merger.lock().expect("merge queue poisoned");
+            let (next, unmerged) = &mut *guard;
+            unmerged[i] = Some(ctx);
+            while let Some(ctx) = unmerged.get_mut(*next).and_then(Option::take) {
                 ctx.merge().expect("cannot merge per-run part files");
-                result
-            })
-            .collect()
+                *next += 1;
+            }
+            result
+        })
     }
 
     /// Runs a batch of independent scenarios (see [`Executor::run_jobs`]),
@@ -308,10 +320,11 @@ impl Executor {
 /// Telemetry is one keyed part stream per shard (a single instance is one
 /// part), named `<stem>.runNNNNN.shardNN.<ext>` next to the merged file.
 /// The executor merges the parts into the `--trace`/`--metrics` files in
-/// canonical dispatch order once the job returns, so the merged bytes are
-/// identical at every `--jobs` and `--shards` count and at either lane
-/// count (DESIGN.md §13, §16). Untraced runs pay
-/// nothing: with neither sink configured no part file exists.
+/// canonical dispatch order once the job and every earlier job of its
+/// batch have returned, so the merged bytes are identical at every
+/// `--jobs` and `--shards` count and at either lane count (DESIGN.md §13,
+/// §16). Untraced runs pay nothing: with neither sink configured no part
+/// file exists.
 pub struct RunCtx {
     run_id: u64,
     faults: FaultPlan,
@@ -908,6 +921,34 @@ mod tests {
                 "no subflow rows for run {run}"
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn each_run_merges_before_the_next_job_starts() {
+        let dir = std::env::temp_dir().join(format!("mpcc-eager-merge-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("metrics.jsonl");
+        let part = |run: u64| part_path(&path, "metrics", &format!("run{run:05}"), 0);
+        Executor::serial()
+            .with_metrics(MetricsConfig::new(path.clone()))
+            .run_jobs(vec![0u64, 1, 2], |k, ctx| {
+                if k >= 1 {
+                    assert!(!part(k - 1).exists(), "run {} part not merged", k - 1);
+                    let merged = fs::read_to_string(&path).unwrap();
+                    assert!(
+                        merged
+                            .lines()
+                            .any(|l| l.contains(&format!("\"run\":{}", k - 1))),
+                        "run {} rows missing from the merged file",
+                        k - 1
+                    );
+                }
+                let result = simulate(&tiny(k + 1), |sim| ctx.attach(sim));
+                assert!(part(k).exists(), "run {k} wrote no part file");
+                result
+            });
+        assert!(!part(2).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -632,24 +632,6 @@ impl Simulation {
         self.stale_events
     }
 
-    /// Schedules `pkt` to arrive at its destination endpoint at absolute
-    /// time `at`, bypassing every link. Replay harnesses use this to feed
-    /// a recorded packet trace back into a simulation (see [`crate::replay`]).
-    ///
-    /// Injected arrivals dispatch in the canonical same-time order: at one
-    /// instant an endpoint's arrivals run by packet id, ahead of its timers
-    /// by token, whatever order they were scheduled in, and timers armed
-    /// while that instant dispatches run after it. The UDP driver
-    /// (`mpcc_udp::UdpPeer`, on sockets and under replay) drains its queue
-    /// by the same rule (`EventQueue::order_batch`).
-    pub fn inject(&mut self, at: SimTime, mut pkt: Packet) {
-        // Mark the packet past its last hop so arrival delivers it instead
-        // of re-offering it to a link of whatever path id it recorded.
-        pkt.hop = usize::MAX;
-        let ev = self.slab.arrive(pkt);
-        self.events.schedule(at, ev);
-    }
-
     /// Schedules a link parameter change at absolute time `at`.
     pub fn schedule_link_change(&mut self, at: SimTime, link: LinkId, params: LinkParams) {
         self.events
@@ -689,10 +671,20 @@ impl Simulation {
         }
     }
 
-    /// Schedules a packet handed off from another shard. Unlike
-    /// [`Simulation::inject`], the packet's hop is preserved: mid-path
-    /// packets re-enter at their next link, past-last-hop packets deliver
-    /// to their destination endpoint.
+    /// Schedules `pkt` to arrive at absolute time `at`, keeping its hop:
+    /// a mid-path packet re-enters at its next link, a past-last-hop
+    /// packet (`hop = usize::MAX`, as every `send_direct` packet carries)
+    /// delivers to its destination endpoint. The sharded engine hands
+    /// cross-shard packets over this way, and replay harnesses feed a
+    /// recorded packet trace back into a simulation (see
+    /// [`crate::replay`]).
+    ///
+    /// Arrivals dispatch in the canonical same-time order: at one instant
+    /// an endpoint's arrivals run by packet id, ahead of its timers by
+    /// token, whatever order they were scheduled in, and timers armed
+    /// while that instant dispatches run after it. The UDP driver
+    /// (`mpcc_udp::UdpPeer`, on sockets and under replay) drains its queue
+    /// by the same rule (`EventQueue::order_batch`).
     pub fn inject_arrival(&mut self, at: SimTime, pkt: Packet) {
         let ev = self.slab.arrive(pkt);
         self.events.schedule(at, ev);
@@ -1283,7 +1275,7 @@ mod tests {
         let mut sim = Simulation::new(5);
         let link = sim.add_link(LinkParams::paper_default());
         let path = sim.add_path(vec![link]);
-        let sender = sim.add_endpoint(Box::new(TestSender {
+        sim.add_endpoint(Box::new(TestSender {
             path,
             peer: EndpointId(1),
             count: 1,
@@ -1299,28 +1291,6 @@ mod tests {
         sim.run_until(SimTime::from_millis(61));
         let ack_id = (receiver.0 as u64) << 32;
         assert_eq!(stamp.get(), (60_120_000, 1, 1, ack_id, u64::MAX));
-
-        // `inject` marks a packet past its last hop, whatever its hop was.
-        let data = Packet {
-            id: 42,
-            src: sender,
-            dst: receiver,
-            path,
-            hop: 0,
-            size: MSS_WIRE,
-            header: Header::Data(DataHeader {
-                subflow: 0,
-                seq: 1,
-                dsn: MSS_PAYLOAD,
-                payload_len: MSS_PAYLOAD,
-                sent_at: SimTime::from_millis(70),
-                is_retransmission: false,
-            }),
-        };
-        sim.inject(SimTime::from_millis(70), data);
-        sim.run_until(SimTime::from_millis(71));
-        assert_eq!(stamp.get(), (70_000_000, 1, 1, 42, u64::MAX));
-        assert_eq!(sim.endpoint::<TestReceiver>(receiver).received, 2);
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! The sim-vs-real cross-check (DESIGN.md §14) runs one endpoint twice:
 //! once inside a live simulation with a [`Tap`] recording every packet it
 //! receives, and once per driver under replay, where the recorded trace is
-//! fed back verbatim ([`Simulation::inject`] on the simulator side,
-//! `mpcc_udp::UdpPeer::replay` on the socket side). Because the endpoint is
-//! deterministic given its packet arrivals, timer order and random stream,
-//! both replays must reproduce the original controller decisions exactly.
+//! fed back verbatim ([`Simulation::inject_arrival`] on the simulator
+//! side, `mpcc_udp::UdpPeer::replay` on the socket side). Recorded packets
+//! keep their hop; the ACKs a sender sees went by `send_direct`, which
+//! marks them past their last hop, so they deliver straight to the
+//! endpoint. Because the endpoint is deterministic given its packet
+//! arrivals, timer order and random stream, both replays must reproduce
+//! the original controller decisions exactly.
 //!
-//! [`Simulation::inject`]: crate::Simulation::inject
+//! [`Simulation::inject_arrival`]: crate::Simulation::inject_arrival
 
 use crate::network::{Endpoint, HostCtx};
 use crate::packet::Packet;

@@ -7,15 +7,20 @@
 //! one RTT later — at which point its statistics (goodput, loss rate,
 //! latency gradient) are reported to the controller, exactly as in PCC
 //! Vivace.
+//!
+//! The tracker keeps no per-packet state. Every send on an MI subflow
+//! lands in the running interval, so a closed interval's sent count is the
+//! width of its sequence range. Acks and losses come from the subflow's
+//! [`Scoreboard`](crate::sack::Scoreboard), which resolves each sequence
+//! number exactly once (an acked entry becomes a tombstone, a lost one is
+//! popped), so [`MiTracker::on_acked`] and [`MiTracker::on_lost`] count
+//! what they are fed without deduplicating. The sender's `mi_resolution`
+//! check (`acked + lost ≤ sent` per report) is the runtime check of that
+//! guarantee.
 
 use crate::controller::MiReport;
-use crate::ranges::RangeSet;
 use mpcc_simcore::{Rate, SimDuration, SimTime};
 use std::collections::VecDeque;
-
-/// How many spent per-MI resolution sets the tracker keeps for reuse, so
-/// the steady-state MI cycle stops allocating once warmed up.
-const SPARE_SETS: usize = 8;
 
 /// One monitor interval's accumulating state.
 #[derive(Clone, Debug)]
@@ -28,7 +33,6 @@ struct Mi {
     seq_start: u64,
     /// One past the last sequence number sent in the interval; set at close.
     seq_end: Option<u64>,
-    sent: u64,
     acked: u64,
     lost: u64,
     acked_bytes: u64,
@@ -40,10 +44,6 @@ struct Mi {
     sxx: f64,
     sxy: f64,
     app_limited: bool,
-    /// Sequence numbers already resolved (acked or lost) within this
-    /// interval. A packet declared lost by dupthresh and later acked by a
-    /// late SACK must count exactly once, or `acked + lost` exceeds `sent`.
-    resolved_seqs: RangeSet,
 }
 
 impl Mi {
@@ -55,18 +55,14 @@ impl Mi {
             }
     }
 
-    fn resolved(&self) -> bool {
-        self.seq_end.is_some() && self.acked + self.lost >= self.sent
+    /// Packets sent in the interval (its sequence range), once closed.
+    fn sent_packets(&self) -> Option<u64> {
+        self.seq_end.map(|end| end - self.seq_start)
     }
 
-    /// Claims `seq` for resolution; returns `false` if the interval has
-    /// already counted this sequence number (first resolution wins).
-    fn claim(&mut self, seq: u64) -> bool {
-        if self.resolved_seqs.contains(seq) {
-            return false;
-        }
-        self.resolved_seqs.insert(seq, seq + 1);
-        true
+    fn resolved(&self) -> bool {
+        self.sent_packets()
+            .is_some_and(|sent| self.acked + self.lost >= sent)
     }
 
     fn report(&self, subflow: usize, now: SimTime) -> MiReport {
@@ -77,10 +73,11 @@ impl Mi {
         } else {
             duration
         };
-        let loss_rate = if self.sent == 0 {
+        let sent = self.sent_packets().unwrap_or(0);
+        let loss_rate = if sent == 0 {
             0.0
         } else {
-            self.lost as f64 / self.sent as f64
+            self.lost as f64 / sent as f64
         };
         let goodput = Rate::from_bps(self.acked_bytes as f64 * 8.0 / duration.as_secs_f64());
         let latency_gradient = self.slope();
@@ -95,7 +92,7 @@ impl Mi {
             start: self.start,
             duration,
             completed_at: now,
-            sent_packets: self.sent,
+            sent_packets: sent,
             acked_packets: self.acked,
             lost_packets: self.lost,
             acked_bytes: self.acked_bytes,
@@ -127,8 +124,6 @@ pub struct MiTracker {
     current: Option<Mi>,
     pending: VecDeque<Mi>,
     next_id: u64,
-    /// Recycled resolution sets from reported intervals (see [`SPARE_SETS`]).
-    spare: Vec<RangeSet>,
 }
 
 impl MiTracker {
@@ -137,26 +132,12 @@ impl MiTracker {
         Self::default()
     }
 
-    /// Resets to the fresh state in place. Resolution sets from any
-    /// in-flight intervals are recycled into the spare pool (capacity
-    /// permitting) so a recycled connection's MI cycle stays
-    /// allocation-free.
+    /// Resets to the fresh state in place, keeping the pending queue's
+    /// capacity so a recycled connection's MI cycle stays allocation-free.
     pub fn reset_for_reuse(&mut self) {
-        if let Some(mi) = self.current.take() {
-            self.recycle_set(mi.resolved_seqs);
-        }
-        while let Some(mi) = self.pending.pop_front() {
-            self.recycle_set(mi.resolved_seqs);
-        }
+        self.current = None;
+        self.pending.clear();
         self.next_id = 0;
-    }
-
-    /// Stashes a spent resolution set for reuse, bounded by [`SPARE_SETS`].
-    fn recycle_set(&mut self, mut set: RangeSet) {
-        if self.spare.len() < SPARE_SETS {
-            set.clear();
-            self.spare.push(set);
-        }
     }
 
     /// Starts a new interval at `now` with sending rate `rate`, closing the
@@ -172,7 +153,6 @@ impl MiTracker {
             closed_at: None,
             seq_start: next_seq,
             seq_end: None,
-            sent: 0,
             acked: 0,
             lost: 0,
             acked_bytes: 0,
@@ -182,13 +162,12 @@ impl MiTracker {
             sxx: 0.0,
             sxy: 0.0,
             app_limited: false,
-            resolved_seqs: self.spare.pop().unwrap_or_default(),
         });
         id
     }
 
     /// Closes the current interval (no new packets attributed to it).
-    pub fn close_current(&mut self, now: SimTime, next_seq: u64) {
+    fn close_current(&mut self, now: SimTime, next_seq: u64) {
         if let Some(mut mi) = self.current.take() {
             mi.closed_at = Some(now);
             mi.seq_end = Some(next_seq);
@@ -201,14 +180,6 @@ impl MiTracker {
         self.current.as_ref().map(|mi| mi.id)
     }
 
-    /// Records a packet transmission (sequence numbers are attributed to
-    /// the running interval).
-    pub fn on_sent(&mut self, _seq: u64) {
-        if let Some(mi) = &mut self.current {
-            mi.sent += 1;
-        }
-    }
-
     /// Flags the running interval as application-limited.
     pub fn mark_app_limited(&mut self) {
         if let Some(mi) = &mut self.current {
@@ -217,12 +188,10 @@ impl MiTracker {
     }
 
     /// Records an acknowledgement of `seq` (sent at `sent_at`, measured
-    /// RTT `rtt`, carrying `bytes` of payload).
+    /// RTT `rtt`, carrying `bytes` of payload). Each sequence number must
+    /// be resolved at most once, as the scoreboard reports it.
     pub fn on_acked(&mut self, seq: u64, sent_at: SimTime, rtt: SimDuration, bytes: u64) {
         if let Some(mi) = self.find_mut(seq) {
-            if !mi.claim(seq) {
-                return;
-            }
             mi.acked += 1;
             mi.acked_bytes += bytes;
             let x = sent_at.saturating_since(mi.start).as_secs_f64();
@@ -235,12 +204,10 @@ impl MiTracker {
         }
     }
 
-    /// Records a loss of `seq`.
+    /// Records a loss of `seq` (at most once per sequence number, like
+    /// [`MiTracker::on_acked`]).
     pub fn on_lost(&mut self, seq: u64) {
         if let Some(mi) = self.find_mut(seq) {
-            if !mi.claim(seq) {
-                return;
-            }
             mi.lost += 1;
         }
     }
@@ -261,12 +228,8 @@ impl MiTracker {
         let mut out = Vec::new();
         while let Some(front) = self.pending.front() {
             if front.resolved() {
-                let mut mi = self.pending.pop_front().expect("front exists");
+                let mi = self.pending.pop_front().expect("front exists");
                 out.push(mi.report(subflow, now));
-                if self.spare.len() < SPARE_SETS {
-                    mi.resolved_seqs.clear();
-                    self.spare.push(mi.resolved_seqs);
-                }
             } else {
                 break;
             }
@@ -283,15 +246,14 @@ impl MiTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sack::{Chunk, Scoreboard, SentMeta};
+    use crate::wire::{AckHeader, SackBlocks, SeqRange};
 
     #[test]
     fn mi_lifecycle_and_report() {
         let mut t = MiTracker::new();
         let t0 = SimTime::ZERO;
         t.begin(Rate::from_mbps(10.0), t0, 0);
-        for seq in 0..10 {
-            t.on_sent(seq);
-        }
         // Close at 100 ms; next MI starts.
         let t1 = SimTime::from_millis(100);
         t.begin(Rate::from_mbps(20.0), t1, 10);
@@ -325,9 +287,6 @@ mod tests {
     fn latency_gradient_detects_rtt_growth() {
         let mut t = MiTracker::new();
         t.begin(Rate::from_mbps(10.0), SimTime::ZERO, 0);
-        for seq in 0..10 {
-            t.on_sent(seq);
-        }
         t.begin(Rate::from_mbps(10.0), SimTime::from_millis(100), 10);
         // RTT grows 1 ms per 10 ms of send time: slope 0.1.
         for seq in 0..10u64 {
@@ -350,9 +309,7 @@ mod tests {
     fn reports_stay_ordered() {
         let mut t = MiTracker::new();
         t.begin(Rate::from_mbps(1.0), SimTime::ZERO, 0);
-        t.on_sent(0);
         t.begin(Rate::from_mbps(2.0), SimTime::from_millis(10), 1);
-        t.on_sent(1);
         t.begin(Rate::from_mbps(3.0), SimTime::from_millis(20), 2);
         // Resolve the *second* MI first; it must not report before the first.
         t.on_acked(
@@ -375,9 +332,6 @@ mod tests {
         // First tracked interval starts at seq 100 — seqs below it were
         // sent before MI tracking began (e.g. during slow start).
         t.begin(Rate::from_mbps(10.0), SimTime::ZERO, 100);
-        for seq in 100..105 {
-            t.on_sent(seq);
-        }
         t.begin(Rate::from_mbps(10.0), SimTime::from_millis(100), 105);
         // Late feedback for untracked pre-MI packets must not be
         // attributed to any interval.
@@ -410,13 +364,11 @@ mod tests {
         let mut t = MiTracker::new();
         // MI 0: one packet (seqs 0..1).
         t.begin(Rate::from_mbps(1.0), SimTime::ZERO, 0);
-        t.on_sent(0);
         // MI 1: app-limited, sends nothing (seqs 1..1).
         t.begin(Rate::from_mbps(2.0), SimTime::from_millis(10), 1);
         t.mark_app_limited();
         // MI 2: one packet (seqs 1..2).
         t.begin(Rate::from_mbps(3.0), SimTime::from_millis(20), 1);
-        t.on_sent(1);
         t.begin(Rate::from_mbps(4.0), SimTime::from_millis(30), 2);
         // Resolve MI 2 first: the empty MI 1 is resolved by construction,
         // but neither may report while MI 0 is still outstanding.
@@ -440,62 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn lost_then_acked_packet_resolves_once() {
-        let mut t = MiTracker::new();
-        t.begin(Rate::from_mbps(10.0), SimTime::ZERO, 0);
-        for seq in 0..4 {
-            t.on_sent(seq);
-        }
-        t.begin(Rate::from_mbps(10.0), SimTime::from_millis(100), 4);
-        // Seq 0 crosses dupthresh and is declared lost, then a late SACK
-        // acks it anyway (spurious loss). It must count exactly once — as
-        // lost, matching the scoreboard's view.
-        t.on_lost(0);
-        t.on_acked(0, SimTime::ZERO, SimDuration::from_millis(50), 1448);
-        for seq in 1..4 {
-            t.on_acked(
-                seq,
-                SimTime::from_millis(seq),
-                SimDuration::from_millis(50),
-                1448,
-            );
-        }
-        let reports = t.poll_completed(0, SimTime::from_millis(200));
-        assert_eq!(reports.len(), 1);
-        let r = &reports[0];
-        assert_eq!(r.sent_packets, 4);
-        assert_eq!(r.acked_packets, 3, "late SACK must not double-resolve");
-        assert_eq!(r.lost_packets, 1);
-        assert!(r.acked_packets + r.lost_packets <= r.sent_packets);
-        assert_eq!(r.acked_bytes, 3 * 1448, "acked bytes double-credited");
-        assert!((r.loss_rate - 0.25).abs() < 1e-12, "{}", r.loss_rate);
-    }
-
-    #[test]
-    fn acked_then_lost_packet_resolves_once() {
-        let mut t = MiTracker::new();
-        t.begin(Rate::from_mbps(10.0), SimTime::ZERO, 0);
-        for seq in 0..2 {
-            t.on_sent(seq);
-        }
-        t.begin(Rate::from_mbps(10.0), SimTime::from_millis(100), 2);
-        // The mirror ordering: acked first, then a (stale) loss signal.
-        t.on_acked(0, SimTime::ZERO, SimDuration::from_millis(50), 1448);
-        t.on_lost(0);
-        t.on_acked(
-            1,
-            SimTime::from_millis(1),
-            SimDuration::from_millis(50),
-            1448,
-        );
-        let reports = t.poll_completed(0, SimTime::from_millis(200));
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].acked_packets, 2);
-        assert_eq!(reports[0].lost_packets, 0);
-        assert_eq!(reports[0].loss_rate, 0.0);
-    }
-
-    #[test]
     fn empty_mi_resolves_immediately() {
         let mut t = MiTracker::new();
         t.begin(Rate::from_mbps(1.0), SimTime::ZERO, 0);
@@ -506,5 +402,111 @@ mod tests {
         assert!(reports[0].app_limited);
         assert_eq!(reports[0].sent_packets, 0);
         assert_eq!(reports[0].loss_rate, 0.0);
+    }
+
+    /// One scoreboard feeding one tracker the way `MpSender` does: each
+    /// ACK's newly acked packets, then the FACK losses it exposes, and on
+    /// RTO everything still live.
+    struct Ledger {
+        sb: Scoreboard,
+        t: MiTracker,
+    }
+
+    /// Payload length of `seq`'s packet, distinct per packet so a byte
+    /// total shows which packets a report counted.
+    fn len_of(seq: u64) -> u64 {
+        1000 + seq
+    }
+
+    fn sack_ack(ack_seq: u64, cum_ack: u64, sack: &[(u64, u64)]) -> AckHeader {
+        AckHeader {
+            subflow: 0,
+            cum_ack,
+            sack: SackBlocks::from_ranges(sack.iter().map(|&(start, end)| SeqRange { start, end })),
+            ack_seq,
+            echo_sent_at: SimTime::ZERO,
+            data_acked: 0,
+            rcv_window: u64::MAX,
+        }
+    }
+
+    impl Ledger {
+        /// Sends seqs `0..n` in MI 0, then closes it by starting MI 1.
+        fn sent(n: u64) -> Self {
+            let mut sb = Scoreboard::new();
+            let mut t = MiTracker::new();
+            t.begin(Rate::from_mbps(10.0), SimTime::ZERO, sb.next_seq());
+            for seq in 0..n {
+                let chunk = Chunk {
+                    dsn: seq * 1448,
+                    len: len_of(seq),
+                    retx: false,
+                };
+                sb.on_send(chunk, chunk.len + 52, SimTime::from_millis(seq));
+            }
+            t.begin(Rate::from_mbps(10.0), SimTime::from_millis(100), n);
+            Ledger { sb, t }
+        }
+
+        fn ack(&mut self, ack: AckHeader, now: SimTime) {
+            let outcome = self.sb.on_ack(&ack, now);
+            for (seq, meta) in &outcome.acked {
+                let rtt = now.saturating_since(meta.sent_at);
+                self.t.on_acked(*seq, meta.sent_at, rtt, meta.chunk.len);
+            }
+            let losses = self.sb.detect_losses();
+            self.lose(losses);
+            self.sb.recycle(outcome);
+        }
+
+        fn rto(&mut self) {
+            let lost = self.sb.on_rto();
+            self.lose(lost);
+        }
+
+        fn lose(&mut self, lost: Vec<(u64, SentMeta)>) {
+            for (seq, _) in &lost {
+                self.t.on_lost(*seq);
+            }
+            self.sb.recycle_lost(lost);
+        }
+
+        /// MI 0's report, which must be the only one ready.
+        fn report(&mut self) -> MiReport {
+            let mut reports = self.t.poll_completed(0, SimTime::from_secs(1));
+            assert_eq!(reports.len(), 1);
+            reports.pop().expect("one report")
+        }
+    }
+
+    #[test]
+    fn spurious_loss_then_late_cum_ack_counts_each_packet_once() {
+        let mut l = Ledger::sent(5);
+        // Seqs 1..5 are SACKed past seq 0, which FACK declares lost.
+        l.ack(sack_ack(4, 0, &[(1, 5)]), SimTime::from_millis(30));
+        // Seq 0 was only late: the cumulative ACK now covers all five.
+        l.ack(sack_ack(0, 5, &[]), SimTime::from_millis(90));
+        let r = l.report();
+        assert_eq!(r.sent_packets, 5);
+        assert_eq!(r.acked_packets, 4, "late cum-ACK must not re-resolve");
+        assert_eq!(r.lost_packets, 1);
+        assert_eq!(r.acked_bytes, (1..5).map(len_of).sum::<u64>());
+        assert!((r.loss_rate - 0.2).abs() < 1e-12, "{}", r.loss_rate);
+    }
+
+    #[test]
+    fn ack_then_stale_loss_signal_counts_each_packet_once() {
+        let mut l = Ledger::sent(6);
+        l.ack(sack_ack(1, 0, &[(1, 2)]), SimTime::from_millis(30));
+        // The FACK pass that declares seq 0 lost also passes acked seq 1.
+        l.ack(sack_ack(4, 0, &[(1, 2), (3, 5)]), SimTime::from_millis(40));
+        // The RTO loses what is still live (2 and 5), not acked 3 and 4.
+        l.rto();
+        let r = l.report();
+        assert_eq!(r.sent_packets, 6);
+        assert_eq!(r.acked_packets, 3, "acked packets must not be re-resolved");
+        assert_eq!(r.lost_packets, 3);
+        assert_eq!(r.acked_bytes, len_of(1) + len_of(3) + len_of(4));
+        assert!((r.loss_rate - 0.5).abs() < 1e-12, "{}", r.loss_rate);
     }
 }

@@ -537,10 +537,6 @@ impl MpSender {
         let seq = subflow
             .scoreboard
             .on_send(chunk, chunk.len + HEADER_OVERHEAD, now);
-        if self.uses_mi {
-            subflow.mi.on_sent(seq);
-        }
-        subflow.sent_packets += 1;
         subflow.sent_bytes += chunk.len;
         let header = Header::Data(DataHeader {
             subflow: sf as u32,
@@ -708,7 +704,9 @@ impl MpSender {
         }
         // Monitor-interval attribution (per-packet RTT = now - send time,
         // exact for the packet that triggered this ACK, a slight
-        // overestimate for ranges recovered via SACK blocks).
+        // overestimate for ranges recovered via SACK blocks). The
+        // scoreboard hands over each sequence number once, as acked here
+        // or as lost below or on RTO, so the MIs count it once.
         if self.uses_mi {
             for (seq, meta) in &outcome.acked {
                 let rtt = now.saturating_since(meta.sent_at);

@@ -49,8 +49,6 @@ pub struct Subflow {
     pub rto_backoff: u32,
     /// Sequence threshold for once-per-window loss events.
     pub recovery_until: u64,
-    /// Packets transmitted (including retransmissions).
-    pub sent_packets: u64,
     /// Payload bytes transmitted (including retransmissions).
     pub sent_bytes: u64,
 }
@@ -76,7 +74,6 @@ impl Subflow {
             rto_deadline: SimTime::MAX,
             rto_backoff: 1,
             recovery_until: 0,
-            sent_packets: 0,
             sent_bytes: 0,
         }
     }
@@ -102,7 +99,6 @@ impl Subflow {
         self.rto_deadline = SimTime::MAX;
         self.rto_backoff = 1;
         self.recovery_until = 0;
-        self.sent_packets = 0;
         self.sent_bytes = 0;
     }
 
@@ -173,7 +169,8 @@ impl Subflow {
     pub fn stats(&self, now: SimTime) -> SubflowStats {
         SubflowStats {
             delivered_bytes: self.scoreboard.delivered_bytes(),
-            sent_packets: self.sent_packets,
+            // Every transmission takes the next sequence number.
+            sent_packets: self.scoreboard.next_seq(),
             sent_bytes: self.sent_bytes,
             lost_packets: self.scoreboard.total_lost_packets(),
             acked_packets: self.scoreboard.total_acked_packets(),

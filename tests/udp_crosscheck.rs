@@ -3,14 +3,15 @@
 //! Records the ACK trace an MPCC sender sees in a live two-path
 //! simulation, then replays that exact trace into a fresh copy of the
 //! sender under BOTH drivers — the netsim simulator
-//! (`Simulation::inject`) and the mpcc-udp socket driver
-//! (`UdpPeer::replay`: the loop that runs real sockets, with its I/O
-//! swapped for the trace and its clock for a manual one) — and asserts
-//! the controller's monitor-interval decisions and the senders' end
-//! states match bit-for-bit. This is the test that keeps the two data
-//! planes honest: if the socket driver's callback ordering, clock
-//! handling or rng plumbing ever drifts from the simulator's contract,
-//! rates diverge and this fails.
+//! (`Simulation::inject_arrival`: the recorded ACKs went by `send_direct`,
+//! so they carry `hop = usize::MAX` and deliver straight to the sender)
+//! and the mpcc-udp socket driver (`UdpPeer::replay`: the loop that runs
+//! real sockets, with its I/O swapped for the trace and its clock for a
+//! manual one) — and asserts the controller's monitor-interval decisions
+//! and the senders' end states match bit-for-bit. This is the test that
+//! keeps the two data planes honest: if the socket driver's callback
+//! ordering, clock handling or rng plumbing ever drifts from the
+//! simulator's contract, rates diverge and this fails.
 
 use mpcc::{Mpcc, MpccConfig};
 use mpcc_netsim::topology::NetSpec;
@@ -116,7 +117,7 @@ fn replay_in_sim(trace: &PacketTrace) -> (Vec<(SimTime, u32, u64)>, EndState) {
     sim.add_endpoint(Box::new(Blackhole::default()));
     assert_eq!(sender.0, 0);
     for e in &trace.entries {
-        sim.inject(e.at, e.pkt);
+        sim.inject_arrival(e.at, e.pkt);
     }
     sim.run_until(HORIZON);
     let end = end_state(sim.endpoint::<MpSender>(sender));
@@ -237,7 +238,7 @@ fn same_instant_events_fire_in_canonical_order_under_both_drivers() {
     let mut sim = Simulation::new(SEED);
     let probe = sim.add_endpoint(Box::<TieProbe>::default());
     for e in &trace.entries {
-        sim.inject(e.at, e.pkt);
+        sim.inject_arrival(e.at, e.pkt);
     }
     sim.run_until(HORIZON);
     let in_sim = sim.endpoint::<TieProbe>(probe).fired.clone();
