@@ -5,7 +5,7 @@
 //!
 //! * single-path / uncoupled-per-subflow: **Reno**, **Cubic**, **BBR** (v1);
 //! * coupled MPTCP variants: **LIA** (RFC 6356), **OLIA** (Khalili et al.),
-//!   **Balia** (Peng et al.), **wVegas** (Cao et al.), **MPCUBIC** (Le et al.).
+//!   **Balia** (Peng et al.), **wVegas** (Cao et al.).
 //!
 //! All controllers plug into the transport through
 //! [`mpcc_transport::MultipathCc`]; MPCC itself lives in the `mpcc` crate.
@@ -17,7 +17,6 @@ pub mod bbr;
 pub mod coupled;
 pub mod cubic;
 pub mod lia;
-pub mod mpcubic;
 pub mod olia;
 pub mod reno;
 pub mod uncoupled;
@@ -28,7 +27,6 @@ pub use balia::{balia, balia_alpha, BALIA_MD_CAP};
 pub use bbr::Bbr;
 pub use cubic::cubic;
 pub use lia::{lia, lia_alpha};
-pub use mpcubic::MpCubic;
 pub use olia::olia;
 pub use reno::reno;
 pub use uncoupled::{SinglePathCc, Uncoupled};

@@ -42,9 +42,6 @@ pub struct ExpConfig {
     /// on the partitioned engine. Every shard count produces identical
     /// results; 1, the default, is one instance owning the whole topology.
     pub shards: u8,
-    /// `fig19 --full-scale`: the full-size 25 Gbps fabric and the paper's
-    /// flow classes instead of the ~20x-scaled-down defaults.
-    pub full_scale: bool,
 }
 
 impl Default for ExpConfig {
@@ -56,7 +53,6 @@ impl Default for ExpConfig {
             out_dir: PathBuf::from("results"),
             exec: Executor::serial(),
             shards: 1,
-            full_scale: false,
         }
     }
 }

@@ -1,5 +1,5 @@
 //! The experiments binary: `experiments <id>... [--full] [--seed N]
-//! [--runs N] [--jobs N] [--shards N] [--full-scale] [--out DIR] [--trace FILE]
+//! [--runs N] [--jobs N] [--shards N] [--out DIR] [--trace FILE]
 //! [--trace-filter LAYERS] [--metrics FILE] [--metrics-bin DUR]
 //! [--faults SPEC]`, or `experiments all` / `experiments list`, or
 //! `experiments report FILE` (flight-recorder Markdown from a metrics
@@ -49,12 +49,11 @@ fn main() {
             "--seed" => cfg.seed = flag_value(&mut it, &arg, at_least(0)),
             "--runs" => cfg.runs = flag_value(&mut it, &arg, at_least(1)),
             "--shards" => shards = Some(flag_value(&mut it, &arg, at_least(1))),
-            "--full-scale" => cfg.full_scale = true,
             "--jobs" => jobs = flag_value(&mut it, &arg, at_least(1)),
             "--out" => cfg.out_dir = flag_value(&mut it, &arg, |v| Ok(v.into())),
-            "--trace" => trace_path = Some(flag_value(&mut it, &arg, |v| Ok(v.to_string()))),
+            "--trace" => trace_path = Some(flag_value(&mut it, &arg, jsonl_path)),
             "--trace-filter" => trace_mask = flag_value(&mut it, &arg, LayerMask::parse),
-            "--metrics" => metrics_path = Some(flag_value(&mut it, &arg, |v| Ok(v.to_string()))),
+            "--metrics" => metrics_path = Some(flag_value(&mut it, &arg, jsonl_path)),
             "--metrics-bin" => metrics_bin = Some(flag_value(&mut it, &arg, nonzero_duration)),
             "--faults" => faults = Some(flag_value(&mut it, &arg, FaultPlan::parse)),
             "list" => list_mode = true,
@@ -246,12 +245,23 @@ fn nonzero_duration(value: &str) -> Result<SimDuration, String> {
     }
 }
 
+/// The `parse` of a telemetry file flag: any path but a `.csv` one, since
+/// `--trace` and `--metrics` write JSONL only.
+fn jsonl_path(value: &str) -> Result<String, String> {
+    match std::path::Path::new(value).extension() {
+        Some(e) if e.eq_ignore_ascii_case("csv") => {
+            Err("telemetry is written as JSONL only".into())
+        }
+        _ => Ok(value.to_string()),
+    }
+}
+
 /// Prints `msg` and the usage text to stderr and exits with status 2.
 fn usage_error(msg: &str) -> ! {
     eprintln!("experiments: {msg}");
     eprintln!(
         "usage: experiments <id>... | all | list  [--full] [--seed N] [--runs N] [--jobs N] \
-         [--shards N (churn only)] [--full-scale] \
+         [--shards N (churn only)] \
          [--out DIR] [--trace FILE] [--trace-filter controller,transport,link] \
          [--metrics FILE] [--metrics-bin 500ms] \
          [--faults 'reorder:p=0.05,extra=20ms;outage:at=5s,down=1s']\n\
@@ -270,22 +280,15 @@ fn usage_error(msg: &str) -> ! {
 /// minimum, so an empty stream means telemetry was never attached (the
 /// historical sharded-run blackout) or the filter matched nothing.
 fn starved_sinks(exec: &Executor) -> bool {
-    let has_payload = |path: &std::path::Path, csv: bool| -> bool {
-        use std::io::BufRead as _;
-        // Header-only CSV counts as empty; reading two lines is enough.
-        let need = 1 + usize::from(csv);
-        std::fs::File::open(path)
-            .map(|f| std::io::BufReader::new(f).lines().take(need).count() == need)
-            .unwrap_or(false)
-    };
+    let has_payload = |path: &std::path::Path| std::fs::metadata(path).is_ok_and(|m| m.len() > 0);
     let mut starved = Vec::new();
     if let Some(tc) = exec.trace_config() {
-        if !has_payload(&tc.path, tc.is_csv()) {
+        if !has_payload(&tc.path) {
             starved.push(("--trace", tc.path.clone()));
         }
     }
     if let Some(mc) = exec.metrics_config() {
-        if !has_payload(&mc.path, mc.is_csv()) {
+        if !has_payload(&mc.path) {
             starved.push(("--metrics", mc.path.clone()));
         }
     }

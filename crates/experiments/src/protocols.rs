@@ -2,7 +2,7 @@
 //! instances and scheduler choices.
 
 use mpcc::{ConnectionLevel, Mpcc, MpccConfig, StateConfig};
-use mpcc_cc::{balia, cubic, lia, olia, reno, Bbr, MpCubic, WVegas};
+use mpcc_cc::{balia, cubic, lia, olia, reno, Bbr, WVegas};
 use mpcc_transport::{MultipathCc, SchedulerKind};
 
 /// Every multipath protocol evaluated in the paper's figures.
@@ -40,7 +40,6 @@ pub fn make(name: &str, seed: u64) -> Box<dyn MultipathCc> {
         "olia" => Box::new(olia()),
         "balia" => Box::new(balia()),
         "wvegas" => Box::new(WVegas::new()),
-        "mpcubic" => Box::new(MpCubic::new()),
         "reno" => Box::new(reno()),
         "cubic" => Box::new(cubic()),
         "bbr" => Box::new(Bbr::new()),

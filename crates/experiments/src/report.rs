@@ -6,7 +6,7 @@
 //! fairness over time, the MPCC decision breakdown, drop/RTO/fault
 //! counters, and a check-violation summary.
 //!
-//! The parser is hand-rolled (flat JSONL and the packed CSV dialect the
+//! The parser is hand-rolled (the flat JSONL the
 //! [`mpcc_telemetry::MetricsPipeline`] writes — no serde anywhere in the
 //! tree) and strict: an empty stream or any unparsable row is an error,
 //! so CI can smoke-run a report and trust a zero exit code.
@@ -97,46 +97,7 @@ fn parse_jsonl_row(line: &str) -> Result<Row, String> {
     Ok(row)
 }
 
-/// Parses one packed-CSV row: `t_ns,run,scope,"k=v k=v …"`.
-fn parse_csv_row(line: &str) -> Result<Row, String> {
-    let mut parts = line.splitn(4, ',');
-    let t_ns = parts
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or("bad t_ns column")?;
-    let run = parts
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or("bad run column")?;
-    let scope = parts.next().ok_or("missing scope column")?.to_string();
-    let packed = parts
-        .next()
-        .and_then(|f| f.strip_prefix('"'))
-        .and_then(|f| f.strip_suffix('"'))
-        .ok_or("fields column is not quoted")?;
-    let mut row = Row {
-        t_ns,
-        run,
-        scope,
-        ..Row::default()
-    };
-    for kv in packed.split_whitespace() {
-        let (k, v) = kv
-            .split_once('=')
-            .ok_or_else(|| format!("bad field {kv:?}"))?;
-        match v.parse::<f64>() {
-            Ok(n) if n.is_finite() => row.nums.push((k.to_string(), n)),
-            // Parses as a float but is NaN/±inf: reject rather than
-            // letting it pass as a "string" and silently vanish, or as a
-            // number and poison the aggregates.
-            Ok(_) => return Err(format!("non-finite value for {k:?}")),
-            Err(_) => row.strs.push((k.to_string(), v.to_string())),
-        }
-    }
-    Ok(row)
-}
-
-/// Parses a whole metrics document (auto-detects CSV by its header line).
+/// Parses a whole metrics document, one JSONL row per line.
 ///
 /// Beyond per-row syntax, the stream-level shape is validated: within one
 /// run the bin timestamps must never go backwards. Every writer — the
@@ -147,22 +108,12 @@ fn parse_csv_row(line: &str) -> Result<Row, String> {
 /// from it would silently mix bins.
 fn parse(doc: &str) -> Result<Vec<Row>, String> {
     let mut rows = Vec::new();
-    let mut lines = doc.lines().enumerate();
-    let csv = doc.starts_with("t_ns,run,scope");
-    if csv {
-        lines.next();
-    }
     let mut last_t: BTreeMap<u64, u64> = BTreeMap::new();
-    for (i, line) in lines {
+    for (i, line) in doc.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let row = if csv {
-            parse_csv_row(line)
-        } else {
-            parse_jsonl_row(line)
-        };
-        let row = row.map_err(|e| format!("line {}: {e}", i + 1))?;
+        let row = parse_jsonl_row(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         let last = last_t.entry(row.run).or_insert(0);
         if row.t_ns < *last {
             return Err(format!(
@@ -505,16 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_rows_parse() {
-        let row = parse_csv_row("1000000000,0,subflow,\"conn=1 subflow=0 acks=3\"").unwrap();
-        assert_eq!(row.scope, "subflow");
-        assert_eq!(row.count("acks"), 3);
-        let check = parse_csv_row("5,0,check,\"invariant=demo count=1\"").unwrap();
-        assert_eq!(check.label("invariant"), Some("demo"));
-        assert!(parse_csv_row("x,y,z").is_err());
-    }
-
-    #[test]
     fn non_finite_values_are_malformed_not_data() {
         // A NaN/inf goodput would otherwise poison the Jain index, the
         // per-subflow mean, and the sparkline minimum for the whole run.
@@ -524,10 +465,6 @@ mod tests {
                  \"conn\":0,\"subflow\":0,\"goodput_mbps\":{bad}}}"
             );
             let err = parse_jsonl_row(&line).unwrap_err();
-            assert!(err.contains("non-finite"), "{bad}: {err}");
-
-            let csv = format!("1000000000,0,subflow,\"conn=0 subflow=0 goodput_mbps={bad}\"");
-            let err = parse_csv_row(&csv).unwrap_err();
             assert!(err.contains("non-finite"), "{bad}: {err}");
         }
         // And the whole-document path reports it as a malformed stream.
@@ -589,13 +526,6 @@ mod tests {
         assert!(md.contains("1 SACK losses"), "{md}");
         assert!(md.contains("| demo | 2 |"), "{md}");
         assert!(md.contains("| 0 | 0 | 20000 | 30000 |"), "{md}");
-
-        // CSV round-trips through the same aggregator.
-        let csv =
-            "t_ns,run,scope,fields\n1000000000,0,subflow,\"conn=0 subflow=0 goodput_mbps=1.5\"\n";
-        let cpath = dir.join("metrics.csv");
-        std::fs::write(&cpath, csv).unwrap();
-        assert!(render(&cpath).unwrap().contains("| 0 | 0 | 1 | 1.50 |"));
 
         // Empty and malformed streams are errors, not hollow reports.
         let empty = dir.join("empty.jsonl");

@@ -17,13 +17,13 @@ use mpcc_netsim::topology::NetSpec;
 use mpcc_netsim::{EndpointId, LinkId, ShardedSimulation, Simulation};
 use mpcc_simcore::{rng::splitmix64, DispatchStamp, SimDuration, SimTime};
 use mpcc_telemetry::{
-    merge_keyed_parts, KeyedSink, LayerMask, MetricsPipeline, PipelineConfig, Record, TeeSink,
-    TraceSink, Tracer,
+    merge_keyed_parts, KeyedSink, LayerMask, MetricsPipeline, PipelineConfig, TeeSink, TraceSink,
+    Tracer,
 };
 use mpcc_transport::{MpReceiver, MpSender, ReceiverStats, SchedulerKind, SenderConfig, Workload};
 use std::collections::VecDeque;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,17 +38,10 @@ use std::sync::{Arc, Mutex};
 /// makes the merged trace independent of the worker count.
 #[derive(Clone, Debug)]
 pub struct TraceConfig {
-    /// The merged output file (`.csv` selects CSV, anything else JSONL).
+    /// The merged JSONL output file.
     pub path: PathBuf,
     /// Layers to record.
     pub mask: LayerMask,
-}
-
-impl TraceConfig {
-    /// Whether the destination's extension selects CSV rows.
-    pub fn is_csv(&self) -> bool {
-        self.path.extension().is_some_and(|e| e == "csv")
-    }
 }
 
 /// Where runs flush their time-binned metrics rows (see
@@ -60,7 +53,7 @@ impl TraceConfig {
 /// the merged series are byte-identical at any `--jobs` count.
 #[derive(Clone, Debug)]
 pub struct MetricsConfig {
-    /// The merged output file (`.csv` selects CSV, anything else JSONL).
+    /// The merged JSONL output file.
     pub path: PathBuf,
     /// Time-bin width of the aggregated series.
     pub bin: SimDuration,
@@ -79,11 +72,6 @@ impl MetricsConfig {
     pub fn with_bin(mut self, bin: SimDuration) -> Self {
         self.bin = bin;
         self
-    }
-
-    /// Whether the destination's extension selects CSV rows.
-    pub fn is_csv(&self) -> bool {
-        self.path.extension().is_some_and(|e| e == "csv")
     }
 }
 
@@ -135,16 +123,11 @@ impl Executor {
     }
 
     /// An executor running up to `jobs` scenarios concurrently. When
-    /// `trace` is set, the merged trace file is created (truncated) here —
-    /// CSV output gets its header row exactly once, up front; the per-run
-    /// files merged in later have theirs stripped.
+    /// `trace` is set, the merged trace file is created (truncated) here.
     pub fn new(jobs: usize, trace: Option<TraceConfig>) -> Self {
         if let Some(tc) = &trace {
-            let mut f = fs::File::create(&tc.path)
+            fs::File::create(&tc.path)
                 .unwrap_or_else(|e| panic!("cannot create trace file {:?}: {e}", tc.path));
-            if tc.is_csv() {
-                writeln!(f, "{}", Record::csv_header()).expect("cannot write trace header");
-            }
         }
         Executor {
             inner: Arc::new(ExecInner {
@@ -168,14 +151,10 @@ impl Executor {
 
     /// Returns an executor that additionally streams time-binned metrics
     /// from every run into `metrics.path`. The merged file is created
-    /// (truncated) here; CSV output gets its header row exactly once, up
-    /// front, like the trace file in [`Executor::new`].
+    /// (truncated) here, like the trace file in [`Executor::new`].
     pub fn with_metrics(self, metrics: MetricsConfig) -> Self {
-        let mut f = fs::File::create(&metrics.path)
+        fs::File::create(&metrics.path)
             .unwrap_or_else(|e| panic!("cannot create metrics file {:?}: {e}", metrics.path));
-        if metrics.is_csv() {
-            writeln!(f, "{}", MetricsPipeline::CSV_HEADER).expect("cannot write metrics header");
-        }
         self.reconfigured(|inner| inner.metrics = Some(metrics))
     }
 
@@ -382,7 +361,7 @@ impl RunCtx {
         let trace_branch: Option<(Arc<dyn TraceSink>, LayerMask)> = match &self.trace {
             Some(tc) => {
                 let path = part_path(&tc.path, "trace", &tag, shard);
-                let sink = KeyedSink::create(&path, tc.is_csv(), Arc::clone(stamp))
+                let sink = KeyedSink::create(&path, Arc::clone(stamp))
                     .unwrap_or_else(|e| failed(&path, e));
                 self.trace_parts.push(path);
                 Some((Arc::new(sink), tc.mask))
@@ -394,13 +373,10 @@ impl RunCtx {
                 let path = part_path(&mc.path, "metrics", &tag, shard);
                 let cfg = PipelineConfig::default()
                     .with_bin(mc.bin)
-                    .with_run(self.run_id)
-                    .with_keyed(true);
-                // Part files are headerless: the merged file owns the CSV
-                // header.
+                    .with_run(self.run_id);
                 let file = fs::File::create(&path).unwrap_or_else(|e| failed(&path, e));
                 let w: Box<dyn io::Write + Send> = Box::new(io::BufWriter::new(file));
-                let pipeline = MetricsPipeline::new(cfg, mc.is_csv(), w);
+                let pipeline = MetricsPipeline::new(cfg, true, w);
                 self.metrics_parts.push(path);
                 Some((Arc::new(pipeline), LayerMask::ALL))
             }
@@ -426,16 +402,14 @@ impl RunCtx {
         }
         let tag = format!("run{:05}", self.run_id);
         if let Some(tc) = &self.trace {
-            let header = tc.is_csv().then(Record::csv_header);
-            let rows = merge_keyed_parts(&tc.path, &self.trace_parts, header)?;
+            let rows = merge_keyed_parts(&tc.path, &self.trace_parts)?;
             report_part_rows(&tag, "trace", &rows);
             for p in &self.trace_parts {
                 fs::remove_file(p)?;
             }
         }
         if let Some(mc) = &self.metrics {
-            let header = mc.is_csv().then_some(MetricsPipeline::CSV_HEADER);
-            let rows = merge_keyed_parts(&mc.path, &self.metrics_parts, header)?;
+            let rows = merge_keyed_parts(&mc.path, &self.metrics_parts)?;
             report_part_rows(&tag, "metrics", &rows);
             for p in &self.metrics_parts {
                 fs::remove_file(p)?;
@@ -1014,7 +988,7 @@ mod tests {
             exec.run_batch((1..=3).map(tiny).collect());
         };
 
-        // JSONL: merged bytes identical across worker counts.
+        // Merged bytes are identical across worker counts.
         let j1 = dir.join("serial.jsonl");
         let j4 = dir.join("par.jsonl");
         run_with(1, &j1);
@@ -1022,18 +996,6 @@ mod tests {
         let b1 = fs::read(&j1).unwrap();
         assert!(!b1.is_empty(), "traced runs must emit records");
         assert_eq!(b1, fs::read(&j4).unwrap());
-
-        // CSV: identical too, and exactly one header row (per-run headers
-        // are stripped in the merge).
-        let c1 = dir.join("serial.csv");
-        let c4 = dir.join("par.csv");
-        run_with(1, &c1);
-        run_with(4, &c4);
-        let s1 = fs::read_to_string(&c1).unwrap();
-        assert_eq!(s1, fs::read_to_string(&c4).unwrap());
-        let header = Record::csv_header();
-        assert_eq!(s1.lines().next(), Some(header));
-        assert_eq!(s1.lines().filter(|l| *l == header).count(), 1);
 
         // Per-run files are cleaned up after the merge.
         let leftovers: Vec<_> = fs::read_dir(&dir)
@@ -1086,19 +1048,13 @@ mod tests {
         assert!(metrics.lines().next().unwrap().contains("\"run\":0"));
         assert!(metrics.lines().last().unwrap().contains("\"run\":1"));
 
-        // Metrics-only executors work too, and part files are cleaned up.
-        let m_only = dir.join("only-metrics.csv");
+        // Metrics-only executors write the same rows as the teed run, and
+        // part files are cleaned up.
+        let m_only = dir.join("only-metrics.jsonl");
         Executor::new(2, None)
             .with_metrics(MetricsConfig::new(m_only.clone()))
             .run_batch((1..=2).map(tiny).collect());
-        let only = fs::read_to_string(&m_only).unwrap();
-        assert_eq!(only.lines().next(), Some(MetricsPipeline::CSV_HEADER));
-        assert_eq!(
-            only.lines()
-                .filter(|l| *l == MetricsPipeline::CSV_HEADER)
-                .count(),
-            1
-        );
+        assert_eq!(fs::read_to_string(&m_only).unwrap(), metrics);
         let leftovers: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())

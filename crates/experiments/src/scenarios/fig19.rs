@@ -2,12 +2,13 @@
 //!
 //! The testbed is a 2-spine/4-ToR Clos with 25 Gbps links, 6 hosts, ECMP,
 //! and per host: 15×10 GB + 35×10 MB flows at t=0 plus one 10 KB flow per
-//! second for a minute, all as 3-subflow multipath connections. We scale
-//! the fabric and the workload down by ~10× (2.5 Gbps links; 25 MB / 1 MB /
-//! 10 KB flow classes, proportionally fewer flows) — FCT *orderings*
-//! between protocols are preserved under proportional scaling because they
-//! are driven by ramp-up and retransmission behaviour relative to the BDP
-//! (see DESIGN.md §1).
+//! second for a minute, all as 3-subflow multipath connections. By default
+//! we scale the fabric and the workload down by 20× (1.25 Gbps links, 8
+//! hosts; 50 MB / 1 MB / 10 KB flow classes, proportionally fewer flows) —
+//! FCT *orderings* between protocols are preserved under proportional
+//! scaling because they are driven by ramp-up and retransmission behaviour
+//! relative to the BDP (see DESIGN.md §1). `--full` runs the full-size
+//! 25 Gbps fabric with 1 GB / 10 MB / 10 KB classes.
 
 use crate::output::{f3, Figure};
 use crate::protocols;
@@ -39,7 +40,7 @@ struct FlowSpec {
 }
 
 /// Workload shape: per-host flow counts, per-class sizes, and the hard
-/// time cap. Derived from the [`ExpConfig`] tiers by [`shape`];
+/// time cap. Derived from `--full` by [`shape`];
 /// [`run_protocols_scaled`] substitutes a miniature one for tests.
 #[derive(Clone, Copy)]
 struct Shape {
@@ -51,44 +52,32 @@ struct Shape {
     cap_secs: u64,
 }
 
-/// The scenario's workload shape: `--full-scale` restores the paper's
-/// 10 KB / 10 MB classes with a 1 GB bulk class (the paper's 10 GB cut
-/// 10× to bound runtime; noted on the figure), otherwise the
-/// ~20×-scaled-down defaults.
+/// The scenario's workload shape: `--full` restores the paper's 10 KB /
+/// 10 MB classes with a 1 GB bulk class (the paper's 10 GB cut 10× to
+/// bound runtime; noted on the figure) at per-host counts whose bulk class
+/// alone is ~8 GB of payload per protocol, otherwise the ~20×-scaled-down
+/// defaults. Either tier is capped at 120 s.
 fn shape(cfg: &ExpConfig) -> Shape {
-    let counts = if cfg.full_scale {
-        // Full link rate with per-host counts at the reduced tier: the
-        // bulk class alone is ~8 GB of payload per protocol.
-        (1, 3, 6)
-    } else {
-        cfg.scale((2, 5, 8), (4, 10, 20))
-    };
-    let sizes = if cfg.full_scale {
-        (1_000_000_000, 10_000_000, 10_000)
-    } else {
-        (cfg.scale(50_000_000, 200_000_000), 1_000_000, 10_000)
-    };
     Shape {
-        counts,
-        sizes,
-        cap_secs: cfg.scale(120, 300),
+        counts: cfg.scale((2, 5, 8), (1, 3, 6)),
+        sizes: cfg.scale(
+            (50_000_000, 1_000_000, 10_000),
+            (1_000_000_000, 10_000_000, 10_000),
+        ),
+        cap_secs: 120,
     }
 }
 
 /// Figure labels for the three classes, shortest first.
 fn class_names(cfg: &ExpConfig) -> [&'static str; 3] {
-    if cfg.full_scale {
-        ["10KB", "10MB", "1GB"]
-    } else {
-        ["10KB", "1MB", "50MB"]
-    }
+    cfg.scale(["10KB", "1MB", "50MB"], ["10KB", "10MB", "1GB"])
 }
 
-/// The Clos fabric: full-size 25 Gbps links under `--full-scale`, the
+/// The Clos fabric: full-size 25 Gbps links under `--full`, the
 /// 20×-scaled 1.25 Gbps fabric otherwise.
 fn fabric(cfg: &ExpConfig) -> ClosConfig {
     ClosConfig {
-        link_capacity: mpcc_simcore::Rate::from_gbps(if cfg.full_scale { 25.0 } else { 1.25 }),
+        link_capacity: mpcc_simcore::Rate::from_gbps(cfg.scale(1.25, 25.0)),
         buffer: 2_000_000,
         ..ClosConfig::default()
     }
@@ -152,11 +141,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
     let mut per_class: Vec<Figure> = class_names
         .iter()
         .map(|c| {
-            let scale = if cfg.full_scale {
-                "full-size"
-            } else {
-                "scaled"
-            };
+            let scale = cfg.scale("scaled", "full-size");
             Figure::new(
                 &format!("fig19-{c}"),
                 &format!("FCT (ms) of {c} flows on the {scale} Clos testbed"),
@@ -189,11 +174,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
         }
     }
     for mut fig in per_class {
-        if cfg.full_scale {
-            fig.note("full-size fabric: 25 Gbps links, 8 hosts, flow classes 10KB/10MB/1GB (paper's 10 GB bulk cut 10× for runtime), 3 subflows via ECMP");
-        } else {
-            fig.note("fabric scaled 20×: 1.25 Gbps links, 8 hosts, flow classes 10KB/1MB/50MB, 3 subflows via ECMP");
-        }
+        fig.note(cfg.scale(
+            "fabric scaled 20×: 1.25 Gbps links, 8 hosts, flow classes 10KB/1MB/50MB, 3 subflows via ECMP",
+            "full-size fabric: 25 Gbps links, 8 hosts, flow classes 10KB/10MB/1GB (paper's 10 GB bulk cut 10× for runtime), 3 subflows via ECMP",
+        ));
         figs.push(fig);
     }
     figs

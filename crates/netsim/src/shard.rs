@@ -587,7 +587,7 @@ mod tests {
             for i in 0..sim.shards() {
                 let stamp = Arc::new(DispatchStamp::new());
                 let part = dir.join(format!("n{n}.shard{i}.part"));
-                let sink = KeyedSink::create(&part, false, stamp.clone()).unwrap();
+                let sink = KeyedSink::create(&part, stamp.clone()).unwrap();
                 sim.install_tracer(i, Tracer::new(Arc::new(sink), LayerMask::ALL), stamp);
                 parts.push(part);
             }
@@ -597,7 +597,7 @@ mod tests {
             }
             let merged = dir.join(format!("n{n}.jsonl"));
             let _ = std::fs::remove_file(&merged);
-            let counts = merge_keyed_parts(&merged, &parts, None).unwrap();
+            let counts = merge_keyed_parts(&merged, &parts).unwrap();
             assert!(
                 counts.iter().sum::<u64>() > 0,
                 "sharded trace must be non-empty"

@@ -382,7 +382,7 @@ pub enum Field {
     I64(i64),
     /// Float (finite; serialized with shortest round-trip formatting).
     F64(f64),
-    /// Optional float; `None` serializes as JSON `null` / empty CSV cell.
+    /// Optional float; `None` serializes as JSON `null`.
     OptF64(Option<f64>),
     /// Static label.
     Str(&'static str),
@@ -412,25 +412,6 @@ impl Field {
                 // quote them as JSON strings.
                 let _ = write!(out, "\"{s}\"");
             }
-        }
-    }
-
-    fn write_csv(self, out: &mut String) {
-        match self {
-            Field::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Field::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Field::F64(v) => {
-                let _ = write!(out, "{v:?}");
-            }
-            Field::OptF64(Some(v)) => {
-                let _ = write!(out, "{v:?}");
-            }
-            Field::OptF64(None) => {}
-            Field::Str(s) => out.push_str(s),
         }
     }
 }
@@ -483,8 +464,8 @@ impl TraceEvent {
         }
     }
 
-    /// The event's payload as ordered `(name, value)` pairs — the single
-    /// source of truth both the JSONL and CSV serializers draw from.
+    /// The event's payload as ordered `(name, value)` pairs, in the order
+    /// the JSONL serializer writes them.
     pub fn fields(&self) -> Vec<(&'static str, Field)> {
         use Field::{OptF64, Str, F64, I64, U64};
         match self {
@@ -690,34 +671,6 @@ impl Record {
         out.push('}');
         out
     }
-
-    /// The CSV header matching [`Record::to_csv_row`].
-    pub fn csv_header() -> &'static str {
-        "t_ns,layer,type,fields"
-    }
-
-    /// Serializes the record as one CSV row (no trailing newline); the
-    /// heterogeneous payload goes into a quoted `k=v`-pair cell.
-    pub fn to_csv_row(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{},{},{},\"",
-            self.t.as_nanos(),
-            self.event.layer().name(),
-            self.event.kind()
-        );
-        let fields = self.event.fields();
-        for (i, (name, value)) in fields.iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            let _ = write!(out, "{name}=");
-            value.write_csv(&mut out);
-        }
-        out.push('"');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -792,19 +745,5 @@ mod tests {
         );
         assert!(LayerMask::ALL.contains(Layer::Meta));
         assert!(LayerMask::parse("meta").unwrap().contains(Layer::Meta));
-    }
-
-    #[test]
-    fn csv_row_matches_header_shape() {
-        let rec = Record {
-            t: SimTime::from_nanos(7),
-            event: LinkEvent::DropRandom {
-                link: 3,
-                bytes: 1500,
-            }
-            .into(),
-        };
-        assert_eq!(Record::csv_header().split(',').count(), 4);
-        assert_eq!(rec.to_csv_row(), "7,link,drop_random,\"link=3 bytes=1500\"");
     }
 }

@@ -49,24 +49,21 @@ struct KeyedInner {
 
 /// A [`TraceSink`] writing one shard's keyed part stream.
 ///
-/// Each record is serialized exactly as the final sink would (JSONL or
-/// CSV row — no CSV header; the merged file owns the header) and prefixed
-/// with the current [`DispatchStamp`] plus a per-dispatch sequence
-/// number. The shard's event loop updates the stamp before dispatching
-/// each event, on the same thread that emits, so the read here always
-/// observes the position of the emitting dispatch.
+/// Each record is serialized exactly as the final sink would (one JSONL
+/// line) and prefixed with the current [`DispatchStamp`] plus a
+/// per-dispatch sequence number. The shard's event loop updates the stamp
+/// before dispatching each event, on the same thread that emits, so the
+/// read here always observes the position of the emitting dispatch.
 pub struct KeyedSink {
     stamp: Arc<DispatchStamp>,
-    csv: bool,
     inner: Mutex<KeyedInner>,
 }
 
 impl KeyedSink {
     /// Wraps an arbitrary writer.
-    pub fn new(w: Box<dyn Write + Send>, csv: bool, stamp: Arc<DispatchStamp>) -> Self {
+    pub fn new(w: Box<dyn Write + Send>, stamp: Arc<DispatchStamp>) -> Self {
         KeyedSink {
             stamp,
-            csv,
             inner: Mutex::new(KeyedInner {
                 w,
                 last: (0, 0, 0, 0, 0),
@@ -77,11 +74,10 @@ impl KeyedSink {
     }
 
     /// Creates (truncating) a part file at `path` and streams to it
-    /// buffered. `csv` selects CSV-row payloads (headerless) over JSONL.
-    pub fn create(path: &Path, csv: bool, stamp: Arc<DispatchStamp>) -> io::Result<Self> {
+    /// buffered.
+    pub fn create(path: &Path, stamp: Arc<DispatchStamp>) -> io::Result<Self> {
         Ok(Self::new(
             Box::new(BufWriter::new(File::create(path)?)),
-            csv,
             stamp,
         ))
     }
@@ -98,11 +94,7 @@ impl TraceSink for KeyedSink {
             g.seq = 0;
             g.any = true;
         }
-        let payload = if self.csv {
-            rec.to_csv_row()
-        } else {
-            rec.to_jsonl()
-        };
+        let payload = rec.to_jsonl();
         let seq = g.seq;
         // Best-effort like the plain sinks: an I/O error must not abort
         // the simulation; the merge will surface missing rows.
@@ -187,20 +179,13 @@ fn parse_keyed_line(line: &str) -> Option<(Key, &str)> {
 /// stripping the key prefixes, and returns the per-part row counts.
 ///
 /// The merge **appends**: the final file accumulates across scenario
-/// batches exactly like the executor's per-run merge, and an existing
-/// header (or earlier scenarios' rows) is preserved. If the final file
-/// does not exist or is empty and `header` is given, the header line is
-/// written first — so a directly-driven merge produces the same shape as
-/// an executor-created file.
+/// batches exactly like the executor's per-run merge, and earlier
+/// scenarios' rows are preserved.
 ///
 /// Parts that are not internally key-sorted are rejected as malformed
 /// (`InvalidData`): a sorted-part violation means the dispatch stamping
 /// contract broke and a silent best-effort merge would hide it.
-pub fn merge_keyed_parts(
-    final_path: &Path,
-    parts: &[PathBuf],
-    header: Option<&str>,
-) -> io::Result<Vec<u64>> {
+pub fn merge_keyed_parts(final_path: &Path, parts: &[PathBuf]) -> io::Result<Vec<u64>> {
     let mut heads = Vec::with_capacity(parts.len());
     for p in parts {
         heads.push(PartHead::open(p)?);
@@ -211,11 +196,6 @@ pub fn merge_keyed_parts(
             .append(true)
             .open(final_path)?,
     );
-    if let Some(h) = header {
-        if std::fs::metadata(final_path)?.len() == 0 {
-            writeln!(out, "{h}")?;
-        }
-    }
     loop {
         // Smallest (key, part-index) across the live heads. Parts are
         // individually sorted, so comparing heads alone is a full k-way
@@ -261,7 +241,7 @@ mod tests {
             }
         }
         let stamp = Arc::new(DispatchStamp::new());
-        let sink = KeyedSink::new(Box::new(Shared(buf.clone())), false, stamp.clone());
+        let sink = KeyedSink::new(Box::new(Shared(buf.clone())), stamp.clone());
         stamp.set(10, 1, (0, 5, 0));
         sink.record(&rec(10));
         sink.record(&rec(10)); // same dispatch: seq increments
@@ -286,7 +266,7 @@ mod tests {
         std::fs::write(&a, "1 1 0 0 0 0\tA1\n3 1 0 0 0 0\tA3\n").unwrap();
         std::fs::write(&b, "2 1 0 0 0 0\tB2\n2 1 0 0 0 1\tB2b\n4 1 0 0 0 0\tB4\n").unwrap();
         let _ = std::fs::remove_file(&f);
-        let counts = merge_keyed_parts(&f, &[a.clone(), b.clone()], None).unwrap();
+        let counts = merge_keyed_parts(&f, &[a.clone(), b.clone()]).unwrap();
         assert_eq!(counts, vec![2, 3]);
         assert_eq!(
             std::fs::read_to_string(&f).unwrap(),
@@ -294,14 +274,8 @@ mod tests {
         );
         // Appending a second group preserves the first.
         std::fs::write(&a, "9 1 0 0 0 0\tA9\n").unwrap();
-        merge_keyed_parts(&f, std::slice::from_ref(&a), None).unwrap();
+        merge_keyed_parts(&f, std::slice::from_ref(&a)).unwrap();
         assert!(std::fs::read_to_string(&f).unwrap().ends_with("B4\nA9\n"));
-        // Header is written only into a fresh empty file.
-        let f2 = dir.join("merged.csv");
-        let _ = std::fs::remove_file(&f2);
-        merge_keyed_parts(&f2, std::slice::from_ref(&a), Some("h1,h2")).unwrap();
-        merge_keyed_parts(&f2, std::slice::from_ref(&a), Some("h1,h2")).unwrap();
-        assert_eq!(std::fs::read_to_string(&f2).unwrap(), "h1,h2\nA9\nA9\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -312,10 +286,10 @@ mod tests {
         let bad = dir.join("bad.part");
         let f = dir.join("out.jsonl");
         std::fs::write(&bad, "5 1 0 0 0 0\tX\n1 1 0 0 0 0\tY\n").unwrap();
-        let err = merge_keyed_parts(&f, std::slice::from_ref(&bad), None).unwrap_err();
+        let err = merge_keyed_parts(&f, std::slice::from_ref(&bad)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::write(&bad, "not a key\tX\n").unwrap();
-        let err = merge_keyed_parts(&f, std::slice::from_ref(&bad), None).unwrap_err();
+        let err = merge_keyed_parts(&f, std::slice::from_ref(&bad)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }

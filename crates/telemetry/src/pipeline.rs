@@ -36,10 +36,6 @@ pub struct PipelineConfig {
     pub ring_lines: usize,
     /// Run id stamped into every row (distinguishes runs in merged files).
     pub run: u64,
-    /// Keyed part-stream mode: prefix every row with its
-    /// `(t_ns, scope-rank, entity)` sort key (see [`crate::keyed`]), for
-    /// per-shard pipelines whose outputs are merged deterministically.
-    pub keyed: bool,
 }
 
 impl Default for PipelineConfig {
@@ -48,7 +44,6 @@ impl Default for PipelineConfig {
             bin: SimDuration::from_secs(1),
             ring_lines: 256,
             run: 0,
-            keyed: false,
         }
     }
 }
@@ -69,12 +64,6 @@ impl PipelineConfig {
     /// Sets the run id stamped into every row.
     pub fn with_run(mut self, run: u64) -> Self {
         self.run = run;
-        self
-    }
-
-    /// Enables keyed part-stream output (see [`PipelineConfig::keyed`]).
-    pub fn with_keyed(mut self, keyed: bool) -> Self {
-        self.keyed = keyed;
         self
     }
 }
@@ -176,7 +165,6 @@ struct LineRing {
     capacity: usize,
     high_water: usize,
     lines_written: u64,
-    csv: bool,
     /// Keyed part-stream mode: each row is prefixed with its
     /// `(t_ns, rank, a, b, 0, 0)` sort key, tab-separated from the
     /// payload, so per-shard part files merge deterministically
@@ -204,7 +192,7 @@ impl LineRing {
             let (rank, a, b) = key;
             let _ = write!(s, "{t_ns} {rank} {a} {b} 0 0\t");
         }
-        let mut row = RowBuf::begin(&mut s, self.csv, t_ns, run, scope);
+        let mut row = RowBuf::begin(&mut s, t_ns, run, scope);
         f(&mut row);
         row.end();
         self.ring.push_back(s);
@@ -225,79 +213,40 @@ impl LineRing {
     }
 }
 
-/// Serializes one metrics row in either format:
-///
-/// * JSONL: `{"t_ns":N,"run":R,"scope":"...",<fields…>}`
-/// * CSV: `N,R,scope,"k=v k=v …"` (header [`MetricsPipeline::CSV_HEADER`])
+/// Serializes one metrics row as JSONL:
+/// `{"t_ns":N,"run":R,"scope":"...",<fields…>}`.
 struct RowBuf<'a> {
     out: &'a mut String,
-    csv: bool,
-    any: bool,
 }
 
 impl<'a> RowBuf<'a> {
-    fn begin(out: &'a mut String, csv: bool, t_ns: u64, run: u64, scope: &str) -> Self {
-        if csv {
-            let _ = write!(out, "{t_ns},{run},{scope},\"");
-        } else {
-            let _ = write!(out, "{{\"t_ns\":{t_ns},\"run\":{run},\"scope\":\"{scope}\"");
-        }
-        RowBuf {
-            out,
-            csv,
-            any: false,
-        }
-    }
-
-    fn key(&mut self, k: &str) {
-        if self.csv {
-            if self.any {
-                self.out.push(' ');
-            }
-            let _ = write!(self.out, "{k}=");
-        } else {
-            let _ = write!(self.out, ",\"{k}\":");
-        }
-        self.any = true;
+    fn begin(out: &'a mut String, t_ns: u64, run: u64, scope: &str) -> Self {
+        let _ = write!(out, "{{\"t_ns\":{t_ns},\"run\":{run},\"scope\":\"{scope}\"");
+        RowBuf { out }
     }
 
     fn u64(&mut self, k: &str, v: u64) {
-        self.key(k);
-        let _ = write!(self.out, "{v}");
+        let _ = write!(self.out, ",\"{k}\":{v}");
     }
 
     /// `u64` with a two-part key (`prefix` + `name`), written without
     /// building an intermediate key string.
     fn prefixed_u64(&mut self, prefix: &str, name: &str, v: u64) {
-        if self.csv {
-            if self.any {
-                self.out.push(' ');
-            }
-            let _ = write!(self.out, "{prefix}{name}={v}");
-        } else {
-            let _ = write!(self.out, ",\"{prefix}{name}\":{v}");
-        }
-        self.any = true;
+        let _ = write!(self.out, ",\"{prefix}{name}\":{v}");
     }
 
     /// Shortest round-trip float formatting — deterministic, re-parses to
     /// the same bits (the same convention as trace records).
     fn f64(&mut self, k: &str, v: f64) {
-        self.key(k);
-        let _ = write!(self.out, "{v:?}");
+        let _ = write!(self.out, ",\"{k}\":{v:?}");
     }
 
     fn str(&mut self, k: &str, v: &str) {
-        self.key(k);
-        if self.csv {
-            self.out.push_str(v);
-        } else {
-            let _ = write!(self.out, "\"{v}\"");
-        }
+        let _ = write!(self.out, ",\"{k}\":\"{v}\"");
     }
 
     fn end(self) {
-        self.out.push(if self.csv { '"' } else { '}' });
+        self.out.push('}');
     }
 }
 
@@ -448,11 +397,11 @@ pub struct MetricsPipeline {
 }
 
 impl MetricsPipeline {
-    /// The header matching CSV-mode rows.
-    pub const CSV_HEADER: &'static str = "t_ns,run,scope,fields";
-
-    /// A pipeline writing JSONL (or CSV) rows to `w`.
-    pub fn new(cfg: PipelineConfig, csv: bool, w: Box<dyn Write + Send>) -> Self {
+    /// A pipeline writing JSONL rows to `w`. With `keyed`, every row is
+    /// prefixed with its `(t_ns, scope-rank, entity)` sort key (see
+    /// [`crate::keyed`]), for per-shard pipelines whose outputs are merged
+    /// deterministically.
+    pub fn new(cfg: PipelineConfig, keyed: bool, w: Box<dyn Write + Send>) -> Self {
         MetricsPipeline {
             inner: Mutex::new(PipeInner {
                 bin_ns: cfg.bin.as_nanos().max(1),
@@ -468,8 +417,7 @@ impl MetricsPipeline {
                     capacity: cfg.ring_lines.max(1),
                     high_water: 0,
                     lines_written: 0,
-                    csv,
-                    keyed: cfg.keyed,
+                    keyed,
                     w,
                 },
             }),
@@ -799,11 +747,8 @@ mod tests {
         let plain = Shared::default();
         let keyed = Shared::default();
         for (buf, keyed_mode) in [(&plain, false), (&keyed, true)] {
-            let p = MetricsPipeline::new(
-                PipelineConfig::default().with_keyed(keyed_mode),
-                false,
-                Box::new(buf.clone()),
-            );
+            let p =
+                MetricsPipeline::new(PipelineConfig::default(), keyed_mode, Box::new(buf.clone()));
             p.record(&ack(100, 3000, 25_000));
             p.record(&at(
                 200,
@@ -831,20 +776,5 @@ mod tests {
             .map(|l| format!("{}\n", l.split_once('\t').unwrap().1))
             .collect();
         assert_eq!(stripped, plain);
-    }
-
-    #[test]
-    fn csv_mode_packs_fields() {
-        let buf = Shared::default();
-        let p = MetricsPipeline::new(PipelineConfig::default(), true, Box::new(buf.clone()));
-        p.record(&ack(10, 1500, 20_000));
-        p.flush();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let line = text.lines().next().unwrap();
-        assert!(
-            line.starts_with("1000000000,0,subflow,\"conn=1 subflow=0 "),
-            "unexpected CSV row: {line}"
-        );
-        assert!(line.ends_with('"'));
     }
 }

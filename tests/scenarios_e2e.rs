@@ -1,9 +1,9 @@
 //! End-to-end scenario tests beyond the smoke suite: the §6 scheduler
-//! effect, application-limited workloads, the Clos fabric, MPCUBIC, and
-//! mid-run link changes.
+//! effect, application-limited workloads, the Clos fabric, and mid-run
+//! link changes.
 
 use mpcc::{Mpcc, MpccConfig};
-use mpcc_cc::{Bbr, MpCubic};
+use mpcc_cc::Bbr;
 use mpcc_netsim::link::LinkParams;
 use mpcc_netsim::topology::{parallel_links, uniform_parallel_links, ClosConfig};
 use mpcc_simcore::{Rate, SimDuration, SimTime};
@@ -59,18 +59,6 @@ fn rate_scheduler_recovers_both_links_under_bbr() {
     );
     assert!(goodput > 160.0, "goodput {goodput}");
     assert!(slow > fast / 4, "both busy: fast {fast} slow {slow}");
-}
-
-#[test]
-fn mpcubic_uses_both_links() {
-    let (goodput, fast, slow) = two_link_bulk(
-        Box::new(MpCubic::new()),
-        SchedulerKind::Default,
-        (30, 30),
-        40,
-    );
-    assert!(goodput > 120.0, "goodput {goodput}");
-    assert!(fast > 1000 && slow > 1000);
 }
 
 #[test]

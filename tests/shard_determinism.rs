@@ -82,7 +82,7 @@ impl TelemetryDir {
             std::env::temp_dir().join(format!("mpcc-shard-telem-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("trace.jsonl");
-        let metrics = dir.join("metrics.csv");
+        let metrics = dir.join("metrics.jsonl");
         let exec = Executor::new(
             1,
             Some(TraceConfig {
