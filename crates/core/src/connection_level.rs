@@ -8,8 +8,11 @@
 //! interval is stretched to the slowest subflow's RTT (Obstacle II), and the
 //! worst-subflow penalty makes healthy subflows back off (Obstacle III).
 
-use crate::controller::state::StateConfig;
-use crate::utility::connection_utility;
+use crate::controller::state::{
+    CHANGE_BOUND_FRAC, INITIAL_RATE, MAX_RATE, MIN_PROBE, MIN_RATE, PROBE_EPSILON, THETA0,
+};
+use crate::controller::CWND_GAIN;
+use crate::utility::{connection_utility, UtilityParams};
 use mpcc_netsim::MSS_PAYLOAD;
 use mpcc_simcore::{Rate, SimDuration, SimRng, SimTime};
 use mpcc_transport::{MiReport, MultipathCc};
@@ -32,7 +35,6 @@ struct Issued {
 
 /// The connection-level controller of §4.
 pub struct ConnectionLevel {
-    cfg: StateConfig,
     /// Base rate vector (Mbps).
     rates: Vec<f64>,
     /// Latest per-subflow loss and latency-gradient observations.
@@ -45,24 +47,24 @@ pub struct ConnectionLevel {
     probe_utilities: Vec<[Option<f64>; 2]>,
     /// Issued MIs per subflow, FIFO.
     issued: Vec<VecDeque<Issued>>,
+    /// Per subflow, reports still to discard after an RTO reset.
+    discard: Vec<usize>,
     omega: f64,
-    theta: f64,
     rng: SimRng,
 }
 
 impl ConnectionLevel {
     /// Creates the controller.
-    pub fn new(cfg: StateConfig, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         ConnectionLevel {
-            cfg,
             rates: Vec::new(),
             stats: Vec::new(),
             srtts: Vec::new(),
             schedule: VecDeque::new(),
             probe_utilities: Vec::new(),
             issued: Vec::new(),
+            discard: Vec::new(),
             omega: 1.0,
-            theta: cfg.theta0,
             rng: SimRng::seed_from_u64(seed),
         }
     }
@@ -78,7 +80,7 @@ impl ConnectionLevel {
 
     fn plan_cycle(&mut self) {
         let d = self.rates.len();
-        self.omega = (self.cfg.probe_epsilon * self.total()).max(self.cfg.min_probe);
+        self.omega = (PROBE_EPSILON * self.total()).max(MIN_PROBE);
         self.probe_utilities = vec![[None, None]; d];
         self.schedule.clear();
         // Sequential per-dimension probing (Obstacle I: 2·d MIs per cycle).
@@ -106,7 +108,7 @@ impl ConnectionLevel {
         }
         losses[dim] = loss;
         grads[dim] = grad;
-        connection_utility(&self.cfg.utility, &rates, &losses, &grads)
+        connection_utility(&UtilityParams::mpcc_loss(), &rates, &losses, &grads)
     }
 
     fn maybe_move(&mut self) {
@@ -119,12 +121,12 @@ impl ConnectionLevel {
         }
         // Multidimensional gradient step.
         let total = self.total().max(1.0);
-        let bound = self.cfg.change_bound_frac * total;
+        let bound = CHANGE_BOUND_FRAC * total;
         for dim in 0..self.rates.len() {
             let [up, down] = self.probe_utilities[dim];
             let g = (up.expect("checked") - down.expect("checked")) / (2.0 * self.omega);
-            let step = (self.theta * g).clamp(-bound, bound);
-            self.rates[dim] = (self.rates[dim] + step).clamp(self.cfg.min_rate, self.cfg.max_rate);
+            let step = (THETA0 * g).clamp(-bound, bound);
+            self.rates[dim] = (self.rates[dim] + step).clamp(MIN_RATE, MAX_RATE);
         }
         self.plan_cycle();
     }
@@ -137,10 +139,11 @@ impl MultipathCc for ConnectionLevel {
 
     fn init_subflow(&mut self, subflow: usize, _now: SimTime) {
         while self.rates.len() <= subflow {
-            self.rates.push(self.cfg.initial_rate);
+            self.rates.push(INITIAL_RATE);
             self.stats.push((0.0, 0.0));
             self.srtts.push(SimDuration::from_millis(100));
             self.issued.push(VecDeque::new());
+            self.discard.push(0);
         }
         self.plan_cycle();
     }
@@ -177,7 +180,7 @@ impl MultipathCc for ConnectionLevel {
         };
         let rate = match step {
             Step::Probe { dir, .. } => {
-                (self.rates[subflow] + dir * self.omega).clamp(self.cfg.min_rate, self.cfg.max_rate)
+                (self.rates[subflow] + dir * self.omega).clamp(MIN_RATE, MAX_RATE)
             }
             Step::Hold => self.rates[subflow],
         };
@@ -190,6 +193,10 @@ impl MultipathCc for ConnectionLevel {
         let Some(issued) = self.issued[sf].pop_front() else {
             return;
         };
+        if self.discard[sf] > 0 {
+            self.discard[sf] -= 1;
+            return;
+        }
         if report.mean_rtt > SimDuration::ZERO {
             self.srtts[sf] = report.mean_rtt;
         }
@@ -201,7 +208,7 @@ impl MultipathCc for ConnectionLevel {
             let achieved = report.sent_packets as f64 * MSS_PAYLOAD as f64 * 8.0
                 / report.duration.as_secs_f64()
                 / 1e6;
-            let x = issued.rate.min(achieved * 1.05).max(self.cfg.min_rate);
+            let x = issued.rate.min(achieved * 1.05).max(MIN_RATE);
             let u = self.connection_u(dim, x, report.loss_rate, report.latency_gradient);
             let slot = if dir > 0.0 { 0 } else { 1 };
             self.probe_utilities[dim][slot] = Some(u);
@@ -210,17 +217,19 @@ impl MultipathCc for ConnectionLevel {
     }
 
     fn on_rto(&mut self, subflow: usize, _now: SimTime) {
-        self.rates[subflow] = (self.rates[subflow] / 2.0).max(self.cfg.min_rate);
+        self.rates[subflow] = (self.rates[subflow] / 2.0).max(MIN_RATE);
         self.plan_cycle();
-        for q in &mut self.issued {
-            q.clear();
+        // Every outstanding MI belongs to the abandoned cycle: its report
+        // must still pop its own entry, then be ignored.
+        for (d, q) in self.discard.iter_mut().zip(&self.issued) {
+            *d = q.len();
         }
     }
 
     fn cwnd_bytes(&self, subflow: usize, srtt: SimDuration) -> u64 {
         let rate = Rate::from_mbps(self.rate(subflow));
         let bdp = rate.bytes_in(srtt.max(SimDuration::from_millis(2)));
-        ((bdp * 2.0) as u64).max(10 * MSS_PAYLOAD)
+        ((bdp * CWND_GAIN) as u64).max(10 * MSS_PAYLOAD)
     }
 
     fn pacing_rate(&self, subflow: usize) -> Option<Rate> {
@@ -238,7 +247,7 @@ mod tests {
 
     #[test]
     fn mi_duration_is_slowest_rtt() {
-        let mut cc = ConnectionLevel::new(StateConfig::default(), 1);
+        let mut cc = ConnectionLevel::new(1);
         cc.init_subflow(0, SimTime::ZERO);
         cc.init_subflow(1, SimTime::ZERO);
         cc.srtts[0] = SimDuration::from_millis(10);
@@ -251,7 +260,7 @@ mod tests {
 
     #[test]
     fn probing_is_sequential_across_dimensions() {
-        let mut cc = ConnectionLevel::new(StateConfig::default(), 1);
+        let mut cc = ConnectionLevel::new(1);
         cc.init_subflow(0, SimTime::ZERO);
         cc.init_subflow(1, SimTime::ZERO);
         // The schedule probes dim 0 twice, then dim 1 twice: 2d MIs.
@@ -262,10 +271,42 @@ mod tests {
     }
 
     #[test]
+    fn rto_discards_reports_of_intervals_issued_before_it() {
+        let mut cc = ConnectionLevel::new(1);
+        cc.init_subflow(0, SimTime::ZERO);
+        cc.init_subflow(1, SimTime::ZERO);
+        let t = SimTime::from_millis(100);
+        let rate = cc.begin_mi(0, t);
+        cc.on_rto(0, t);
+        // The new cycle's first probe is on dimension 0 again.
+        cc.begin_mi(0, t);
+        // The pre-RTO probe reports, every packet lost: it belongs to the
+        // abandoned cycle and must not fill the new probe's slot.
+        let duration = SimDuration::from_millis(100);
+        cc.on_mi_complete(&MiReport {
+            subflow: 0,
+            rate,
+            start: t,
+            duration,
+            completed_at: t + duration,
+            sent_packets: 10,
+            acked_packets: 0,
+            lost_packets: 10,
+            acked_bytes: 0,
+            loss_rate: 1.0,
+            goodput: Rate::from_mbps(0.0),
+            latency_gradient: 0.0,
+            mean_rtt: SimDuration::from_millis(30),
+            app_limited: false,
+        });
+        assert_eq!(cc.probe_utilities[0], [None, None]);
+    }
+
+    #[test]
     fn worst_subflow_penalty_couples_dimensions() {
         // Obstacle III in miniature: a healthy subflow's measured utility
         // drops when the *other* subflow's loss worsens.
-        let mut cc = ConnectionLevel::new(StateConfig::default(), 1);
+        let mut cc = ConnectionLevel::new(1);
         cc.init_subflow(0, SimTime::ZERO);
         cc.init_subflow(1, SimTime::ZERO);
         cc.stats[1] = (0.0, 0.0);

@@ -8,18 +8,19 @@ use mpcc_netsim::MSS_PAYLOAD;
 use mpcc_simcore::{Rate, SimDuration, SimRng, SimTime};
 use mpcc_telemetry::{ControllerEvent, Layer, Tracer};
 use mpcc_transport::{MiReport, MultipathCc};
-use state::{MiOutcome, StateConfig, SubflowCtl};
+use state::{MiOutcome, StateConfig, SubflowCtl, INITIAL_RATE};
+
+/// Inflight cap multiplier: cwnd = `CWND_GAIN × rate × srtt`. Rate-based
+/// senders keep the window deliberately high (§6); this only bounds damage
+/// during blackouts.
+pub(crate) const CWND_GAIN: f64 = 2.0;
 
 /// Configuration of an MPCC connection.
 #[derive(Clone, Copy, Debug)]
 pub struct MpccConfig {
-    /// The per-subflow state-machine tunables (utility coefficients, probe
-    /// amplitude, step sizes...).
+    /// The per-subflow state-machine settings (utility coefficients and
+    /// the probe-amplitude ablation switch).
     pub state: StateConfig,
-    /// Inflight cap multiplier: cwnd = `cwnd_gain × rate × srtt`. Rate-based
-    /// senders keep the window deliberately high (§6); this only bounds
-    /// damage during blackouts.
-    pub cwnd_gain: f64,
     /// Seed for the controller's private randomness (probe ordering, MI
     /// jitter).
     pub seed: u64,
@@ -29,7 +30,6 @@ impl Default for MpccConfig {
     fn default() -> Self {
         MpccConfig {
             state: StateConfig::default(),
-            cwnd_gain: 2.0,
             seed: 7,
         }
     }
@@ -123,7 +123,7 @@ impl Mpcc {
 
     /// Control-state invariants (see crates/check and DESIGN.md §12),
     /// probed after every decision point: the commanded rate must respect
-    /// the configured bounds and the issued-MI bookkeeping queue must stay
+    /// the rate bounds and the issued-MI bookkeeping queue must stay
     /// shallow (it grows only while MIs are in flight).
     #[cfg(any(debug_assertions, feature = "invariants"))]
     fn check_controller(&self, subflow: usize, now: SimTime) {
@@ -131,7 +131,7 @@ impl Mpcc {
         const MAX_ISSUED_DEPTH: usize = 512;
         let ctl = &self.subflows[subflow];
         let rate = ctl.rate();
-        let (lo, hi) = (self.cfg.state.min_rate, self.cfg.state.max_rate);
+        let (lo, hi) = (state::MIN_RATE, state::MAX_RATE);
         mpcc_check::check(
             &self.tracer,
             now,
@@ -171,7 +171,7 @@ impl MultipathCc for Mpcc {
     fn init_subflow(&mut self, subflow: usize, _now: SimTime) {
         while self.subflows.len() <= subflow {
             self.subflows.push(SubflowCtl::new(self.cfg.state));
-            self.published.push(self.cfg.state.initial_rate);
+            self.published.push(INITIAL_RATE);
         }
     }
 
@@ -294,7 +294,7 @@ impl MultipathCc for Mpcc {
     fn cwnd_bytes(&self, subflow: usize, srtt: SimDuration) -> u64 {
         let rate = Rate::from_mbps(self.subflows[subflow].rate());
         let bdp = rate.bytes_in(srtt.max(SimDuration::from_millis(2)));
-        ((bdp * self.cfg.cwnd_gain) as u64).max(10 * MSS_PAYLOAD)
+        ((bdp * CWND_GAIN) as u64).max(10 * MSS_PAYLOAD)
     }
 
     fn pacing_rate(&self, subflow: usize) -> Option<Rate> {

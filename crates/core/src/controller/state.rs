@@ -18,7 +18,7 @@
 //! ends, decisions are pipelined: while feedback is pending, the subflow
 //! issues "hold" intervals at its base rate, and slow-start doubles every
 //! *other* interval. The exact constants are not published in the paper;
-//! ours are in [`MpccConfig`](crate::controller::MpccConfig) and DESIGN.md.
+//! ours are the constants below, listed with their values in DESIGN.md §5.
 
 use crate::utility::{subflow_utility, UtilityParams};
 use mpcc_simcore::SimRng;
@@ -65,49 +65,42 @@ pub struct MiOutcome {
     pub app_limited: bool,
 }
 
-/// Tunables of the per-subflow state machine.
+/// Starting rate (Mbps).
+pub(crate) const INITIAL_RATE: f64 = 2.0;
+/// Rate floor (Mbps).
+pub(crate) const MIN_RATE: f64 = 0.125;
+/// Rate ceiling (Mbps).
+pub(crate) const MAX_RATE: f64 = 20_000.0;
+/// Probe amplitude ε as a fraction of the connection's total rate.
+pub(crate) const PROBE_EPSILON: f64 = 0.01;
+/// Probe amplitude floor (Mbps).
+pub(crate) const MIN_PROBE: f64 = 0.1;
+/// Base gradient-step scale θ₀ (Mbps² per utility unit).
+pub(crate) const THETA0: f64 = 1.0;
+/// Confidence-amplifier cap.
+const MAX_AMPLIFIER: u32 = 30;
+/// Change bound as a fraction of the connection's total rate.
+pub(crate) const CHANGE_BOUND_FRAC: f64 = 0.05;
+/// Swing-buffer floor for the change bound fraction.
+const MIN_CHANGE_BOUND_FRAC: f64 = 0.005;
+
+/// The per-subflow state machine's settings that differ between MPCC
+/// variants; every other value is a constant of this module.
 #[derive(Clone, Copy, Debug)]
 pub struct StateConfig {
     /// Utility coefficients.
     pub utility: UtilityParams,
-    /// Starting rate (Mbps).
-    pub initial_rate: f64,
-    /// Rate floor (Mbps).
-    pub min_rate: f64,
-    /// Rate ceiling (Mbps).
-    pub max_rate: f64,
-    /// Probe amplitude as a fraction of the connection's total rate.
-    pub probe_epsilon: f64,
     /// Ablation switch (§5.2): when `true`, ω scales with the *subflow's
     /// own* rate instead of the connection total — the paper reports this
     /// empirically gets stuck at suboptimal global outcomes.
     pub probe_scales_with_own_rate: bool,
-    /// Probe amplitude floor (Mbps).
-    pub min_probe: f64,
-    /// Base gradient-step scale θ₀ (Mbps² per utility unit).
-    pub theta0: f64,
-    /// Confidence-amplifier cap.
-    pub max_amplifier: u32,
-    /// Change bound as a fraction of the connection's total rate.
-    pub change_bound_frac: f64,
-    /// Swing-buffer floor for the change bound fraction.
-    pub min_change_bound_frac: f64,
 }
 
 impl Default for StateConfig {
     fn default() -> Self {
         StateConfig {
             utility: UtilityParams::mpcc_loss(),
-            initial_rate: 2.0,
-            min_rate: 0.125,
-            max_rate: 20_000.0,
-            probe_epsilon: 0.01,
             probe_scales_with_own_rate: false,
-            min_probe: 0.1,
-            theta0: 1.0,
-            max_amplifier: 30,
-            change_bound_frac: 0.05,
-            min_change_bound_frac: 0.005,
         }
     }
 }
@@ -158,11 +151,11 @@ pub struct SubflowCtl {
 }
 
 impl SubflowCtl {
-    /// A subflow starting in slow-start at the configured initial rate.
+    /// A subflow starting in slow-start at the initial rate.
     pub fn new(cfg: StateConfig) -> Self {
         SubflowCtl {
-            rate: cfg.initial_rate,
-            bound_frac: cfg.change_bound_frac,
+            rate: INITIAL_RATE,
+            bound_frac: CHANGE_BOUND_FRAC,
             cfg,
             phase: Phase::Starting {
                 awaiting: false,
@@ -202,18 +195,18 @@ impl SubflowCtl {
     }
 
     fn clamp(&self, r: f64) -> f64 {
-        r.clamp(self.cfg.min_rate, self.cfg.max_rate)
+        r.clamp(MIN_RATE, MAX_RATE)
     }
 
     fn omega(&self, total_published: f64) -> f64 {
         let base = if self.cfg.probe_scales_with_own_rate {
             // The §5.2 ablation: 5% of the subflow's own rate (a Vivace-like
             // relative step; the paper's design deliberately avoids this).
-            5.0 * self.cfg.probe_epsilon * self.rate
+            5.0 * PROBE_EPSILON * self.rate
         } else {
-            self.cfg.probe_epsilon * total_published
+            PROBE_EPSILON * total_published
         };
-        base.max(self.cfg.min_probe)
+        base.max(MIN_PROBE)
     }
 
     fn new_probe_plan(&mut self, total_published: f64, tries: u32, rng: &mut SimRng) {
@@ -241,7 +234,6 @@ impl SubflowCtl {
     /// connection-wide published total (both Mbps).
     pub fn next_mi(&mut self, others: f64, total_published: f64, rng: &mut SimRng) -> Issued {
         let base_rate = self.rate;
-        let (min_rate, max_rate) = (self.cfg.min_rate, self.cfg.max_rate);
         let issued = match &mut self.phase {
             Phase::Starting { awaiting, .. } => {
                 if *awaiting {
@@ -267,12 +259,12 @@ impl SubflowCtl {
                     // [min + ω, max − ω] (as PCC implementations do), so
                     // the clamp can never collapse `pair_diff` to ~0 and
                     // loop the episode inconclusive at the bound.
-                    let center = if max_rate - min_rate >= 2.0 * *omega {
-                        base_rate.clamp(min_rate + *omega, max_rate - *omega)
+                    let center = if MAX_RATE - MIN_RATE >= 2.0 * *omega {
+                        base_rate.clamp(MIN_RATE + *omega, MAX_RATE - *omega)
                     } else {
-                        0.5 * (min_rate + max_rate)
+                        0.5 * (MIN_RATE + MAX_RATE)
                     };
-                    let rate = (center + dir as f64 * *omega).clamp(min_rate, max_rate);
+                    let rate = (center + dir as f64 * *omega).clamp(MIN_RATE, MAX_RATE);
                     Issued {
                         purpose: Purpose::Probe { dir },
                         rate,
@@ -323,10 +315,7 @@ impl SubflowCtl {
         // Effective rate: the commanded rate, discounted when the transport
         // could not actually reach it (window-limited, pacer gaps).
         let x = if outcome.achieved > 0.0 {
-            issued
-                .rate
-                .min(outcome.achieved * 1.05)
-                .max(self.cfg.min_rate)
+            issued.rate.min(outcome.achieved * 1.05).max(MIN_RATE)
         } else {
             issued.rate
         };
@@ -427,7 +416,7 @@ impl SubflowCtl {
                 self.decisions += 1;
                 if u < prev.1 {
                     // Swing buffer: contract the change bound and re-probe.
-                    self.bound_frac = (self.bound_frac / 2.0).max(self.cfg.min_change_bound_frac);
+                    self.bound_frac = (self.bound_frac / 2.0).max(MIN_CHANGE_BOUND_FRAC);
                     self.new_probe_plan(total_published, 0, rng);
                     ReportAction::ExitedMoving
                 } else {
@@ -444,13 +433,13 @@ impl SubflowCtl {
                         1.0
                     };
                     let amplifier = if gradient_defined {
-                        (amplifier + 1).min(self.cfg.max_amplifier)
+                        (amplifier + 1).min(MAX_AMPLIFIER)
                     } else {
                         amplifier
                     };
                     let bound = self.bound_frac * total_published;
-                    let step = (self.cfg.theta0 * amplifier as f64 * gradient)
-                        .clamp(self.cfg.min_probe, bound.max(self.cfg.min_probe));
+                    let step = (THETA0 * amplifier as f64 * gradient)
+                        .clamp(MIN_PROBE, bound.max(MIN_PROBE));
                     let proposed = self.rate + dir * step;
                     let next = self.clamp(proposed);
                     // Reset confidence entirely when the clamp truncates
@@ -463,7 +452,7 @@ impl SubflowCtl {
                     };
                     self.rate = next;
                     // Gentle bound recovery on sustained progress.
-                    self.bound_frac = (self.bound_frac * 1.1).min(self.cfg.change_bound_frac);
+                    self.bound_frac = (self.bound_frac * 1.1).min(CHANGE_BOUND_FRAC);
                     ReportAction::Moved(dir * step)
                 }
             }
@@ -747,41 +736,36 @@ mod tests {
     fn probe_amplitude_scales_with_total_not_subflow_rate() {
         // Per §5.2: ω is ε × connection total. With a small subflow rate
         // but a large connection total, ω must reflect the total.
-        let cfg = StateConfig::default();
-        let ctl = SubflowCtl::new(cfg);
+        let ctl = SubflowCtl::new(StateConfig::default());
         let omega = ctl.omega(500.0);
         assert!((omega - 5.0).abs() < 1e-9, "1% of 500 = {omega}");
         let omega_small = ctl.omega(1.0);
-        assert_eq!(omega_small, cfg.min_probe);
+        assert_eq!(omega_small, MIN_PROBE);
     }
 
     #[test]
     fn probe_pair_stays_separated_at_max_rate() {
-        // Pinned at max_rate, the up probe clamps onto the base rate, so
+        // Pinned at MAX_RATE, the up probe clamps onto the base rate, so
         // without recentering the pair collapses to ω apart (or worse) and
         // the episode loops inconclusive at the bound forever.
-        let cfg = StateConfig {
-            max_rate: 10.0,
-            ..StateConfig::default()
-        };
-        let mut ctl = SubflowCtl::new(cfg);
+        let mut ctl = SubflowCtl::new(StateConfig::default());
         let mut r = rng();
-        ctl.rate = 10.0;
-        ctl.new_probe_plan(10.0, 0, &mut r);
+        ctl.rate = MAX_RATE;
+        ctl.new_probe_plan(MAX_RATE, 0, &mut r);
         let omega = match ctl.phase {
             Phase::Probing { omega, .. } => omega,
             ref p => panic!("expected Probing, got {p:?}"),
         };
         let (mut up, mut down) = (None, None);
         for _ in 0..4 {
-            let issued = ctl.next_mi(0.0, 10.0, &mut r);
+            let issued = ctl.next_mi(0.0, MAX_RATE, &mut r);
             match issued.purpose {
                 Purpose::Probe { dir } if dir > 0 => up = Some(issued.rate),
                 Purpose::Probe { dir } if dir < 0 => down = Some(issued.rate),
                 p => panic!("expected a probe, got {p:?}"),
             }
-            assert!(issued.rate <= 10.0 + 1e-9);
-            assert!(issued.rate >= cfg.min_rate - 1e-9);
+            assert!(issued.rate <= MAX_RATE + 1e-9);
+            assert!(issued.rate >= MIN_RATE - 1e-9);
         }
         let (up, down) = (up.expect("an up probe"), down.expect("a down probe"));
         assert!(
@@ -792,10 +776,9 @@ mod tests {
 
     #[test]
     fn probe_pair_stays_separated_at_min_rate() {
-        let cfg = StateConfig::default();
-        let mut ctl = SubflowCtl::new(cfg);
+        let mut ctl = SubflowCtl::new(StateConfig::default());
         let mut r = rng();
-        ctl.rate = cfg.min_rate;
+        ctl.rate = MIN_RATE;
         ctl.new_probe_plan(10.0, 0, &mut r);
         let omega = match ctl.phase {
             Phase::Probing { omega, .. } => omega,
@@ -809,7 +792,7 @@ mod tests {
                 Purpose::Probe { dir } if dir < 0 => down = Some(issued.rate),
                 p => panic!("expected a probe, got {p:?}"),
             }
-            assert!(issued.rate >= cfg.min_rate - 1e-9);
+            assert!(issued.rate >= MIN_RATE - 1e-9);
         }
         let (up, down) = (up.expect("an up probe"), down.expect("a down probe"));
         assert!(
@@ -820,24 +803,20 @@ mod tests {
 
     #[test]
     fn amplifier_does_not_grow_while_pinned_at_clamp() {
-        // Moving upward with the rate pinned at max_rate: x never changes,
+        // Moving upward with the rate pinned at MAX_RATE: x never changes,
         // so there is no gradient signal. The confidence amplifier must
         // not keep growing against the clamp.
-        let cfg = StateConfig {
-            max_rate: 10.0,
-            ..StateConfig::default()
-        };
-        let mut ctl = SubflowCtl::new(cfg);
+        let mut ctl = SubflowCtl::new(StateConfig::default());
         let mut r = rng();
-        ctl.rate = 10.0;
+        ctl.rate = MAX_RATE;
         ctl.phase = Phase::Moving {
             dir: 1.0,
             amplifier: 1,
             prev: (5.0, f64::MIN),
         };
         for _ in 0..10 {
-            let issued = ctl.next_mi(0.0, 10.0, &mut r);
-            ctl.on_report(good(issued.rate), 10.0, &mut r);
+            let issued = ctl.next_mi(0.0, MAX_RATE, &mut r);
+            ctl.on_report(good(issued.rate), MAX_RATE, &mut r);
         }
         match ctl.phase {
             Phase::Moving { amplifier, .. } => assert!(
@@ -846,21 +825,20 @@ mod tests {
             ),
             ref p => panic!("expected to still be Moving, got {p:?}"),
         }
-        assert!(ctl.rate() <= 10.0 + 1e-9);
+        assert!(ctl.rate() <= MAX_RATE + 1e-9);
     }
 
     #[test]
     fn rates_stay_within_bounds() {
-        let cfg = StateConfig {
-            max_rate: 10.0,
-            ..StateConfig::default()
-        };
-        let mut ctl = SubflowCtl::new(cfg);
+        let mut ctl = SubflowCtl::new(StateConfig::default());
         let mut r = rng();
+        // Start one doubling below the ceiling, so slow start presses
+        // against MAX_RATE for most of the run.
+        ctl.rate = MAX_RATE / 2.0;
         for _ in 0..50 {
             let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
-            assert!(issued.rate <= 10.0 + 1e-9);
-            assert!(issued.rate >= cfg.min_rate - 1e-9);
+            assert!(issued.rate <= MAX_RATE + 1e-9);
+            assert!(issued.rate >= MIN_RATE - 1e-9);
             ctl.on_report(good(issued.rate), ctl.rate(), &mut r);
         }
     }

@@ -33,7 +33,7 @@ pub fn make(name: &str, seed: u64) -> Box<dyn MultipathCc> {
             Box::new(Mpcc::new(cfg))
         }
         "mpcc-latency" => Box::new(Mpcc::new(MpccConfig::latency().with_seed(seed))),
-        "mpcc-conn-level" => Box::new(ConnectionLevel::new(StateConfig::default(), seed)),
+        "mpcc-conn-level" => Box::new(ConnectionLevel::new(seed)),
         "vivace" => Box::new(Mpcc::vivace(seed)),
         "vivace-latency" => Box::new(Mpcc::vivace_latency(seed)),
         "lia" => Box::new(lia()),

@@ -39,6 +39,19 @@ use std::sync::Arc;
 const PROTO: &str = "reno";
 /// Receive buffer advertised by every connection (flows stay cwnd-bound).
 const PEER_BUFFER: u64 = 300_000_000;
+/// Bounded-Pareto size floor, bytes.
+const MIN_BYTES: u64 = 10_000;
+/// Pareto shape (1 < α ≤ 2 is the heavy-tailed regime).
+const ALPHA: f64 = 1.5;
+/// Subflows per connection (spread over ECMP routes).
+const SUBFLOWS: usize = 2;
+/// Endpoint boxes pre-created per shard pool. Sized above the peak
+/// concurrent connection count, install never constructs fresh boxes after
+/// warm-up — the zero-allocation steady state.
+const PREWARM: usize = 128;
+/// Uniform random loss installed on every link at t=0 via `LinkChange`
+/// (the "faulted Clos" of the determinism gate).
+const LOSS: f64 = 0.0005;
 
 /// One scripted connection. Sampled before the run; identical on every
 /// shard (ids come from the rack-partitioned build).
@@ -66,24 +79,8 @@ pub struct ChurnConfig {
     pub window: SimDuration,
     /// Total simulated time (≥ `window`; the tail lets flows drain).
     pub duration: SimTime,
-    /// Bounded-Pareto size floor, bytes.
-    pub min_bytes: u64,
     /// Bounded-Pareto size cap, bytes.
     pub max_bytes: u64,
-    /// Pareto shape (1 < α ≤ 2 is the heavy-tailed regime).
-    pub alpha: f64,
-    /// Subflows per connection (spread over ECMP routes).
-    pub subflows: usize,
-    /// Endpoint boxes pre-created per shard pool. Sized above the peak
-    /// concurrent connection count, install never constructs fresh boxes
-    /// after warm-up — the zero-allocation steady state.
-    pub prewarm: usize,
-    /// Uniform random loss installed on every link at t=0 via
-    /// `LinkChange` (the "faulted Clos" of the determinism gate);
-    /// 0.0 leaves the fabric clean.
-    pub loss: f64,
-    /// Fabric shape and speeds.
-    pub clos: ClosConfig,
 }
 
 impl ChurnConfig {
@@ -96,13 +93,7 @@ impl ChurnConfig {
             conns,
             window: SimDuration::from_secs(secs),
             duration: SimTime::from_secs(secs + 2),
-            min_bytes: 10_000,
             max_bytes: 10_000_000,
-            alpha: 1.5,
-            subflows: 2,
-            prewarm: 128,
-            loss: 0.0005,
-            clos: churn_fabric(),
         }
     }
 }
@@ -130,13 +121,7 @@ fn churn_config(cfg: &ExpConfig) -> ChurnConfig {
         conns: cfg.scale(2_000, 20_000),
         window: SimDuration::from_secs(cfg.scale(15, 120)),
         duration: SimTime::from_secs(cfg.scale(20, 150)),
-        min_bytes: 10_000,
         max_bytes: cfg.scale(10_000_000, 50_000_000),
-        alpha: 1.5,
-        subflows: 2,
-        prewarm: 128,
-        loss: 0.0005,
-        clos: churn_fabric(),
     }
 }
 
@@ -146,7 +131,7 @@ fn churn_config(cfg: &ExpConfig) -> ChurnConfig {
 fn sample(cfg: &ChurnConfig, hosts: usize) -> Vec<(SimTime, u64, usize, usize)> {
     let mut rng = SimRng::seed_from_u64(splitmix64(cfg.seed ^ 0xC4C4));
     let mean_gap = cfg.window.as_nanos() as f64 / cfg.conns as f64;
-    let ratio = (cfg.min_bytes as f64 / cfg.max_bytes as f64).powf(cfg.alpha);
+    let ratio = (MIN_BYTES as f64 / cfg.max_bytes as f64).powf(ALPHA);
     let mut t = 0.0f64;
     let mut script = Vec::with_capacity(cfg.conns);
     for _ in 0..cfg.conns {
@@ -154,8 +139,8 @@ fn sample(cfg: &ChurnConfig, hosts: usize) -> Vec<(SimTime, u64, usize, usize)> 
         let u = 1.0 - rng.range_f64(0.0, 1.0);
         t += -u.ln() * mean_gap;
         let u2 = rng.range_f64(0.0, 1.0);
-        let x = cfg.min_bytes as f64 / (1.0 - u2 * (1.0 - ratio)).powf(1.0 / cfg.alpha);
-        let bytes = (x as u64).clamp(cfg.min_bytes, cfg.max_bytes);
+        let x = MIN_BYTES as f64 / (1.0 - u2 * (1.0 - ratio)).powf(1.0 / ALPHA);
+        let bytes = (x as u64).clamp(MIN_BYTES, cfg.max_bytes);
         let src = rng.index(hosts);
         let dst = loop {
             let d = rng.index(hosts);
@@ -213,10 +198,11 @@ pub struct ChurnOutcome {
 pub fn build(cfg: &ChurnConfig) -> ChurnSim {
     assert!(cfg.conns > 0, "churn needs at least one connection");
     let k = cfg.shards.max(1);
-    let script = sample(cfg, cfg.clos.hosts());
+    let clos = churn_fabric();
+    let script = sample(cfg, clos.hosts());
     let conns: Vec<_> = script
         .iter()
-        .map(|&(_, _, src, dst)| (src, dst, cfg.subflows))
+        .map(|&(_, _, src, dst)| (src, dst, SUBFLOWS))
         .collect();
     // Connection `i` reserves slot `2i` for its sender, then `2i + 1` for
     // its receiver.
@@ -225,20 +211,18 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
         .flat_map(|&(_, _, src, dst)| [src, dst])
         .collect();
     let faulted = LinkParams::paper_default()
-        .with_capacity(cfg.clos.link_capacity)
-        .with_delay(cfg.clos.link_delay)
-        .with_buffer(cfg.clos.buffer)
-        .with_random_loss(cfg.loss);
+        .with_capacity(clos.link_capacity)
+        .with_delay(clos.link_delay)
+        .with_buffer(clos.buffer)
+        .with_random_loss(LOSS);
     let install = |me: u8, sim: &mut Simulation, part: &ClosPartition| {
-        if cfg.loss > 0.0 {
-            // Fault the fabric at t=0, each link on its owning shard (so
-            // the change dispatches exactly once at any shard count). The
-            // delay is unchanged — lowering it would invalidate the
-            // conservative lookahead computed at build.
-            for (l, &owner) in part.link_shard.iter().enumerate() {
-                if owner == me {
-                    sim.schedule_link_change(SimTime::ZERO, LinkId(l as u32), faulted);
-                }
+        // Fault the fabric at t=0, each link on its owning shard (so the
+        // change dispatches exactly once at any shard count). The delay is
+        // unchanged — lowering it would invalidate the conservative
+        // lookahead computed at build.
+        for (l, &owner) in part.link_shard.iter().enumerate() {
+            if owner == me {
+                sim.schedule_link_change(SimTime::ZERO, LinkId(l as u32), faulted);
             }
         }
         // Churn keeps discovering rare new per-slot timer-wheel occupancy
@@ -250,9 +234,7 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
         // entry, the slots take about 7.9 MB per shard.
         sim.reserve_event_capacity(512, 16_384);
     };
-    let (mut sim, part) = cfg
-        .clos
-        .partitioned(cfg.seed, k, &conns, &slot_hosts, install);
+    let (mut sim, part) = clos.partitioned(cfg.seed, k, &conns, &slot_hosts, install);
     let specs: Vec<ConnSpec> = script
         .iter()
         .zip(part.paths)
@@ -269,10 +251,7 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
         .collect();
     let specs = Arc::new(specs);
     for i in 0..k {
-        sim.set_hook(
-            i as usize,
-            Box::new(ChurnHook::new(i, Arc::clone(&specs), cfg)),
-        );
+        sim.set_hook(i as usize, Box::new(ChurnHook::new(i, Arc::clone(&specs))));
     }
     ChurnSim {
         sim,
@@ -347,14 +326,14 @@ struct ChurnHook {
 }
 
 impl ChurnHook {
-    fn new(me: u8, specs: Arc<Vec<ConnSpec>>, cfg: &ChurnConfig) -> ChurnHook {
+    fn new(me: u8, specs: Arc<Vec<ConnSpec>>) -> ChurnHook {
         // Prewarm the pools from the first spec (the boxes are reset in
         // place at install, so which spec seeds them is immaterial).
         let seed_spec = &specs[0];
-        let sender_pool = (0..cfg.prewarm)
+        let sender_pool = (0..PREWARM)
             .map(|_| fresh_sender(seed_spec))
             .collect::<Vec<_>>();
-        let recv_pool = (0..cfg.prewarm)
+        let recv_pool = (0..PREWARM)
             .map(|_| Box::new(MpReceiver::new(PEER_BUFFER)) as Box<dyn Endpoint>)
             .collect::<Vec<_>>();
         let conns = specs.len();
@@ -362,8 +341,8 @@ impl ChurnHook {
             me,
             specs,
             next_install: 0,
-            active: Arena::with_capacity(2 * cfg.prewarm),
-            retire_buf: Vec::with_capacity(2 * cfg.prewarm),
+            active: Arena::with_capacity(2 * PREWARM),
+            retire_buf: Vec::with_capacity(2 * PREWARM),
             sender_pool,
             recv_pool,
             results: Vec::with_capacity(conns),
@@ -596,11 +575,11 @@ pub fn run(cfg: &ExpConfig) -> Vec<Figure> {
     fig.note(format!(
         "Poisson arrivals over {}s, bounded-Pareto sizes [{}, {}] α={}, {} subflows, {} random loss on every link, endpoints recycled through per-shard pools",
         c.window.as_secs_f64(),
-        c.min_bytes,
+        MIN_BYTES,
         c.max_bytes,
-        c.alpha,
-        c.subflows,
-        c.loss,
+        ALPHA,
+        SUBFLOWS,
+        LOSS,
     ));
     vec![fig]
 }

@@ -1,14 +1,14 @@
 //! The streaming metrics pipeline: folds the trace-event stream into
 //! per-subflow / per-connection / per-link time-binned series with bounded
-//! memory, flushing finished bins through a bounded line ring to a writer.
+//! memory, writing each finished bin's rows straight to a writer.
 //!
 //! Design invariants, matching the rest of the telemetry crate:
 //!
 //! * **Bounded memory.** Aggregation state is one fixed-size bin per live
-//!   entity (histograms included), and finished rows sit in a bounded ring
-//!   of reused `String`s that drains to the writer whenever it fills. The
-//!   high-water mark is observable ([`MetricsPipeline::ring_high_water`])
-//!   so tests can prove the bound holds over arbitrarily long runs.
+//!   entity (histograms included). Each finished row is formatted into one
+//!   reused `String` and written to the writer at once, so output costs one
+//!   row plus whatever buffer the writer keeps (give it a `BufWriter` for a
+//!   file).
 //! * **Deterministic output.** Rows are emitted in a fixed order on every
 //!   bin close (subflows, then connections, then links, then check
 //!   invariants, each in `BTreeMap` order), floats use shortest
@@ -22,7 +22,7 @@ use crate::event::{ControllerEvent, LinkEvent, Record, TraceEvent, TransportEven
 use crate::sink::TraceSink;
 use crate::stats::Histogram;
 use mpcc_simcore::SimDuration;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::Mutex;
@@ -32,8 +32,6 @@ use std::sync::Mutex;
 pub struct PipelineConfig {
     /// Time-bin width; one row per active entity is flushed per bin.
     pub bin: SimDuration,
-    /// Capacity of the line ring (rows buffered before a drain).
-    pub ring_lines: usize,
     /// Run id stamped into every row (distinguishes runs in merged files).
     pub run: u64,
 }
@@ -42,7 +40,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             bin: SimDuration::from_secs(1),
-            ring_lines: 256,
             run: 0,
         }
     }
@@ -52,12 +49,6 @@ impl PipelineConfig {
     /// Sets the bin width (zero-width bins are clamped to 1 ns).
     pub fn with_bin(mut self, bin: SimDuration) -> Self {
         self.bin = bin;
-        self
-    }
-
-    /// Sets the line-ring capacity (clamped to at least 1).
-    pub fn with_ring(mut self, lines: usize) -> Self {
-        self.ring_lines = lines;
         self
     }
 
@@ -155,64 +146,6 @@ impl LinkBin {
     }
 }
 
-/// The bounded row ring between bin closes and the writer. Rows are
-/// serialized into recycled `String`s; a full ring drains every buffered
-/// row to the writer and keeps the strings for reuse, so steady-state
-/// operation neither grows nor reallocates.
-struct LineRing {
-    ring: VecDeque<String>,
-    spares: Vec<String>,
-    capacity: usize,
-    high_water: usize,
-    lines_written: u64,
-    /// Keyed part-stream mode: each row is prefixed with its
-    /// `(t_ns, rank, a, b, 0, 0)` sort key, tab-separated from the
-    /// payload, so per-shard part files merge deterministically
-    /// ([`crate::keyed::merge_keyed_parts`]). Rank orders the scopes the
-    /// way `close_bin` emits them (subflow < conn < link < check), and
-    /// `(a, b)` is the entity id in `BTreeMap` iteration order — so a
-    /// single keyed part is already in key order, and the merged union
-    /// of per-shard parts reproduces the unkeyed 1-instance byte stream.
-    keyed: bool,
-    w: Box<dyn Write + Send>,
-}
-
-impl LineRing {
-    fn emit(
-        &mut self,
-        run: u64,
-        t_ns: u64,
-        scope: &str,
-        key: (u64, u64, u64),
-        f: impl FnOnce(&mut RowBuf<'_>),
-    ) {
-        let mut s = self.spares.pop().unwrap_or_default();
-        s.clear();
-        if self.keyed {
-            let (rank, a, b) = key;
-            let _ = write!(s, "{t_ns} {rank} {a} {b} 0 0\t");
-        }
-        let mut row = RowBuf::begin(&mut s, t_ns, run, scope);
-        f(&mut row);
-        row.end();
-        self.ring.push_back(s);
-        self.high_water = self.high_water.max(self.ring.len());
-        if self.ring.len() >= self.capacity {
-            self.drain();
-        }
-    }
-
-    fn drain(&mut self) {
-        while let Some(s) = self.ring.pop_front() {
-            let _ = writeln!(self.w, "{s}");
-            self.lines_written += 1;
-            if self.spares.len() < self.capacity {
-                self.spares.push(s);
-            }
-        }
-    }
-}
-
 /// Serializes one metrics row as JSONL:
 /// `{"t_ns":N,"run":R,"scope":"...",<fields…>}`.
 struct RowBuf<'a> {
@@ -275,10 +208,43 @@ struct PipeInner {
     conns: BTreeMap<u64, ConnBin>,
     links: BTreeMap<u32, LinkBin>,
     checks: BTreeMap<&'static str, u64>,
-    ring: LineRing,
+    /// The row being formatted, reused for every row.
+    row: String,
+    lines_written: u64,
+    /// Keyed part-stream mode: each row is prefixed with its
+    /// `(t_ns, rank, a, b, 0, 0)` sort key, tab-separated from the
+    /// payload, so per-shard part files merge deterministically
+    /// ([`crate::keyed::merge_keyed_parts`]). Rank orders the scopes the
+    /// way `close_bin` emits them (subflow < conn < link < check), and
+    /// `(a, b)` is the entity id in `BTreeMap` iteration order — so a
+    /// single keyed part is already in key order, and the merged union
+    /// of per-shard parts reproduces the unkeyed 1-instance byte stream.
+    keyed: bool,
+    w: Box<dyn Write + Send>,
 }
 
 impl PipeInner {
+    /// Formats one row and writes it, newline-terminated, to the writer.
+    fn emit(
+        &mut self,
+        t_ns: u64,
+        scope: &str,
+        key: (u64, u64, u64),
+        f: impl FnOnce(&mut RowBuf<'_>),
+    ) {
+        self.row.clear();
+        if self.keyed {
+            let (rank, a, b) = key;
+            let _ = write!(self.row, "{t_ns} {rank} {a} {b} 0 0\t");
+        }
+        let mut row = RowBuf::begin(&mut self.row, t_ns, self.run, scope);
+        f(&mut row);
+        row.end();
+        self.row.push('\n');
+        let _ = self.w.write_all(self.row.as_bytes());
+        self.lines_written += 1;
+    }
+
     /// Flushes every active entity's row for bin `idx` and resets the bin
     /// state in place (allocations retained).
     fn close_bin(&mut self, idx: u64) {
@@ -286,37 +252,35 @@ impl PipeInner {
         // everything aggregated into the row had happened.
         let t_ns = (idx + 1).saturating_mul(self.bin_ns);
         let bin_secs = self.bin_ns as f64 / 1e9;
-        let run = self.run;
 
         let mut subflows = std::mem::take(&mut self.subflows);
         for (&(conn, subflow), b) in subflows.iter_mut() {
             if !b.active {
                 continue;
             }
-            self.ring
-                .emit(run, t_ns, "subflow", (0, conn, subflow as u64), |row| {
-                    row.u64("conn", conn);
-                    row.u64("subflow", subflow as u64);
-                    row.u64("sends", b.sends);
-                    row.u64("send_bytes", b.send_bytes);
-                    row.u64("reinjections", b.reinjections);
-                    row.u64("reinj_bytes", b.reinj_bytes);
-                    row.u64("acks", b.acks);
-                    row.u64("acked_bytes", b.acked_bytes);
-                    row.f64("goodput_mbps", b.acked_bytes as f64 * 8.0 / bin_secs / 1e6);
-                    row.u64("sack_losses", b.sack_losses);
-                    row.u64("rtos", b.rtos);
-                    if let Some(r) = b.rate_mbps {
-                        row.f64("rate_mbps", r);
-                    }
-                    row.u64("rtt_count", b.rtt_us.count());
-                    if b.rtt_us.count() > 0 {
-                        row.f64("rtt_p50_us", b.rtt_us.p50());
-                        row.f64("rtt_p95_us", b.rtt_us.p95());
-                        row.f64("rtt_p99_us", b.rtt_us.p99());
-                        row.f64("rtt_p999_us", b.rtt_us.p999());
-                    }
-                });
+            self.emit(t_ns, "subflow", (0, conn, subflow as u64), |row| {
+                row.u64("conn", conn);
+                row.u64("subflow", subflow as u64);
+                row.u64("sends", b.sends);
+                row.u64("send_bytes", b.send_bytes);
+                row.u64("reinjections", b.reinjections);
+                row.u64("reinj_bytes", b.reinj_bytes);
+                row.u64("acks", b.acks);
+                row.u64("acked_bytes", b.acked_bytes);
+                row.f64("goodput_mbps", b.acked_bytes as f64 * 8.0 / bin_secs / 1e6);
+                row.u64("sack_losses", b.sack_losses);
+                row.u64("rtos", b.rtos);
+                if let Some(r) = b.rate_mbps {
+                    row.f64("rate_mbps", r);
+                }
+                row.u64("rtt_count", b.rtt_us.count());
+                if b.rtt_us.count() > 0 {
+                    row.f64("rtt_p50_us", b.rtt_us.p50());
+                    row.f64("rtt_p95_us", b.rtt_us.p95());
+                    row.f64("rtt_p99_us", b.rtt_us.p99());
+                    row.f64("rtt_p999_us", b.rtt_us.p999());
+                }
+            });
             b.reset();
         }
         self.subflows = subflows;
@@ -326,7 +290,7 @@ impl PipeInner {
             if !b.active {
                 continue;
             }
-            self.ring.emit(run, t_ns, "conn", (1, conn, 0), |row| {
+            self.emit(t_ns, "conn", (1, conn, 0), |row| {
                 row.u64("conn", conn);
                 row.u64("mi_started", b.mi_started);
                 row.u64("mi_completed", b.mi_completed);
@@ -354,21 +318,20 @@ impl PipeInner {
             if !b.active {
                 continue;
             }
-            self.ring
-                .emit(run, t_ns, "link", (2, link as u64, 0), |row| {
-                    row.u64("link", link as u64);
-                    row.u64("enqueued", b.enqueued);
-                    row.u64("enq_bytes", b.enq_bytes);
-                    row.f64("throughput_mbps", b.enq_bytes as f64 * 8.0 / bin_secs / 1e6);
-                    row.u64("drop_overflow", b.drop_overflow);
-                    row.u64("drop_random", b.drop_random);
-                    row.u64("drop_burst", b.drop_burst);
-                    row.u64("drop_outage", b.drop_outage);
-                    row.u64("reordered", b.reordered);
-                    row.u64("duplicated", b.duplicated);
-                    row.u64("queue_bytes_last", b.queue_bytes_last);
-                    row.u64("queue_bytes_max", b.queue_bytes_max);
-                });
+            self.emit(t_ns, "link", (2, link as u64, 0), |row| {
+                row.u64("link", link as u64);
+                row.u64("enqueued", b.enqueued);
+                row.u64("enq_bytes", b.enq_bytes);
+                row.f64("throughput_mbps", b.enq_bytes as f64 * 8.0 / bin_secs / 1e6);
+                row.u64("drop_overflow", b.drop_overflow);
+                row.u64("drop_random", b.drop_random);
+                row.u64("drop_burst", b.drop_burst);
+                row.u64("drop_outage", b.drop_outage);
+                row.u64("reordered", b.reordered);
+                row.u64("duplicated", b.duplicated);
+                row.u64("queue_bytes_last", b.queue_bytes_last);
+                row.u64("queue_bytes_max", b.queue_bytes_max);
+            });
             b.reset();
         }
         self.links = links;
@@ -376,7 +339,7 @@ impl PipeInner {
         let mut checks = std::mem::take(&mut self.checks);
         for (&invariant, n) in checks.iter_mut().filter(|(_, n)| **n > 0) {
             let (a, b) = name_key(invariant);
-            self.ring.emit(run, t_ns, "check", (3, a, b), |row| {
+            self.emit(t_ns, "check", (3, a, b), |row| {
                 row.str("invariant", invariant);
                 row.u64("count", *n);
             });
@@ -411,41 +374,17 @@ impl MetricsPipeline {
                 conns: BTreeMap::new(),
                 links: BTreeMap::new(),
                 checks: BTreeMap::new(),
-                ring: LineRing {
-                    ring: VecDeque::with_capacity(cfg.ring_lines.max(1)),
-                    spares: Vec::new(),
-                    capacity: cfg.ring_lines.max(1),
-                    high_water: 0,
-                    lines_written: 0,
-                    keyed,
-                    w,
-                },
+                row: String::new(),
+                lines_written: 0,
+                keyed,
+                w,
             }),
         }
     }
 
-    /// Highest number of rows ever buffered in the ring — always at most
-    /// the configured capacity (the bounded-memory guarantee tests pin).
-    pub fn ring_high_water(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("pipeline poisoned")
-            .ring
-            .high_water
-    }
-
-    /// The configured ring capacity.
-    pub fn ring_capacity(&self) -> usize {
-        self.inner.lock().expect("pipeline poisoned").ring.capacity
-    }
-
     /// Total rows written to the underlying writer so far.
     pub fn lines_written(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("pipeline poisoned")
-            .ring
-            .lines_written
+        self.inner.lock().expect("pipeline poisoned").lines_written
     }
 }
 
@@ -605,8 +544,7 @@ impl TraceSink for MetricsPipeline {
             // second flush emits nothing new.
             g.close_bin(cur);
         }
-        g.ring.drain();
-        let _ = g.ring.w.flush();
+        let _ = g.w.flush();
     }
 }
 
@@ -722,21 +660,11 @@ mod tests {
     #[test]
     fn ring_stays_bounded_over_many_bins() {
         let buf = Shared::default();
-        let p = MetricsPipeline::new(
-            PipelineConfig::default().with_ring(4),
-            false,
-            Box::new(buf.clone()),
-        );
+        let p = MetricsPipeline::new(PipelineConfig::default(), false, Box::new(buf.clone()));
         for bin in 0..1000u64 {
             p.record(&ack(bin * 1000 + 1, 1500, 20_000));
         }
         p.flush();
-        assert!(
-            p.ring_high_water() <= p.ring_capacity(),
-            "ring grew past capacity: {} > {}",
-            p.ring_high_water(),
-            p.ring_capacity()
-        );
         assert_eq!(p.lines_written(), 1000);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert_eq!(text.lines().count(), 1000);

@@ -35,7 +35,7 @@ struct SfRecv {
 }
 
 /// Statistics a receiver accumulates.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ReceiverStats {
     /// Data packets received (including duplicates).
     pub received_packets: u64,

@@ -205,6 +205,7 @@ impl MpSender {
         self.tracer = Tracer::off();
         self.conn_id = 0;
         self.view_buf.clear();
+        self.mi_reports = 0;
         #[cfg(any(debug_assertions, feature = "invariants"))]
         {
             self.check_tick = 0;

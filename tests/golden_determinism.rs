@@ -19,10 +19,12 @@
 //! MPCC_UPDATE_GOLDEN=1 cargo test --test golden_determinism
 //! ```
 //!
-//! and commit the rewritten `tests/golden/faulted_trace.txt` alongside the
-//! change that justified it.
+//! and commit the rewritten `tests/golden/*.txt` alongside the change that
+//! justified it. `churn_small.txt` pins the churn scenario's outcome the
+//! same way.
 
 use mpcc_experiments::runner::{ConnSpec, Executor, Scenario, TraceConfig};
+use mpcc_experiments::scenarios::churn::{self, ChurnConfig};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
 use mpcc_simcore::rng::splitmix64;
@@ -135,10 +137,18 @@ fn faulted_run_matches_committed_golden() {
         serial.iter().filter(|&&b| b == b'\n').count(),
     );
 
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/faulted_trace.txt");
+    check_golden("faulted_trace.txt", &actual);
+}
+
+/// Compares `actual` with the committed `tests/golden/<name>`, or rewrites
+/// that file when `MPCC_UPDATE_GOLDEN` is set.
+fn check_golden(name: &str, actual: &str) {
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     if std::env::var_os("MPCC_UPDATE_GOLDEN").is_some() {
         fs::create_dir_all(golden_path.parent().unwrap()).unwrap();
-        fs::write(&golden_path, &actual).unwrap();
+        fs::write(&golden_path, actual).unwrap();
         eprintln!("golden updated: {}", golden_path.display());
         return;
     }
@@ -154,4 +164,31 @@ fn faulted_run_matches_committed_golden() {
          change is intentional, regenerate with MPCC_UPDATE_GOLDEN=1 and \
          commit the new golden"
     );
+}
+
+/// Churn's absolute outcome: connections installed and retired inside the
+/// run, endpoints recycled through the pools, on the lossy Clos fabric.
+/// The shard-determinism tests only compare shard counts with each other;
+/// this pins the one-shard outcome itself.
+#[test]
+fn churn_outcome_matches_committed_golden() {
+    let cfg = ChurnConfig::small(20201201, 1, 300, 4);
+    let o = churn::build(&cfg).run();
+    let mut fcts = Vec::with_capacity(o.fcts.len() * 20);
+    for &(id, bytes, fct_ms) in &o.fcts {
+        fcts.extend_from_slice(&id.to_le_bytes());
+        fcts.extend_from_slice(&bytes.to_le_bytes());
+        fcts.extend_from_slice(&fct_ms.to_bits().to_le_bytes());
+    }
+    let actual = format!(
+        "digest={:#018x}\ntotal_events={}\nstale_events={}\ncompleted={}\nincomplete={}\nskipped={}\nfcts_fnv1a64={:#018x}\n",
+        o.digest,
+        o.total_events,
+        o.stale_events,
+        o.fcts.len(),
+        o.incomplete,
+        o.skipped,
+        fnv1a64(&fcts),
+    );
+    check_golden("churn_small.txt", &actual);
 }

@@ -18,7 +18,8 @@ use mpcc_netsim::topology::parallel_links;
 use mpcc_simcore::{Rate, SimDuration, SimRng, SimTime};
 use mpcc_telemetry::{LinkEvent, RingSink, TraceEvent, Tracer, TransportEvent};
 use mpcc_transport::{
-    MpReceiver, MpSender, MultipathCc, ReceiverStats, SchedulerKind, SenderConfig, Workload,
+    Endpoint, MpReceiver, MpSender, MultipathCc, ReceiverStats, SchedulerKind, SenderConfig,
+    Workload,
 };
 use std::sync::Arc;
 
@@ -464,4 +465,92 @@ fn receiver_counts_duplicates_not_as_progress() {
         60,
     );
     assert_eq!(out.receiver.delivered_bytes, 1_000_000);
+}
+
+/// Everything a recycled sender/receiver pair must reproduce.
+#[derive(Debug, PartialEq)]
+struct PairOutcome {
+    fct: Option<SimDuration>,
+    data_acked: u64,
+    /// `(sent, lost)` packets per subflow.
+    subflows: Vec<(u64, u64)>,
+    receiver: ReceiverStats,
+    mi_reports: u64,
+}
+
+/// Runs one finite Reno transfer of `bytes` over a lossy and a clean link.
+/// With `used`, the pair is an earlier run's receiver and sender, reset in
+/// place; otherwise it is built fresh. The receiver is added first, so
+/// endpoint ids match across runs. Returns the outcome and the pair.
+fn run_pair(
+    seed: u64,
+    bytes: u64,
+    used: Option<(Box<dyn Endpoint>, Box<dyn Endpoint>)>,
+) -> (PairOutcome, Box<dyn Endpoint>, Box<dyn Endpoint>) {
+    let lossy = LinkParams {
+        random_loss: 0.01,
+        ..LinkParams::paper_default()
+    };
+    let mut net = parallel_links(seed, &[lossy, LinkParams::paper_default()]);
+    let paths = vec![net.path(0), net.path(1)];
+    let mut sim = net.sim;
+    let (rx, tx) = match used {
+        Some((mut rx, tx)) => {
+            rx.as_any_mut()
+                .downcast_mut::<MpReceiver>()
+                .unwrap()
+                .reset_for_reuse(300_000_000);
+            (rx, Some(tx))
+        }
+        None => (
+            Box::new(MpReceiver::paper_default()) as Box<dyn Endpoint>,
+            None,
+        ),
+    };
+    let recv = sim.add_endpoint(rx);
+    let tx = match tx {
+        Some(mut tx) => {
+            let s = tx.as_any_mut().downcast_mut::<MpSender>().unwrap();
+            let workload = Workload::Finite(bytes);
+            assert!(s.reset_for_reuse(recv, &paths, workload, SimTime::ZERO));
+            tx
+        }
+        None => Box::new(MpSender::new(
+            SenderConfig::file(recv, paths, bytes),
+            Box::new(reno()),
+        )),
+    };
+    let sender = sim.add_endpoint(tx);
+    let end = SimTime::from_secs(20);
+    sim.run_until(end);
+    let s = sim.endpoint::<MpSender>(sender);
+    let outcome = PairOutcome {
+        fct: s.fct(),
+        data_acked: s.data_acked(),
+        subflows: (0..s.num_subflows())
+            .map(|i| {
+                let st = s.subflow_stats(i, end);
+                (st.sent_packets, st.lost_packets)
+            })
+            .collect(),
+        receiver: sim.endpoint::<MpReceiver>(recv).stats(),
+        mi_reports: s.mi_reports(),
+    };
+    let (rx, tx) = (sim.remove_endpoint(recv), sim.remove_endpoint(sender));
+    (outcome, rx, tx)
+}
+
+/// `reset_for_reuse` promises endpoints "exactly as if newly constructed":
+/// a pair that has already carried another lossy connection must reproduce
+/// a fresh pair's outcome on the same connection.
+#[test]
+fn recycled_endpoints_match_fresh_ones() {
+    let (fresh, _, _) = run_pair(7, 2_000_000, None);
+    assert!(
+        fresh.fct.is_some() && fresh.subflows.iter().any(|&(_, lost)| lost > 0),
+        "the transfer must complete through losses: {fresh:?}"
+    );
+    let (_, rx, tx) = run_pair(8, 3_000_000, None);
+    let (recycled, _, _) = run_pair(7, 2_000_000, Some((rx, tx)));
+    assert_eq!(recycled, fresh);
 }
