@@ -200,8 +200,7 @@ impl MultipathCc for Mpcc {
             .filter(|(j, _)| *j != subflow)
             .map(|(_, r)| r)
             .sum();
-        let total = others + self.published[subflow];
-        let issued = self.subflows[subflow].next_mi(others, total, &mut self.rng);
+        let issued = self.subflows[subflow].next_mi(others);
         // Rate-publication point: the chosen rate becomes visible to the
         // other subflows' future utility computations.
         self.published[subflow] = issued.rate;

@@ -113,10 +113,14 @@ enum Phase {
         prev_utility: Option<f64>,
     },
     Probing {
-        /// Probe directions still to issue (in order).
-        plan: Vec<i8>,
-        /// (direction, utility, rate) of completed probes, in order.
-        results: Vec<(i8, f64, f64)>,
+        /// Probe directions, issued in order.
+        plan: [i8; 4],
+        /// Entries of `plan` issued so far.
+        sent: usize,
+        /// (direction, utility, rate) of completed probes, in order; the
+        /// first `done` entries are filled.
+        results: [(i8, f64, f64); 4],
+        done: usize,
         /// ω used by this probing episode (Mbps).
         omega: f64,
         /// Consecutive inconclusive episodes.
@@ -211,28 +215,23 @@ impl SubflowCtl {
 
     fn new_probe_plan(&mut self, total_published: f64, tries: u32, rng: &mut SimRng) {
         // Two randomized-order (+ω, −ω) pairs, as in Vivace's RCT probing.
-        let mut plan = Vec::with_capacity(4);
-        for _ in 0..2 {
-            if rng.coin() {
-                plan.push(1);
-                plan.push(-1);
-            } else {
-                plan.push(-1);
-                plan.push(1);
-            }
+        let mut plan = [0; 4];
+        for pair in plan.chunks_exact_mut(2) {
+            pair.copy_from_slice(if rng.coin() { &[1, -1] } else { &[-1, 1] });
         }
         self.phase = Phase::Probing {
             plan,
-            results: Vec::new(),
+            sent: 0,
+            results: [(0, 0.0, 0.0); 4],
+            done: 0,
             omega: self.omega(total_published),
             tries,
         };
     }
 
     /// Chooses the rate for the next monitor interval. `others` is the sum
-    /// of the other subflows' published rates; `total_published` the
-    /// connection-wide published total (both Mbps).
-    pub fn next_mi(&mut self, others: f64, total_published: f64, rng: &mut SimRng) -> Issued {
+    /// of the other subflows' published rates (Mbps).
+    pub fn next_mi(&mut self, others: f64) -> Issued {
         let base_rate = self.rate;
         let issued = match &mut self.phase {
             Phase::Starting { awaiting, .. } => {
@@ -251,9 +250,11 @@ impl SubflowCtl {
                     }
                 }
             }
-            Phase::Probing { plan, omega, .. } => {
-                if let Some(dir) = plan.first().copied() {
-                    plan.remove(0);
+            Phase::Probing {
+                plan, sent, omega, ..
+            } => {
+                if let Some(&dir) = plan.get(*sent) {
+                    *sent += 1;
                     // Keep the ±ω pair fully separated even when the base
                     // rate sits at a bound: center the pair inside
                     // [min + ω, max − ω] (as PCC implementations do), so
@@ -284,7 +285,6 @@ impl SubflowCtl {
                 others,
             },
         };
-        let _ = (rng, total_published);
         self.issued.push_back(issued);
         issued
     }
@@ -360,24 +360,29 @@ impl SubflowCtl {
             }
             (
                 Phase::Probing {
+                    plan,
+                    sent,
                     mut results,
+                    done,
                     omega,
                     tries,
-                    plan,
                 },
                 Purpose::Probe { dir },
             ) => {
-                results.push((dir, u, x));
-                if results.len() < 4 {
+                results[done] = (dir, u, x);
+                let done = done + 1;
+                if done < results.len() {
                     self.phase = Phase::Probing {
                         plan,
+                        sent,
                         results,
+                        done,
                         omega,
                         tries,
                     };
                     return ReportAction::ProbeRecorded;
                 }
-                debug_assert!(plan.is_empty());
+                debug_assert_eq!(sent, plan.len());
                 let pair_diff = |a: &[(i8, f64, f64)]| -> f64 {
                     let up = a.iter().find(|(d, _, _)| *d > 0).expect("one up probe");
                     let down = a.iter().find(|(d, _, _)| *d < 0).expect("one down probe");
@@ -566,7 +571,7 @@ mod tests {
     fn run_slow_start(ctl: &mut SubflowCtl, cap: f64, max: usize) -> usize {
         let mut r = rng();
         for i in 0..max {
-            let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+            let issued = ctl.next_mi(0.0);
             let outcome = if issued.rate <= cap {
                 good(issued.rate)
             } else {
@@ -604,7 +609,7 @@ mod tests {
         run_slow_start(&mut ctl, 50.0, 100);
         let mut decided = None;
         for _ in 0..100 {
-            let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+            let issued = ctl.next_mi(0.0);
             // No loss at any tested rate: utility increases with rate.
             let action = ctl.on_report(good(issued.rate), ctl.rate(), &mut r);
             if let ReportAction::Decided(d) = action {
@@ -624,7 +629,7 @@ mod tests {
         let base = ctl.rate();
         let mut decided = None;
         for _ in 0..100 {
-            let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+            let issued = ctl.next_mi(0.0);
             // Heavy congestion: loss grows with rate, utility decreasing.
             let cap = base * 0.5;
             let loss = ((issued.rate - cap) / issued.rate).max(0.0);
@@ -644,7 +649,7 @@ mod tests {
         run_slow_start(&mut ctl, 60.0, 100);
         // Drive to a decision upward.
         loop {
-            let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+            let issued = ctl.next_mi(0.0);
             if let ReportAction::Decided(_) = ctl.on_report(good(issued.rate), ctl.rate(), &mut r) {
                 break;
             }
@@ -653,7 +658,7 @@ mod tests {
         // Utility keeps improving: rate must march upward.
         let mut moved = 0;
         for _ in 0..10 {
-            let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+            let issued = ctl.next_mi(0.0);
             if let ReportAction::Moved(step) = ctl.on_report(good(issued.rate), ctl.rate(), &mut r)
             {
                 assert!(step > 0.0);
@@ -663,7 +668,7 @@ mod tests {
         assert!(moved >= 8);
         assert!(ctl.rate() > rate_at_move_start);
         // Now slam into a wall: utility collapses → back to probing.
-        let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+        let issued = ctl.next_mi(0.0);
         let action = ctl.on_report(lossy(issued.rate, 0.5), ctl.rate(), &mut r);
         assert_eq!(action, ReportAction::ExitedMoving);
         assert!(!ctl.is_moving());
@@ -676,13 +681,13 @@ mod tests {
         let mut r = rng();
         run_slow_start(&mut ctl, 60.0, 100);
         loop {
-            let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+            let issued = ctl.next_mi(0.0);
             if let ReportAction::Decided(_) = ctl.on_report(good(issued.rate), ctl.rate(), &mut r) {
                 break;
             }
         }
         // Immediately fail the first move.
-        let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+        let issued = ctl.next_mi(0.0);
         let _ = issued;
         ctl.on_report(lossy(ctl.rate(), 0.9), ctl.rate(), &mut r);
         assert!(ctl.bound_frac < before);
@@ -695,8 +700,8 @@ mod tests {
         run_slow_start(&mut ctl, 100.0, 100);
         let before = ctl.rate();
         // Two MIs in flight.
-        ctl.next_mi(0.0, before, &mut r);
-        ctl.next_mi(0.0, before, &mut r);
+        ctl.next_mi(0.0);
+        ctl.next_mi(0.0);
         ctl.on_rto(before, &mut r);
         assert!((ctl.rate() - before / 2.0).abs() < 1e-9);
         // Their (stale) reports are ignored.
@@ -714,7 +719,7 @@ mod tests {
     fn app_limited_reports_do_not_drive_decisions() {
         let mut ctl = SubflowCtl::new(StateConfig::default());
         let mut r = rng();
-        let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+        let issued = ctl.next_mi(0.0);
         let action = ctl.on_report(
             MiOutcome {
                 achieved: issued.rate * 0.01,
@@ -728,7 +733,7 @@ mod tests {
         assert_eq!(action, ReportAction::Ignored);
         assert!(ctl.in_slow_start());
         // The doubling latch is released: the next MI is a Start again.
-        let next = ctl.next_mi(0.0, ctl.rate(), &mut r);
+        let next = ctl.next_mi(0.0);
         assert_eq!(next.purpose, Purpose::Start);
     }
 
@@ -758,7 +763,7 @@ mod tests {
         };
         let (mut up, mut down) = (None, None);
         for _ in 0..4 {
-            let issued = ctl.next_mi(0.0, MAX_RATE, &mut r);
+            let issued = ctl.next_mi(0.0);
             match issued.purpose {
                 Purpose::Probe { dir } if dir > 0 => up = Some(issued.rate),
                 Purpose::Probe { dir } if dir < 0 => down = Some(issued.rate),
@@ -786,7 +791,7 @@ mod tests {
         };
         let (mut up, mut down) = (None, None);
         for _ in 0..4 {
-            let issued = ctl.next_mi(0.0, 10.0, &mut r);
+            let issued = ctl.next_mi(0.0);
             match issued.purpose {
                 Purpose::Probe { dir } if dir > 0 => up = Some(issued.rate),
                 Purpose::Probe { dir } if dir < 0 => down = Some(issued.rate),
@@ -815,7 +820,7 @@ mod tests {
             prev: (5.0, f64::MIN),
         };
         for _ in 0..10 {
-            let issued = ctl.next_mi(0.0, MAX_RATE, &mut r);
+            let issued = ctl.next_mi(0.0);
             ctl.on_report(good(issued.rate), MAX_RATE, &mut r);
         }
         match ctl.phase {
@@ -836,7 +841,7 @@ mod tests {
         // against MAX_RATE for most of the run.
         ctl.rate = MAX_RATE / 2.0;
         for _ in 0..50 {
-            let issued = ctl.next_mi(0.0, ctl.rate(), &mut r);
+            let issued = ctl.next_mi(0.0);
             assert!(issued.rate <= MAX_RATE + 1e-9);
             assert!(issued.rate >= MIN_RATE - 1e-9);
             ctl.on_report(good(issued.rate), ctl.rate(), &mut r);

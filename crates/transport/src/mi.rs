@@ -221,20 +221,13 @@ impl MiTracker {
         self.pending.iter_mut().find(|mi| mi.contains(seq))
     }
 
-    /// Pops completed intervals in order. An interval only reports once all
-    /// earlier intervals have reported, so the controller sees a strictly
-    /// ordered stream of results.
-    pub fn poll_completed(&mut self, subflow: usize, now: SimTime) -> Vec<MiReport> {
-        let mut out = Vec::new();
-        while let Some(front) = self.pending.front() {
-            if front.resolved() {
-                let mi = self.pending.pop_front().expect("front exists");
-                out.push(mi.report(subflow, now));
-            } else {
-                break;
-            }
-        }
-        out
+    /// Pops the oldest interval if it has completed. An interval only
+    /// reports once all earlier intervals have reported, so calling this
+    /// until it returns `None` gives the controller a strictly ordered
+    /// stream of results without collecting them anywhere.
+    pub fn pop_completed(&mut self, subflow: usize, now: SimTime) -> Option<MiReport> {
+        let mi = self.pending.pop_front_if(|mi| mi.resolved())?;
+        Some(mi.report(subflow, now))
     }
 
     /// Number of closed-but-unresolved intervals.
@@ -249,6 +242,11 @@ mod tests {
     use crate::sack::{Chunk, Scoreboard, SentMeta};
     use crate::wire::{AckHeader, SackBlocks, SeqRange};
 
+    /// Every report ready at `now`, in order.
+    fn poll(t: &mut MiTracker, now: SimTime) -> Vec<MiReport> {
+        std::iter::from_fn(|| t.pop_completed(0, now)).collect()
+    }
+
     #[test]
     fn mi_lifecycle_and_report() {
         let mut t = MiTracker::new();
@@ -258,7 +256,7 @@ mod tests {
         let t1 = SimTime::from_millis(100);
         t.begin(Rate::from_mbps(20.0), t1, 10);
         assert_eq!(t.pending_len(), 1);
-        assert!(t.poll_completed(0, t1).is_empty());
+        assert!(poll(&mut t, t1).is_empty());
         // Ack 9 packets, lose 1.
         for seq in 0..9 {
             t.on_acked(
@@ -269,7 +267,7 @@ mod tests {
             );
         }
         t.on_lost(9);
-        let reports = t.poll_completed(0, SimTime::from_millis(200));
+        let reports = poll(&mut t, SimTime::from_millis(200));
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
         assert_eq!(r.sent_packets, 10);
@@ -297,7 +295,7 @@ mod tests {
                 1448,
             );
         }
-        let r = &t.poll_completed(0, SimTime::from_millis(300))[0];
+        let r = &poll(&mut t, SimTime::from_millis(300))[0];
         assert!(
             (r.latency_gradient - 0.1).abs() < 1e-9,
             "{}",
@@ -318,9 +316,9 @@ mod tests {
             SimDuration::from_millis(5),
             1448,
         );
-        assert!(t.poll_completed(0, SimTime::from_millis(30)).is_empty());
+        assert!(poll(&mut t, SimTime::from_millis(30)).is_empty());
         t.on_lost(0);
-        let reports = t.poll_completed(0, SimTime::from_millis(40));
+        let reports = poll(&mut t, SimTime::from_millis(40));
         assert_eq!(reports.len(), 2);
         assert!((reports[0].rate.mbps() - 1.0).abs() < 1e-9);
         assert!((reports[1].rate.mbps() - 2.0).abs() < 1e-9);
@@ -343,7 +341,7 @@ mod tests {
         );
         t.on_lost(50);
         // The closed interval still needs all 5 of its own packets.
-        assert!(t.poll_completed(0, SimTime::from_millis(150)).is_empty());
+        assert!(poll(&mut t, SimTime::from_millis(150)).is_empty());
         for seq in 100..105 {
             t.on_acked(
                 seq,
@@ -352,7 +350,7 @@ mod tests {
                 1448,
             );
         }
-        let reports = t.poll_completed(0, SimTime::from_millis(200));
+        let reports = poll(&mut t, SimTime::from_millis(200));
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].acked_packets, 5);
         assert_eq!(reports[0].lost_packets, 0);
@@ -378,10 +376,10 @@ mod tests {
             SimDuration::from_millis(5),
             1448,
         );
-        assert!(t.poll_completed(0, SimTime::from_millis(40)).is_empty());
+        assert!(poll(&mut t, SimTime::from_millis(40)).is_empty());
         // Resolving MI 0 releases all three, in interval order.
         t.on_acked(0, SimTime::ZERO, SimDuration::from_millis(5), 1448);
-        let reports = t.poll_completed(0, SimTime::from_millis(50));
+        let reports = poll(&mut t, SimTime::from_millis(50));
         assert_eq!(reports.len(), 3);
         assert!((reports[0].rate.mbps() - 1.0).abs() < 1e-9);
         assert!((reports[1].rate.mbps() - 2.0).abs() < 1e-9);
@@ -397,7 +395,7 @@ mod tests {
         t.begin(Rate::from_mbps(1.0), SimTime::ZERO, 0);
         t.mark_app_limited();
         t.begin(Rate::from_mbps(1.0), SimTime::from_millis(10), 0);
-        let reports = t.poll_completed(0, SimTime::from_millis(10));
+        let reports = poll(&mut t, SimTime::from_millis(10));
         assert_eq!(reports.len(), 1);
         assert!(reports[0].app_limited);
         assert_eq!(reports[0].sent_packets, 0);
@@ -473,7 +471,7 @@ mod tests {
 
         /// MI 0's report, which must be the only one ready.
         fn report(&mut self) -> MiReport {
-            let mut reports = self.t.poll_completed(0, SimTime::from_secs(1));
+            let mut reports = poll(&mut self.t, SimTime::from_secs(1));
             assert_eq!(reports.len(), 1);
             reports.pop().expect("one report")
         }

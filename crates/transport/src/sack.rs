@@ -27,7 +27,7 @@ pub struct Chunk {
 }
 
 /// Bookkeeping for one outstanding packet.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SentMeta {
     /// The connection-level bytes the packet carries.
     pub chunk: Chunk,
@@ -41,7 +41,7 @@ pub struct SentMeta {
 }
 
 /// Result of feeding one ACK into the scoreboard.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct AckOutcome {
     /// Packets newly acknowledged, with their metadata.
     pub acked: Vec<(u64, SentMeta)>,
@@ -58,15 +58,17 @@ pub struct AckOutcome {
 /// and never re-enter the scoreboard (a retransmission is a new send with a
 /// new sequence number), so the outstanding set lives in a `VecDeque`
 /// ordered by sequence number. Acked packets in the middle become
-/// tombstones (`None`) that are dropped once the front catches up; the
-/// cumulative-ACK hot path is a run of front pops and the SACK path a
-/// binary search — no tree-node traversal, and no allocation after warm-up
+/// tombstones (`None`) that are dropped once the front catches up. Entries
+/// are appended at the back and leave only from the front, so the deque is
+/// contiguous in sequence numbers and ends at `next_seq - 1`: entry `i`
+/// holds seq `next_seq - len + i`, and every lookup is that subtraction —
+/// no search, no tree-node traversal, and no allocation after warm-up
 /// thanks to the recycled [`AckOutcome`] buffer (see
 /// [`Scoreboard::recycle`]).
 #[derive(Debug, Default)]
 pub struct Scoreboard {
-    /// `(seq, Some(meta))` in ascending `seq` order; `None` is a tombstone
-    /// for a packet already acked or lost.
+    /// `(seq, Some(meta))` for the contiguous seqs `next_seq - len ..
+    /// next_seq`; `None` is a tombstone for a packet already acked or lost.
     outstanding: VecDeque<(u64, Option<SentMeta>)>,
     /// Live (non-tombstone) entries in `outstanding`.
     live: usize,
@@ -122,10 +124,24 @@ impl Scoreboard {
         seq
     }
 
+    /// Sequence number of the front entry (`next_seq` when empty).
+    fn front_seq(&self) -> u64 {
+        self.next_seq - self.outstanding.len() as u64
+    }
+
     /// Index of `seq` in `outstanding`, if tracked (live or tombstone).
     fn idx_of(&self, seq: u64) -> Option<usize> {
-        let i = self.outstanding.partition_point(|&(s, _)| s < seq);
-        (i < self.outstanding.len() && self.outstanding[i].0 == seq).then_some(i)
+        let i = seq.checked_sub(self.front_seq())?;
+        let found = (i < self.outstanding.len() as u64).then_some(i as usize);
+        debug_assert!(found.is_none_or(|i| self.outstanding[i].0 == seq));
+        found
+    }
+
+    /// Index of the first entry whose seq is at least `seq` (`len` if
+    /// none is).
+    fn lower_bound(&self, seq: u64) -> usize {
+        let offset = seq.saturating_sub(self.front_seq());
+        offset.min(self.outstanding.len() as u64) as usize
     }
 
     /// Drops tombstones at the front so `front()` is the oldest live entry.
@@ -167,10 +183,8 @@ impl Scoreboard {
         // Selective blocks (ascending within each block, like the
         // cumulative portion).
         for SeqRange { start, end } in &ack.sack {
-            let mut i = self.outstanding.partition_point(|&(s, _)| s < *start);
-            while i < self.outstanding.len() && self.outstanding[i].0 < *end {
+            for i in self.lower_bound(*start)..self.lower_bound(*end) {
                 self.mark_at(i, &mut out);
-                i += 1;
             }
         }
         // The specific packet that triggered the ACK (always delivered,
@@ -297,22 +311,19 @@ impl Scoreboard {
     }
 
     /// O(n) structural scan of the outstanding queue: sequence numbers
-    /// strictly ascending, the cached `live` count matching the actual
-    /// non-tombstone entries, and `inflight_payload` matching the sum of
-    /// live chunk lengths. Returns `(invariant, observed, expected)` on
-    /// the first violation. Used (sampled) by the runtime invariant
-    /// checker; too expensive to run per-ACK.
+    /// contiguous and ending at `next_seq - 1` (every lookup's offset
+    /// arithmetic relies on it), the cached `live` count matching the
+    /// actual non-tombstone entries, and `inflight_payload` matching the
+    /// sum of live chunk lengths. Returns `(invariant, observed,
+    /// expected)` on the first violation. Used (sampled) by the runtime
+    /// invariant checker; too expensive to run per-ACK.
     pub fn deep_violation(&self) -> Option<(&'static str, f64, f64)> {
         let mut live = 0usize;
         let mut payload = 0u64;
-        let mut prev: Option<u64> = None;
-        for &(seq, ref slot) in &self.outstanding {
-            if let Some(p) = prev {
-                if seq <= p {
-                    return Some(("scoreboard_seq_order", seq as f64, (p + 1) as f64));
-                }
+        for (expected, &(seq, ref slot)) in (self.front_seq()..).zip(&self.outstanding) {
+            if seq != expected {
+                return Some(("scoreboard_seq_order", seq as f64, expected as f64));
             }
-            prev = Some(seq);
             if let Some(meta) = slot {
                 live += 1;
                 payload += meta.chunk.len;
@@ -346,6 +357,8 @@ pub fn bw_sample(meta: &SentMeta, delivered_now: u64, now: SimTime) -> mpcc_simc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::MAX_SACK_BLOCKS;
+    use mpcc_simcore::SimRng;
 
     fn chunk(dsn: u64) -> Chunk {
         Chunk {
@@ -563,6 +576,261 @@ mod tests {
         sb.live += 1;
         assert!(sb.conservation_violation().is_some());
         assert!(sb.deep_violation().is_some());
+    }
+
+    #[test]
+    fn deep_scan_flags_a_seq_gap() {
+        let mut sb = Scoreboard::new();
+        for i in 0..4 {
+            sb.on_send(chunk(i * 1448), 1500, SimTime::ZERO);
+        }
+        assert!(sb.deep_violation().is_none());
+        // Still strictly ascending, but no longer contiguous: the offset
+        // lookups would find the wrong entries.
+        sb.outstanding[3].0 += 1;
+        assert_eq!(
+            sb.deep_violation(),
+            Some(("scoreboard_seq_order", 4.0, 3.0))
+        );
+    }
+
+    /// The binary-search scoreboard that offset lookups replaced, kept as
+    /// the behavioural reference for the differential test below. It
+    /// finds entries by `partition_point` and so never relies on the
+    /// outstanding seqs being contiguous.
+    #[derive(Default)]
+    struct SearchScoreboard {
+        outstanding: VecDeque<(u64, Option<SentMeta>)>,
+        next_seq: u64,
+        highest_acked: Option<u64>,
+        inflight_payload: u64,
+        delivered_bytes: u64,
+        lost: u64,
+        acked: u64,
+    }
+
+    impl SearchScoreboard {
+        fn on_send(&mut self, chunk: Chunk, wire_size: u64, sent_at: SimTime) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.inflight_payload += chunk.len;
+            let meta = SentMeta {
+                chunk,
+                wire_size,
+                sent_at,
+                delivered_at_send: self.delivered_bytes,
+            };
+            self.outstanding.push_back((seq, Some(meta)));
+            seq
+        }
+
+        fn idx_of(&self, seq: u64) -> Option<usize> {
+            let i = self.outstanding.partition_point(|&(s, _)| s < seq);
+            (i < self.outstanding.len() && self.outstanding[i].0 == seq).then_some(i)
+        }
+
+        fn mark_at(&mut self, i: usize, out: &mut AckOutcome) {
+            if let Some(meta) = self.outstanding[i].1.take() {
+                self.inflight_payload -= meta.chunk.len;
+                self.delivered_bytes += meta.chunk.len;
+                self.acked += 1;
+                out.acked_bytes += meta.chunk.len;
+                out.acked.push((self.outstanding[i].0, meta));
+            }
+        }
+
+        fn on_ack(&mut self, ack: &AckHeader, now: SimTime) -> AckOutcome {
+            let mut out = AckOutcome::default();
+            if self
+                .idx_of(ack.ack_seq)
+                .is_some_and(|i| self.outstanding[i].1.is_some())
+                && ack.echo_sent_at <= now
+            {
+                out.rtt_sample = Some(now.saturating_since(ack.echo_sent_at));
+            }
+            while let Some(&(seq, _)) = self.outstanding.front() {
+                if seq >= ack.cum_ack {
+                    break;
+                }
+                self.mark_at(0, &mut out);
+                self.outstanding.pop_front();
+            }
+            for SeqRange { start, end } in &ack.sack {
+                let mut i = self.outstanding.partition_point(|&(s, _)| s < *start);
+                while i < self.outstanding.len() && self.outstanding[i].0 < *end {
+                    self.mark_at(i, &mut out);
+                    i += 1;
+                }
+            }
+            if let Some(i) = self.idx_of(ack.ack_seq) {
+                self.mark_at(i, &mut out);
+            }
+            self.highest_acked = self.highest_acked.max(Some(ack.ack_seq));
+            if ack.cum_ack > 0 {
+                self.highest_acked = self.highest_acked.max(Some(ack.cum_ack - 1));
+            }
+            while matches!(self.outstanding.front(), Some(&(_, None))) {
+                self.outstanding.pop_front();
+            }
+            out
+        }
+
+        /// Pops the front while `lost(seq)`, declaring live entries lost.
+        fn lose_front(&mut self, lost: impl Fn(u64) -> bool) -> Vec<(u64, SentMeta)> {
+            let mut result = Vec::new();
+            while let Some(&(seq, _)) = self.outstanding.front() {
+                if !lost(seq) {
+                    break;
+                }
+                if let (seq, Some(meta)) = self.outstanding.pop_front().expect("front") {
+                    self.inflight_payload -= meta.chunk.len;
+                    self.lost += 1;
+                    result.push((seq, meta));
+                }
+            }
+            result
+        }
+
+        fn detect_losses(&mut self) -> Vec<(u64, SentMeta)> {
+            let Some(high) = self.highest_acked else {
+                return Vec::new();
+            };
+            let cutoff = high.saturating_sub(DUPTHRESH - 1);
+            self.lose_front(|seq| seq < cutoff)
+        }
+
+        fn on_rto(&mut self) -> Vec<(u64, SentMeta)> {
+            self.lose_front(|_| true)
+        }
+
+        fn live(&self) -> usize {
+            self.outstanding.iter().filter(|(_, m)| m.is_some()).count()
+        }
+    }
+
+    /// A random ACK against a scoreboard that has assigned `next_seq`
+    /// seqs: cumulative, SACK and `ack_seq` parts drawn over the whole
+    /// sequence space (and just past it), so they include stale,
+    /// duplicate, below-front, empty and reversed ranges, and echo times
+    /// that can lie in the future.
+    fn random_ack(rng: &mut SimRng, next_seq: u64, now: SimTime) -> AckHeader {
+        let seq_near_top = |rng: &mut SimRng| {
+            let back = rng.range_u64(0, 40);
+            (next_seq + 2).saturating_sub(back)
+        };
+        let cum_ack = match rng.index(4) {
+            0 => 0,
+            1 => rng.range_u64(0, next_seq + 3),
+            _ => seq_near_top(rng).saturating_sub(rng.range_u64(0, 20)),
+        };
+        let blocks = rng.index(MAX_SACK_BLOCKS + 1);
+        let sack = (0..blocks).map(|_| {
+            let start = if rng.coin() {
+                seq_near_top(rng)
+            } else {
+                rng.range_u64(0, next_seq + 3)
+            };
+            let len = rng.range_u64(0, 8);
+            if rng.index(16) == 0 {
+                SeqRange {
+                    start: start + len,
+                    end: start,
+                }
+            } else {
+                SeqRange {
+                    start,
+                    end: start + len,
+                }
+            }
+        });
+        let sack = SackBlocks::from_ranges(sack.collect::<Vec<_>>());
+        let ack_seq = seq_near_top(rng).min(next_seq + 1);
+        let echo = now.as_nanos() + 2_000_000;
+        AckHeader {
+            subflow: 0,
+            cum_ack,
+            sack,
+            ack_seq,
+            echo_sent_at: SimTime::from_nanos(rng.range_u64(0, echo)),
+            data_acked: 0,
+            rcv_window: u64::MAX,
+        }
+    }
+
+    fn assert_same_state(sb: &Scoreboard, reference: &SearchScoreboard, at: &str) {
+        assert_eq!(sb.next_seq(), reference.next_seq, "next_seq {at}");
+        assert_eq!(
+            sb.inflight_bytes(),
+            reference.inflight_payload,
+            "inflight {at}"
+        );
+        assert_eq!(sb.inflight_packets(), reference.live(), "live {at}");
+        assert_eq!(
+            sb.delivered_bytes(),
+            reference.delivered_bytes,
+            "delivered {at}"
+        );
+        assert_eq!(sb.total_lost_packets(), reference.lost, "lost {at}");
+        assert_eq!(sb.total_acked_packets(), reference.acked, "acked {at}");
+        assert!(sb.conservation_violation().is_none(), "conservation {at}");
+        assert!(sb.deep_violation().is_none(), "deep scan {at}");
+    }
+
+    /// Offset lookups against the binary-search reference on seeded random
+    /// op sequences — sends, ACKs (see [`random_ack`]), FACK loss passes,
+    /// RTOs and resets for reuse — asserting identical outcomes (acked
+    /// seqs and metadata in order, bytes, RTT samples), loss lists and
+    /// counters after every op. Buffers go back through `recycle` and
+    /// `recycle_lost`, as the sender returns them.
+    #[test]
+    fn differential_offset_vs_search_reference() {
+        for seed in 0..8u64 {
+            let mut rng = SimRng::seed_from_u64(0x5C0E ^ seed);
+            let mut sb = Scoreboard::new();
+            let mut reference = SearchScoreboard::default();
+            let mut now = SimTime::ZERO;
+            for step in 0..20_000u32 {
+                let at = format!("at step {step} (seed {seed})");
+                now += SimDuration::from_micros(rng.range_u64(0, 500));
+                match rng.index(64) {
+                    0..=29 => {
+                        let c = Chunk {
+                            dsn: rng.next_u64() % (1 << 40),
+                            len: rng.range_u64(1, 1449),
+                            retx: rng.coin(),
+                        };
+                        let wire = c.len + 52;
+                        assert_eq!(
+                            sb.on_send(c, wire, now),
+                            reference.on_send(c, wire, now),
+                            "seq {at}"
+                        );
+                    }
+                    30..=54 => {
+                        let ack = random_ack(&mut rng, sb.next_seq(), now);
+                        let out = sb.on_ack(&ack, now);
+                        assert_eq!(out, reference.on_ack(&ack, now), "outcome {at}");
+                        sb.recycle(out);
+                    }
+                    55..=61 => {
+                        let lost = sb.detect_losses();
+                        assert_eq!(lost, reference.detect_losses(), "losses {at}");
+                        sb.recycle_lost(lost);
+                    }
+                    62 => {
+                        let lost = sb.on_rto();
+                        assert_eq!(lost, reference.on_rto(), "rto {at}");
+                        sb.recycle_lost(lost);
+                    }
+                    _ if rng.index(8) == 0 => {
+                        sb.reset_for_reuse();
+                        reference = SearchScoreboard::default();
+                    }
+                    _ => continue,
+                }
+                assert_same_state(&sb, &reference, &at);
+            }
+        }
     }
 
     #[test]

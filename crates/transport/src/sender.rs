@@ -322,7 +322,7 @@ impl MpSender {
 
     fn deliver_mi_reports(&mut self, sf: usize, now: SimTime) {
         let before = self.mi_reports;
-        for report in self.subflows[sf].mi.poll_completed(sf, now) {
+        while let Some(report) = self.subflows[sf].mi.pop_completed(sf, now) {
             self.check_mi_report(&report, now);
             self.cc.on_mi_complete(&report);
             self.mi_reports += 1;

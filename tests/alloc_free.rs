@@ -17,7 +17,7 @@ use mpcc_cc::reno;
 use mpcc_netsim::link::LinkParams;
 use mpcc_netsim::topology::uniform_parallel_links;
 use mpcc_simcore::{SimDuration, SimTime};
-use mpcc_transport::{MpReceiver, MpSender, SchedulerKind, SenderConfig};
+use mpcc_transport::{MpReceiver, MpSender, MultipathCc, SchedulerKind, SenderConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -57,20 +57,44 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_round_trips_do_not_allocate() {
     let _serial = MEASUREMENT.lock().unwrap_or_else(|e| e.into_inner());
-    // Two paper-default links, a bulk Reno flow — the same shape as the
-    // committed benchmark workload.
+    // Two paper-default links and a bulk Reno flow with the default
+    // scheduler: the ACK-clocked window path, with no pacer and no MIs.
+    assert_steady_state_is_allocation_free(Box::new(reno()), SchedulerKind::Default);
+}
+
+/// The committed `bulk-mpcc` benchmark's shape: `mpcc-loss` with the
+/// rate-based scheduler, so the pacer, monitor intervals and the §5.2
+/// state machine's probing rounds and moving steps are all inside the
+/// measurement window.
+#[test]
+fn mpcc_steady_state_does_not_allocate() {
+    use mpcc_experiments::protocols;
+
+    let _serial = MEASUREMENT.lock().unwrap_or_else(|e| e.into_inner());
+    assert_steady_state_is_allocation_free(
+        protocols::make("mpcc-loss", 11),
+        protocols::scheduler_for("mpcc-loss"),
+    );
+}
+
+/// Runs a bulk flow driven by `cc` over two paper-default links through
+/// a warm-up, then asserts that a long measurement window allocates
+/// nothing.
+fn assert_steady_state_is_allocation_free(cc: Box<dyn MultipathCc>, scheduler: SchedulerKind) {
     let n_links = 2;
     let mut net = uniform_parallel_links(11, n_links, LinkParams::paper_default());
     let paths: Vec<_> = (0..n_links).map(|i| net.path(i)).collect();
     let mut sim = net.sim;
     let recv = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
-    let cfg = SenderConfig::bulk(recv, paths).with_scheduler(SchedulerKind::Default);
-    let sender = sim.add_endpoint(Box::new(MpSender::new(cfg, Box::new(reno()))));
+    let cfg = SenderConfig::bulk(recv, paths).with_scheduler(scheduler);
+    let sender = sim.add_endpoint(Box::new(MpSender::new(cfg, cc)));
 
     // Warm-up must cover every container's high-water mark:
-    //  * one full congestion-avoidance sawtooth cycle (the climb from the
-    //    post-overshoot backoff to the next buffer-overflow loss takes
-    //    ~23 sim-seconds at this BDP), and
+    //  * the controller's longest cycle. For Reno that is one full
+    //    congestion-avoidance sawtooth (the climb from the post-overshoot
+    //    backoff to the next buffer-overflow loss takes ~23 sim-seconds
+    //    at this BDP); MPCC leaves slow start within seconds and then
+    //    cycles through probing and moving every few RTTs. And
     //  * one full rotation of the level-3 timer-wheel slots. Wheel level
     //    is chosen by XOR distance, so each 2^29 ns window boundary
     //    parks the next ~537 ms of timers in a level-3 slot until they

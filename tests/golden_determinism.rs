@@ -21,15 +21,18 @@
 //!
 //! and commit the rewritten `tests/golden/*.txt` alongside the change that
 //! justified it. `churn_small.txt` pins the churn scenario's outcome the
-//! same way.
+//! same way, and `bulk_mpcc.txt` the benchmark's bulk transfer path.
 
+use mpcc_experiments::protocols;
 use mpcc_experiments::runner::{ConnSpec, Executor, Scenario, TraceConfig};
 use mpcc_experiments::scenarios::churn::{self, ChurnConfig};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
+use mpcc_netsim::topology::uniform_parallel_links;
 use mpcc_simcore::rng::splitmix64;
-use mpcc_simcore::{Rate, SimDuration};
+use mpcc_simcore::{Rate, SimDuration, SimTime};
 use mpcc_telemetry::LayerMask;
+use mpcc_transport::{MpReceiver, MpSender, SenderConfig};
 use std::fs;
 use std::path::Path;
 
@@ -191,4 +194,50 @@ fn churn_outcome_matches_committed_golden() {
         fnv1a64(&fcts),
     );
     check_golden("churn_small.txt", &actual);
+}
+
+/// The bulk benchmark's path, shortened: one finite `mpcc-loss` transfer
+/// with the rate-based scheduler over two paper-default links, untraced.
+/// It is long enough to overflow a buffer, so the pinned counters cover
+/// SACK loss marking as well as the cumulative-ACK path.
+#[test]
+fn bulk_outcome_matches_committed_golden() {
+    const BYTES: u64 = 100_000_000;
+    let seed = 1;
+    let mut net = uniform_parallel_links(seed, 2, LinkParams::paper_default());
+    let paths = (0..2).map(|i| net.path(i)).collect();
+    let mut sim = net.sim;
+    let recv = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
+    let cfg = SenderConfig::file(recv, paths, BYTES)
+        .with_scheduler(protocols::scheduler_for("mpcc-loss"));
+    let sender = sim.add_endpoint(Box::new(MpSender::new(
+        cfg,
+        protocols::make("mpcc-loss", seed),
+    )));
+    let cap = SimTime::from_secs(60);
+    while !sim.endpoint::<MpSender>(sender).is_complete() && sim.now() < cap {
+        sim.run_for(SimDuration::from_millis(10));
+    }
+    let now = sim.now();
+    let snd = sim.endpoint::<MpSender>(sender);
+    let fct = snd.fct().expect("bulk transfer completes");
+    assert_eq!(snd.data_acked(), BYTES);
+    let mut actual = String::new();
+    let mut lost = 0;
+    for i in 0..snd.num_subflows() {
+        let st = snd.subflow_stats(i, now);
+        lost += st.lost_packets;
+        actual.push_str(&format!(
+            "subflow {i}: sent={} lost={} acked={}\n",
+            st.sent_packets, st.lost_packets, st.acked_packets
+        ));
+    }
+    assert!(lost > 0, "the transfer must reach the loss path");
+    actual.push_str(&format!(
+        "events={}\ndigest={:#018x}\nfct_ns={}\n",
+        sim.events_processed(),
+        sim.digest(),
+        fct.as_nanos(),
+    ));
+    check_golden("bulk_mpcc.txt", &actual);
 }
