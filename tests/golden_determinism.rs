@@ -21,20 +21,23 @@
 //!
 //! and commit the rewritten `tests/golden/*.txt` alongside the change that
 //! justified it. `churn_small.txt` pins the churn scenario's outcome the
-//! same way, and `bulk_mpcc.txt` the benchmark's bulk transfer path.
+//! same way, `bulk_mpcc.txt` the benchmark's bulk transfer path, and
+//! `window_family.txt` the six window-based controllers.
 
 use mpcc_experiments::protocols;
 use mpcc_experiments::runner::{ConnSpec, Executor, Scenario, TraceConfig};
 use mpcc_experiments::scenarios::churn::{self, ChurnConfig};
 use mpcc_netsim::fault::FaultPlan;
 use mpcc_netsim::link::LinkParams;
-use mpcc_netsim::topology::uniform_parallel_links;
+use mpcc_netsim::topology::{parallel_links, uniform_parallel_links};
 use mpcc_simcore::rng::splitmix64;
 use mpcc_simcore::{Rate, SimDuration, SimTime};
 use mpcc_telemetry::LayerMask;
-use mpcc_transport::{MpReceiver, MpSender, SenderConfig};
+use mpcc_transport::{AckInfo, LossInfo, MpReceiver, MpSender, MultipathCc, SenderConfig};
 use std::fs;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// FNV-1a, 64-bit: stable, dependency-free digest for the trace bytes.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -240,4 +243,113 @@ fn bulk_outcome_matches_committed_golden() {
         fct.as_nanos(),
     ));
     check_golden("bulk_mpcc.txt", &actual);
+}
+
+/// Forwards every call to the wrapped controller and counts its loss
+/// events and timeouts, so a run can prove it reached both.
+struct Counted {
+    inner: Box<dyn MultipathCc>,
+    losses: Arc<AtomicU64>,
+    rtos: Arc<AtomicU64>,
+}
+
+impl MultipathCc for Counted {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn init_subflow(&mut self, subflow: usize, now: SimTime) {
+        self.inner.init_subflow(subflow, now);
+    }
+    fn is_rate_based(&self) -> bool {
+        self.inner.is_rate_based()
+    }
+    fn on_ack(&mut self, info: &AckInfo) {
+        self.inner.on_ack(info);
+    }
+    fn on_loss(&mut self, info: &LossInfo) {
+        self.losses.fetch_add(1, Ordering::Relaxed);
+        self.inner.on_loss(info);
+    }
+    fn on_rto(&mut self, subflow: usize, now: SimTime) {
+        self.rtos.fetch_add(1, Ordering::Relaxed);
+        self.inner.on_rto(subflow, now);
+    }
+    fn cwnd_bytes(&self, subflow: usize, srtt: SimDuration) -> u64 {
+        self.inner.cwnd_bytes(subflow, srtt)
+    }
+    fn pacing_rate(&self, subflow: usize) -> Option<Rate> {
+        self.inner.pacing_rate(subflow)
+    }
+}
+
+/// The window-based controllers: one finite transfer each over a lossy
+/// link with an outage and a clean link, default scheduler, untraced.
+/// Every run must reach a SACK-detected loss event and a retransmission
+/// timeout, so the pinned counters cover slow start, congestion
+/// avoidance, the loss decrease and the timeout collapse.
+#[test]
+fn window_family_outcomes_match_committed_golden() {
+    const BYTES: u64 = 6_000_000;
+    let faulted = LinkParams {
+        capacity: Rate::from_mbps(20.0),
+        delay: SimDuration::from_millis(20),
+        buffer: 100_000,
+        random_loss: 0.005,
+        faults: FaultPlan::parse("outage:at=1s,down=1500ms").expect("fault spec parses"),
+    };
+    let clean = LinkParams {
+        capacity: Rate::from_mbps(20.0),
+        delay: SimDuration::from_millis(30),
+        buffer: 100_000,
+        random_loss: 0.0,
+        faults: FaultPlan::NONE,
+    };
+    let mut actual = String::new();
+    for (k, proto) in ["reno", "cubic", "lia", "olia", "balia", "wvegas"]
+        .into_iter()
+        .enumerate()
+    {
+        let seed = splitmix64(0x5EED ^ k as u64);
+        let mut net = parallel_links(seed, &[faulted, clean]);
+        let paths = (0..2).map(|i| net.path(i)).collect();
+        let mut sim = net.sim;
+        let recv = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
+        let (losses, rtos) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let cc = Counted {
+            inner: protocols::make(proto, seed),
+            losses: losses.clone(),
+            rtos: rtos.clone(),
+        };
+        let cfg =
+            SenderConfig::file(recv, paths, BYTES).with_scheduler(protocols::scheduler_for(proto));
+        let sender = sim.add_endpoint(Box::new(MpSender::new(cfg, Box::new(cc))));
+        let cap = SimTime::from_secs(60);
+        while !sim.endpoint::<MpSender>(sender).is_complete() && sim.now() < cap {
+            sim.run_for(SimDuration::from_millis(10));
+        }
+        let now = sim.now();
+        let snd = sim.endpoint::<MpSender>(sender);
+        let fct = snd
+            .fct()
+            .unwrap_or_else(|| panic!("{proto}: transfer completes"));
+        assert_eq!(snd.data_acked(), BYTES, "{proto}");
+        let (losses, rtos) = (losses.load(Ordering::Relaxed), rtos.load(Ordering::Relaxed));
+        assert!(losses > 0, "{proto}: the run must reach a SACK loss");
+        assert!(rtos > 0, "{proto}: the run must reach a timeout");
+        actual.push_str(&format!("{proto}: loss_events={losses} rtos={rtos}\n"));
+        for i in 0..snd.num_subflows() {
+            let st = snd.subflow_stats(i, now);
+            actual.push_str(&format!(
+                "{proto} subflow {i}: sent={} lost={} acked={}\n",
+                st.sent_packets, st.lost_packets, st.acked_packets
+            ));
+        }
+        actual.push_str(&format!(
+            "{proto}: events={} digest={:#018x} fct_ns={}\n",
+            sim.events_processed(),
+            sim.digest(),
+            fct.as_nanos(),
+        ));
+    }
+    check_golden("window_family.txt", &actual);
 }
