@@ -10,12 +10,11 @@
 //!
 //! and each loss event shrinks it by `w_i/2 · min(α_i, 1.5)`.
 
-use crate::coupled::{Coupled, CoupledIncrease};
-use crate::window::{WinState, MIN_CWND};
-use mpcc_transport::{AckInfo, LossInfo};
+use crate::window::{WinState, WindowCc, WindowRule, MIN_CWND};
+use mpcc_simcore::SimTime;
+use mpcc_transport::AckInfo;
 
-/// The Balia increase/decrease rule.
-#[derive(Default)]
+/// The Balia increase/decrease rule (stateless).
 pub struct BaliaRule;
 
 /// Cap on Balia's multiplicative-decrease factor: a loss shrinks the
@@ -38,12 +37,14 @@ pub fn balia_alpha(wins: &[WinState], i: usize) -> f64 {
     (x_max / x_i).max(1.0)
 }
 
-impl CoupledIncrease for BaliaRule {
-    fn name(&self) -> &'static str {
-        "balia"
+impl WindowRule for BaliaRule {
+    const NAME: &'static str = "balia";
+
+    fn new(_now: SimTime) -> Self {
+        BaliaRule
     }
 
-    fn increase(&mut self, wins: &[WinState], info: &AckInfo) -> f64 {
+    fn increase(wins: &[WinState], _rules: &[Self], info: &AckInfo) -> f64 {
         let i = info.subflow;
         let x_i = wins[i].pkts_per_sec();
         let x_total: f64 = wins.iter().map(|w| w.pkts_per_sec()).sum();
@@ -56,9 +57,9 @@ impl CoupledIncrease for BaliaRule {
         n * (x_i / (rtt_i * x_total * x_total)) * ((1.0 + a) / 2.0) * ((4.0 + a) / 5.0)
     }
 
-    fn decrease(&mut self, wins: &mut [WinState], info: &LossInfo) {
-        let a = balia_alpha(wins, info.subflow);
-        let win = &mut wins[info.subflow];
+    fn decrease(wins: &mut [WinState], i: usize) {
+        let a = balia_alpha(wins, i);
+        let win = &mut wins[i];
         win.loss_events += 1;
         let dec = (win.cwnd / 2.0) * a.min(BALIA_MD_CAP);
         win.cwnd = (win.cwnd - dec).max(MIN_CWND);
@@ -67,18 +68,18 @@ impl CoupledIncrease for BaliaRule {
 }
 
 /// A Balia multipath controller.
-pub fn balia() -> Coupled<BaliaRule> {
-    Coupled::new(BaliaRule)
+pub fn balia() -> WindowCc<BaliaRule> {
+    WindowCc::new()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupled::{test_ack, test_loss};
-    use mpcc_simcore::{SimDuration, SimTime};
+    use crate::window::{test_ack, test_loss};
+    use mpcc_simcore::SimDuration;
     use mpcc_transport::MultipathCc;
 
-    fn setup(cwnds: &[f64], rtts_ms: &[u64]) -> Coupled<BaliaRule> {
+    fn setup(cwnds: &[f64], rtts_ms: &[u64]) -> WindowCc<BaliaRule> {
         let mut cc = balia();
         for (i, (&w, &r)) in cwnds.iter().zip(rtts_ms).enumerate() {
             cc.init_subflow(i, SimTime::ZERO);

@@ -2,17 +2,18 @@
 //! region, the default congestion controller of Linux and the single-path
 //! competitor in the paper's §7.2.6 friendliness experiments.
 
-use crate::uncoupled::{SinglePathCc, Uncoupled};
-use crate::window::{WinState, MIN_CWND};
+use crate::window::{WinState, WindowCc, WindowRule};
 use mpcc_simcore::SimTime;
-use mpcc_transport::{AckInfo, LossInfo};
+use mpcc_transport::AckInfo;
 
 /// Cubic scaling constant (packets/s³).
 const C: f64 = 0.4;
 /// Multiplicative decrease factor.
 const BETA: f64 = 0.7;
 
-/// Cubic's per-subflow state.
+/// Cubic's per-subflow state. Cubic overrides the ACK step (it sets the
+/// window to the cubic curve's value rather than adding an increment), the
+/// decrease (β = 0.7) and the loss note (which ends the epoch).
 #[derive(Default)]
 pub struct Cubic {
     /// Window size just before the last reduction, packets.
@@ -38,28 +39,32 @@ impl Cubic {
     }
 }
 
-impl SinglePathCc for Cubic {
-    fn name(&self) -> &'static str {
-        "cubic"
+impl WindowRule for Cubic {
+    const NAME: &'static str = "cubic";
+
+    fn new(_now: SimTime) -> Self {
+        Cubic::default()
     }
 
-    fn on_ack(&mut self, win: &mut WinState, info: &AckInfo) {
+    fn on_ack(wins: &mut [WinState], rules: &mut [Self], info: &AckInfo) {
+        let (win, cubic) = (&mut wins[info.subflow], &mut rules[info.subflow]);
+        win.observe(info.srtt, info.min_rtt, info.acked_bytes);
         if win.in_slow_start() {
             win.slow_start(info.acked_packets);
             return;
         }
-        if self.epoch_start.is_none() {
-            self.enter_epoch(info.now, win.cwnd);
+        if cubic.epoch_start.is_none() {
+            cubic.enter_epoch(info.now, win.cwnd);
         }
         let t = info
             .now
-            .saturating_since(self.epoch_start.expect("set above"))
+            .saturating_since(cubic.epoch_start.expect("set above"))
             .as_secs_f64();
         let rtt = win.rtt_secs();
         // Window the cubic curve targets one RTT from now.
         let target = {
-            let dt = t + rtt - self.k;
-            C * dt * dt * dt + self.w_max
+            let dt = t + rtt - cubic.k;
+            C * dt * dt * dt + cubic.w_max
         };
         let n = info.acked_packets as f64;
         if target > win.cwnd {
@@ -69,37 +74,32 @@ impl SinglePathCc for Cubic {
             win.cwnd += n * 0.01 / win.cwnd;
         }
         // TCP-friendly region (estimate of what Reno would have).
-        self.w_est += n * 3.0 * (1.0 - BETA) / (1.0 + BETA) / win.cwnd;
-        if self.w_est > win.cwnd {
-            win.cwnd = self.w_est;
+        cubic.w_est += n * 3.0 * (1.0 - BETA) / (1.0 + BETA) / win.cwnd;
+        if cubic.w_est > win.cwnd {
+            win.cwnd = cubic.w_est;
         }
     }
 
-    fn on_loss(&mut self, win: &mut WinState, _info: &LossInfo) {
+    fn note_loss(&mut self, win: &WinState) {
         self.w_max = win.cwnd;
-        win.loss_events += 1;
-        win.ssthresh = (win.cwnd * BETA).max(MIN_CWND);
-        win.cwnd = win.ssthresh;
         self.epoch_start = None;
     }
 
-    fn on_rto(&mut self, win: &mut WinState, _now: SimTime) {
-        self.w_max = win.cwnd;
-        win.rto_collapse();
-        self.epoch_start = None;
+    fn decrease(wins: &mut [WinState], i: usize) {
+        wins[i].md(BETA);
     }
 }
 
 /// Single-path Cubic (one subflow) or uncoupled Cubic-per-subflow.
-pub fn cubic() -> Uncoupled<Cubic> {
-    Uncoupled::new("cubic", Cubic::default)
+pub fn cubic() -> WindowCc<Cubic> {
+    WindowCc::new()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpcc_simcore::{Rate, SimDuration};
-    use mpcc_transport::MultipathCc;
+    use mpcc_transport::{LossInfo, MultipathCc};
 
     fn ack_at(now_ms: u64, packets: u64) -> AckInfo {
         AckInfo {

@@ -12,12 +12,11 @@
 //! the best path while never being more aggressive than Reno on any one
 //! path.
 
-use crate::coupled::{Coupled, CoupledIncrease};
-use crate::window::WinState;
+use crate::window::{WinState, WindowCc, WindowRule};
+use mpcc_simcore::SimTime;
 use mpcc_transport::AckInfo;
 
-/// The LIA increase rule.
-#[derive(Default)]
+/// The LIA increase rule (stateless).
 pub struct LiaRule;
 
 /// Computes RFC 6356's α for the current window/RTT vector.
@@ -34,12 +33,14 @@ pub fn lia_alpha(wins: &[WinState]) -> f64 {
     w_total * best / (denom * denom)
 }
 
-impl CoupledIncrease for LiaRule {
-    fn name(&self) -> &'static str {
-        "lia"
+impl WindowRule for LiaRule {
+    const NAME: &'static str = "lia";
+
+    fn new(_now: SimTime) -> Self {
+        LiaRule
     }
 
-    fn increase(&mut self, wins: &[WinState], info: &AckInfo) -> f64 {
+    fn increase(wins: &[WinState], _rules: &[Self], info: &AckInfo) -> f64 {
         let w_total: f64 = wins.iter().map(|w| w.cwnd).sum();
         let w_i = wins[info.subflow].cwnd;
         if w_total <= 0.0 || w_i <= 0.0 {
@@ -52,18 +53,17 @@ impl CoupledIncrease for LiaRule {
 }
 
 /// A LIA multipath controller.
-pub fn lia() -> Coupled<LiaRule> {
-    Coupled::new(LiaRule)
+pub fn lia() -> WindowCc<LiaRule> {
+    WindowCc::new()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupled::{test_ack, test_loss};
-    use mpcc_simcore::SimTime;
+    use crate::window::{test_ack, test_loss};
     use mpcc_transport::MultipathCc;
 
-    fn setup(cwnds: &[f64], rtts_ms: &[u64]) -> Coupled<LiaRule> {
+    fn setup(cwnds: &[f64], rtts_ms: &[u64]) -> WindowCc<LiaRule> {
         let mut cc = lia();
         for (i, (&w, &r)) in cwnds.iter().zip(rtts_ms).enumerate() {
             cc.init_subflow(i, SimTime::ZERO);

@@ -9,17 +9,18 @@
 //!
 //! All controllers plug into the transport through
 //! [`mpcc_transport::MultipathCc`]; MPCC itself lives in the `mpcc` crate.
+//! The six window-based ones share one implementation of it,
+//! [`WindowCc`], each supplying only its [`WindowRule`]; BBR is rate-based
+//! and has its own.
 
 #![warn(missing_docs)]
 
 pub mod balia;
 pub mod bbr;
-pub mod coupled;
 pub mod cubic;
 pub mod lia;
 pub mod olia;
 pub mod reno;
-pub mod uncoupled;
 pub mod window;
 pub mod wvegas;
 
@@ -27,8 +28,7 @@ pub use balia::{balia, balia_alpha, BALIA_MD_CAP};
 pub use bbr::Bbr;
 pub use cubic::cubic;
 pub use lia::{lia, lia_alpha};
-pub use olia::olia;
+pub use olia::{olia, OliaRule};
 pub use reno::reno;
-pub use uncoupled::{SinglePathCc, Uncoupled};
-pub use window::WinState;
+pub use window::{WinState, WindowCc, WindowRule};
 pub use wvegas::WVegas;

@@ -21,51 +21,33 @@
 //! estimated as `max(bytes since last loss, bytes in the previous
 //! inter-loss interval)` per the OLIA paper.
 
-use crate::coupled::{Coupled, CoupledIncrease};
-use crate::window::WinState;
+use crate::window::{WinState, WindowCc, WindowRule};
+use mpcc_simcore::SimTime;
 use mpcc_transport::AckInfo;
 
-/// Per-subflow inter-loss byte tracking for OLIA's ℓ estimate.
+/// The OLIA increase rule; its per-subflow state is the inter-loss byte
+/// tracking behind the ℓ estimate.
 #[derive(Clone, Copy, Debug, Default)]
-struct LossInterval {
+pub struct OliaRule {
     /// Delivered-bytes counter value at the last loss.
     delivered_at_last_loss: u64,
     /// Bytes delivered during the previous complete inter-loss interval.
     previous_interval: u64,
 }
 
-impl LossInterval {
+impl OliaRule {
     /// ℓ_i: smoothed bytes between losses.
     fn ell(&self, delivered_now: u64) -> f64 {
         let current = delivered_now.saturating_sub(self.delivered_at_last_loss);
         current.max(self.previous_interval).max(1) as f64
     }
-}
-
-/// The OLIA increase rule.
-#[derive(Default)]
-pub struct OliaRule {
-    intervals: Vec<LossInterval>,
-}
-
-impl OliaRule {
-    fn interval(&mut self, subflow: usize) -> &mut LossInterval {
-        if subflow >= self.intervals.len() {
-            self.intervals
-                .resize_with(subflow + 1, LossInterval::default);
-        }
-        &mut self.intervals[subflow]
-    }
 
     /// Computes the α vector for the current state (public for the
     /// fluid-consistency tests).
-    pub fn alphas(&mut self, wins: &[WinState]) -> Vec<f64> {
+    pub fn alphas(wins: &[WinState], rules: &[OliaRule]) -> Vec<f64> {
         let d = wins.len();
         let ells: Vec<f64> = (0..d)
-            .map(|i| {
-                let delivered = wins[i].delivered_bytes;
-                self.interval(i).ell(delivered)
-            })
+            .map(|i| rules[i].ell(wins[i].delivered_bytes))
             .collect();
         // Best paths: maximal ℓ²/rtt.
         let quality: Vec<f64> = (0..d)
@@ -97,12 +79,14 @@ impl OliaRule {
     }
 }
 
-impl CoupledIncrease for OliaRule {
-    fn name(&self) -> &'static str {
-        "olia"
+impl WindowRule for OliaRule {
+    const NAME: &'static str = "olia";
+
+    fn new(_now: SimTime) -> Self {
+        OliaRule::default()
     }
 
-    fn increase(&mut self, wins: &[WinState], info: &AckInfo) -> f64 {
+    fn increase(wins: &[WinState], rules: &[Self], info: &AckInfo) -> f64 {
         let i = info.subflow;
         let w_i = wins[i].cwnd;
         if w_i <= 0.0 {
@@ -112,34 +96,34 @@ impl CoupledIncrease for OliaRule {
         if denom <= 0.0 {
             return 0.0;
         }
-        let alphas = self.alphas(wins);
+        let alphas = Self::alphas(wins, rules);
         let rtt_i = wins[i].rtt_secs();
         let coupled = (w_i / (rtt_i * rtt_i)) / (denom * denom);
         let n = info.acked_packets as f64;
         n * (coupled + alphas[i] / w_i)
     }
 
-    fn note_loss(&mut self, subflow: usize, delivered_bytes: u64) {
-        let interval = self.interval(subflow);
-        interval.previous_interval =
-            delivered_bytes.saturating_sub(interval.delivered_at_last_loss);
-        interval.delivered_at_last_loss = delivered_bytes;
+    fn note_loss(&mut self, win: &WinState) {
+        self.previous_interval = win
+            .delivered_bytes
+            .saturating_sub(self.delivered_at_last_loss);
+        self.delivered_at_last_loss = win.delivered_bytes;
     }
 }
 
 /// An OLIA multipath controller.
-pub fn olia() -> Coupled<OliaRule> {
-    Coupled::new(OliaRule::default())
+pub fn olia() -> WindowCc<OliaRule> {
+    WindowCc::new()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupled::{test_ack, test_loss};
-    use mpcc_simcore::{SimDuration, SimTime};
+    use crate::window::{test_ack, test_loss};
+    use mpcc_simcore::SimDuration;
     use mpcc_transport::MultipathCc;
 
-    fn setup(cwnds: &[f64], rtts_ms: &[u64]) -> Coupled<OliaRule> {
+    fn setup(cwnds: &[f64], rtts_ms: &[u64]) -> WindowCc<OliaRule> {
         let mut cc = olia();
         for (i, (&w, &r)) in cwnds.iter().zip(rtts_ms).enumerate() {
             cc.init_subflow(i, SimTime::ZERO);
@@ -188,7 +172,7 @@ mod tests {
         cc.window_mut(0).delivered_bytes = 1000;
         cc.window_mut(1).delivered_bytes = 1000;
         let wins: Vec<WinState> = (0..2).map(|i| cc.window(i).clone()).collect();
-        let alphas = cc.algo_mut().alphas(&wins);
+        let alphas = OliaRule::alphas(&wins, cc.rules());
         assert!(alphas.iter().all(|&a| a == 0.0), "{alphas:?}");
     }
 
@@ -202,7 +186,7 @@ mod tests {
         cc.window_mut(1).delivered_bytes = 10_000;
         cc.window_mut(2).delivered_bytes = 10_000;
         let wins: Vec<WinState> = (0..3).map(|i| cc.window(i).clone()).collect();
-        let alphas = cc.algo_mut().alphas(&wins);
+        let alphas = OliaRule::alphas(&wins, cc.rules());
         let d = 3.0;
         assert!((alphas[0] - 1.0 / (d * 1.0)).abs() < 1e-12, "{alphas:?}");
         assert!((alphas[1] + 1.0 / (d * 2.0)).abs() < 1e-12, "{alphas:?}");
@@ -212,7 +196,7 @@ mod tests {
 
     #[test]
     fn loss_interval_tracks_between_losses() {
-        let mut iv = LossInterval::default();
+        let mut iv = OliaRule::default();
         assert_eq!(iv.ell(5000), 5000.0);
         // Loss at 5000 delivered.
         iv.previous_interval = 5000;

@@ -1,38 +1,30 @@
-//! TCP Reno (NewReno-style window dynamics).
+//! TCP Reno (NewReno-style window dynamics): every [`WindowRule`] default.
 
-use crate::uncoupled::{SinglePathCc, Uncoupled};
-use crate::window::WinState;
-use mpcc_transport::AckInfo;
+use crate::window::{WindowCc, WindowRule};
+use mpcc_simcore::SimTime;
 
 /// Reno's per-subflow window growth: slow start below ssthresh, then one
-/// packet per window per RTT.
-#[derive(Default)]
+/// packet per window per RTT, each subflow on its own.
 pub struct Reno;
 
-impl SinglePathCc for Reno {
-    fn name(&self) -> &'static str {
-        "reno"
-    }
+impl WindowRule for Reno {
+    const NAME: &'static str = "reno";
 
-    fn on_ack(&mut self, win: &mut WinState, info: &AckInfo) {
-        if win.in_slow_start() {
-            win.slow_start(info.acked_packets);
-        } else {
-            win.cwnd += info.acked_packets as f64 / win.cwnd;
-        }
+    fn new(_now: SimTime) -> Self {
+        Reno
     }
 }
 
 /// Single-path Reno (one subflow) or uncoupled Reno-per-subflow.
-pub fn reno() -> Uncoupled<Reno> {
-    Uncoupled::new("reno", Reno::default)
+pub fn reno() -> WindowCc<Reno> {
+    WindowCc::new()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpcc_simcore::{Rate, SimDuration, SimTime};
-    use mpcc_transport::{LossInfo, MultipathCc};
+    use mpcc_transport::{AckInfo, LossInfo, MultipathCc};
 
     fn ack(subflow: usize, packets: u64) -> AckInfo {
         AckInfo {

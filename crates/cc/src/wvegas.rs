@@ -10,18 +10,20 @@
 //! Once per RTT, with `diff_i = w_i · (1 − baseRTT_i / rtt_i)`:
 //! `diff_i < α_i` → `w_i += 1`; `diff_i > α_i` → `w_i −= 1`.
 
-use mpcc_simcore::{Rate, SimDuration, SimTime};
-use mpcc_transport::{AckInfo, LossInfo, MultipathCc};
+use mpcc_simcore::{SimDuration, SimTime};
+use mpcc_transport::AckInfo;
 
-use crate::window::{WinState, MIN_CWND};
+use crate::window::{WinState, WindowCc, WindowRule, MIN_CWND};
 
 /// Connection-wide queueing target, packets.
 const TOTAL_ALPHA: f64 = 10.0;
 /// A subflow's target never drops below this (keeps it probing).
 const MIN_ALPHA: f64 = 2.0;
 
-struct VegasSf {
-    win: WinState,
+/// wVegas's per-subflow state. wVegas overrides the whole ACK step (its
+/// slow start and congestion avoidance both run once per RTT); loss and
+/// timeout keep the defaults.
+pub struct VegasRule {
     /// Smallest RTT ever seen: the propagation-delay estimate.
     base_rtt: SimDuration,
     /// Next time the once-per-RTT adjustment runs.
@@ -29,61 +31,33 @@ struct VegasSf {
 }
 
 /// The wVegas multipath controller.
-pub struct WVegas {
-    sfs: Vec<VegasSf>,
+pub type WVegas = WindowCc<VegasRule>;
+
+/// Subflow `i`'s current backlog target α_i.
+fn alpha(wins: &[WinState], i: usize) -> f64 {
+    let total_rate: f64 = wins.iter().map(|w| w.pkts_per_sec()).sum();
+    if total_rate <= 0.0 {
+        return TOTAL_ALPHA / wins.len().max(1) as f64;
+    }
+    let weight = wins[i].pkts_per_sec() / total_rate;
+    (TOTAL_ALPHA * weight).max(MIN_ALPHA)
 }
 
-impl WVegas {
-    /// A fresh controller.
-    pub fn new() -> Self {
-        WVegas { sfs: Vec::new() }
-    }
+impl WindowRule for VegasRule {
+    const NAME: &'static str = "wvegas";
 
-    /// The window state of subflow `i` (tests/diagnostics).
-    pub fn window(&self, i: usize) -> &WinState {
-        &self.sfs[i].win
-    }
-
-    /// Subflow `i`'s current backlog target α_i.
-    pub fn alpha(&self, i: usize) -> f64 {
-        let total_rate: f64 = self.sfs.iter().map(|s| s.win.pkts_per_sec()).sum();
-        if total_rate <= 0.0 {
-            return TOTAL_ALPHA / self.sfs.len().max(1) as f64;
-        }
-        let weight = self.sfs[i].win.pkts_per_sec() / total_rate;
-        (TOTAL_ALPHA * weight).max(MIN_ALPHA)
-    }
-}
-
-impl Default for WVegas {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MultipathCc for WVegas {
-    fn name(&self) -> &'static str {
-        "wvegas"
-    }
-
-    fn init_subflow(&mut self, subflow: usize, now: SimTime) {
-        while self.sfs.len() <= subflow {
-            self.sfs.push(VegasSf {
-                win: WinState::new(),
-                base_rtt: SimDuration::MAX,
-                next_adjust: now,
-            });
+    fn new(now: SimTime) -> Self {
+        VegasRule {
+            base_rtt: SimDuration::MAX,
+            next_adjust: now,
         }
     }
 
-    fn on_ack(&mut self, info: &AckInfo) {
-        let alpha = {
-            // Compute before borrowing the subflow mutably.
-            self.init_guard(info.subflow);
-            self.alpha(info.subflow)
-        };
-        let sf = &mut self.sfs[info.subflow];
-        sf.win.observe(info.srtt, info.min_rtt, info.acked_bytes);
+    fn on_ack(wins: &mut [WinState], rules: &mut [Self], info: &AckInfo) {
+        // α_i weighs the rates before this ACK's srtt is observed.
+        let alpha = alpha(wins, info.subflow);
+        let (win, sf) = (&mut wins[info.subflow], &mut rules[info.subflow]);
+        win.observe(info.srtt, info.min_rtt, info.acked_bytes);
         if info.rtt < sf.base_rtt {
             sf.base_rtt = info.rtt;
         }
@@ -91,52 +65,23 @@ impl MultipathCc for WVegas {
             return;
         }
         sf.next_adjust = info.now + info.srtt;
-        let rtt = sf.win.rtt_secs();
+        let rtt = win.rtt_secs();
         let base = sf.base_rtt.as_secs_f64().min(rtt);
-        let diff = sf.win.cwnd * (1.0 - base / rtt);
-        if sf.win.in_slow_start() {
+        let diff = win.cwnd * (1.0 - base / rtt);
+        if win.in_slow_start() {
             // Vegas leaves slow start as soon as queueing builds.
             if diff > alpha {
-                sf.win.cwnd = (sf.win.cwnd * 0.75).max(MIN_CWND);
-                sf.win.ssthresh = sf.win.cwnd;
+                win.cwnd = (win.cwnd * 0.75).max(MIN_CWND);
+                win.ssthresh = win.cwnd;
             } else {
-                sf.win.cwnd *= 2.0;
+                win.cwnd *= 2.0;
             }
             return;
         }
         if diff < alpha {
-            sf.win.cwnd += 1.0;
+            win.cwnd += 1.0;
         } else if diff > alpha {
-            sf.win.cwnd = (sf.win.cwnd - 1.0).max(MIN_CWND);
-        }
-    }
-
-    fn on_loss(&mut self, info: &LossInfo) {
-        // Vegas treats loss as a strong congestion signal.
-        self.sfs[info.subflow].win.md(0.5);
-    }
-
-    fn on_rto(&mut self, subflow: usize, _now: SimTime) {
-        self.sfs[subflow].win.rto_collapse();
-    }
-
-    fn cwnd_bytes(&self, subflow: usize, _srtt: SimDuration) -> u64 {
-        self.sfs[subflow].win.cwnd_bytes()
-    }
-
-    fn pacing_rate(&self, _subflow: usize) -> Option<Rate> {
-        None
-    }
-
-    fn is_rate_based(&self) -> bool {
-        false
-    }
-}
-
-impl WVegas {
-    fn init_guard(&mut self, subflow: usize) {
-        if subflow >= self.sfs.len() {
-            self.init_subflow(subflow, SimTime::ZERO);
+            win.cwnd = (win.cwnd - 1.0).max(MIN_CWND);
         }
     }
 }
@@ -144,6 +89,8 @@ impl WVegas {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpcc_simcore::Rate;
+    use mpcc_transport::MultipathCc;
 
     fn ack(subflow: usize, now_ms: u64, rtt_ms: u64, srtt_ms: u64) -> AckInfo {
         AckInfo {
@@ -163,8 +110,9 @@ mod tests {
     fn grows_when_below_target_backlog() {
         let mut cc = WVegas::new();
         cc.init_subflow(0, SimTime::ZERO);
-        cc.sfs[0].win.ssthresh = 1.0; // force congestion avoidance
-                                      // RTT equals base RTT: zero backlog, below alpha → +1.
+        // Force congestion avoidance. RTT equals base RTT: zero backlog,
+        // below alpha → +1.
+        cc.window_mut(0).ssthresh = 1.0;
         cc.on_ack(&ack(0, 0, 50, 50));
         let w0 = cc.window(0).cwnd;
         cc.on_ack(&ack(0, 100, 50, 50));
@@ -175,8 +123,8 @@ mod tests {
     fn shrinks_when_queueing_exceeds_target() {
         let mut cc = WVegas::new();
         cc.init_subflow(0, SimTime::ZERO);
-        cc.sfs[0].win.ssthresh = 1.0;
-        cc.sfs[0].win.cwnd = 50.0;
+        cc.window_mut(0).ssthresh = 1.0;
+        cc.window_mut(0).cwnd = 50.0;
         // Establish base RTT = 50 ms.
         cc.on_ack(&ack(0, 0, 50, 50));
         // Now RTT doubles: diff = 50·(1−50/100) = 25 > alpha → −1.
@@ -189,7 +137,7 @@ mod tests {
     fn adjustment_happens_once_per_rtt() {
         let mut cc = WVegas::new();
         cc.init_subflow(0, SimTime::ZERO);
-        cc.sfs[0].win.ssthresh = 1.0;
+        cc.window_mut(0).ssthresh = 1.0;
         cc.on_ack(&ack(0, 0, 50, 50));
         let w = cc.window(0).cwnd;
         // Within the same RTT, further ACKs do not adjust.
@@ -203,12 +151,12 @@ mod tests {
         let mut cc = WVegas::new();
         cc.init_subflow(0, SimTime::ZERO);
         cc.init_subflow(1, SimTime::ZERO);
-        cc.sfs[0].win.cwnd = 30.0;
-        cc.sfs[1].win.cwnd = 10.0;
-        cc.sfs[0].win.srtt = SimDuration::from_millis(50);
-        cc.sfs[1].win.srtt = SimDuration::from_millis(50);
-        let a0 = cc.alpha(0);
-        let a1 = cc.alpha(1);
+        cc.window_mut(0).cwnd = 30.0;
+        cc.window_mut(1).cwnd = 10.0;
+        cc.window_mut(0).srtt = SimDuration::from_millis(50);
+        cc.window_mut(1).srtt = SimDuration::from_millis(50);
+        let a0 = alpha(cc.windows(), 0);
+        let a1 = alpha(cc.windows(), 1);
         assert!((a0 - 7.5).abs() < 1e-9, "{a0}");
         assert!((a1 - 2.5).abs() < 1e-9, "{a1}");
     }
@@ -217,7 +165,7 @@ mod tests {
     fn slow_start_exits_on_queueing() {
         let mut cc = WVegas::new();
         cc.init_subflow(0, SimTime::ZERO);
-        cc.sfs[0].win.cwnd = 64.0;
+        cc.window_mut(0).cwnd = 64.0;
         cc.on_ack(&ack(0, 0, 50, 50)); // base 50ms
         assert!(cc.window(0).in_slow_start());
         // Big queueing: exit slow start.

@@ -235,10 +235,6 @@ impl MultipathCc for ConnectionLevel {
     fn pacing_rate(&self, subflow: usize) -> Option<Rate> {
         Some(Rate::from_mbps(self.rate(subflow)))
     }
-
-    fn is_rate_based(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

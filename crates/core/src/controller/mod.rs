@@ -299,10 +299,6 @@ impl MultipathCc for Mpcc {
     fn pacing_rate(&self, subflow: usize) -> Option<Rate> {
         Some(Rate::from_mbps(self.subflows[subflow].rate()))
     }
-
-    fn is_rate_based(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -17,11 +17,11 @@
 //! ẇ_r = x_r (1 − q_r) · I_r(w_i)  −  x_r q_r · D_r(w_i)
 //! ```
 //!
-//! The per-ACK/per-loss rules mirror `mpcc-cc`'s `CoupledIncrease`
-//! implementations exactly (the root test `cc_fluid_consistency.rs` pins
-//! the two sides against each other), so the integrator is a theory
-//! counterpart of the packet-level controllers, not an independent
-//! approximation. A slow-start mode (window += 1 per ACK until the
+//! The per-ACK/per-loss rules mirror the `increase`/`decrease` hooks of
+//! `mpcc-cc`'s `WindowRule` implementations exactly (the root test
+//! `cc_fluid_consistency.rs` pins the two sides against each other), so
+//! the integrator is a theory counterpart of the packet-level controllers,
+//! not an independent approximation. A slow-start mode (window += 1 per ACK until the
 //! subflow first sees loss pressure, then one multiplicative decrease)
 //! reproduces the packet-level startup transient well enough for
 //! trajectory-shape comparison.
@@ -150,7 +150,7 @@ pub fn olia_alphas(w: &[f64], tau: &[f64], q: &[f64], out: &mut Vec<f64>) {
 /// The per-ACK congestion-avoidance window increase `I_r(w)` of one
 /// connection's subflow `i`, given the connection's window vector `w`
 /// (packets), per-subflow RTTs `tau` (seconds), and per-subflow loss
-/// rates `q`. Mirrors `mpcc_cc::CoupledIncrease::increase` term for term.
+/// rates `q`. Mirrors `mpcc_cc::WindowRule::increase` term for term.
 pub fn ack_increase(kind: CoupledKind, w: &[f64], tau: &[f64], q: &[f64], i: usize) -> f64 {
     let w_i = w[i];
     if w_i <= 0.0 {

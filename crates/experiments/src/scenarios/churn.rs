@@ -33,9 +33,9 @@ use mpcc_transport::{Arena, Handle, MpReceiver, MpSender, SenderConfig, Workload
 use std::any::Any;
 use std::sync::Arc;
 
-/// The (resettable) congestion controller driving churn connections:
-/// `Uncoupled` Reno supports `reset_for_reuse`, which the endpoint pools
-/// depend on.
+/// The congestion controller driving churn connections. The endpoint pools
+/// depend on its `reset_for_reuse`, which every window-based controller
+/// (`mpcc_cc::WindowCc`) supports; `install` asserts that it succeeds.
 const PROTO: &str = "reno";
 /// Receive buffer advertised by every connection (flows stay cwnd-bound).
 const PEER_BUFFER: u64 = 300_000_000;

@@ -158,8 +158,8 @@ pub trait MultipathCc: Send {
     /// Resets the controller to its pre-`init_subflow` state in place,
     /// without releasing per-subflow allocations, and returns `true` if
     /// the reset is supported. Controllers that return the default `false`
-    /// cannot be recycled across connections (the churn driver falls back
-    /// to constructing a fresh controller for them).
+    /// cannot be recycled across connections; the churn driver, which
+    /// recycles every sender it retires, asserts that the reset succeeds.
     fn reset_for_reuse(&mut self) -> bool {
         false
     }

@@ -178,10 +178,11 @@ impl MpSender {
     ///
     /// Returns `false` — leaving the sender untouched — when the
     /// controller does not support in-place reset (see
-    /// [`MultipathCc::reset_for_reuse`]); callers then construct a fresh
-    /// sender instead. On success the sender is exactly as if newly
-    /// constructed with the same scheduler and peer-buffer settings: not
-    /// started, so the driver's `start` runs the usual `begin` path.
+    /// [`MultipathCc::reset_for_reuse`]); such a sender cannot be recycled,
+    /// and callers that pool senders (churn) assert the result. On success
+    /// the sender is exactly as if newly constructed with the same
+    /// scheduler and peer-buffer settings: not started, so the driver's
+    /// `start` runs the usual `begin` path.
     pub fn reset_for_reuse(
         &mut self,
         dst: EndpointId,

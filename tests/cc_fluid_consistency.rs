@@ -10,7 +10,7 @@
 //! rate-imbalance factor) must agree term for term.
 
 use mpcc::theory::ode::{self, CoupledKind};
-use mpcc_cc::{balia, lia, olia, WinState};
+use mpcc_cc::{balia, lia, olia, reno, OliaRule, WinState};
 use mpcc_simcore::{Rate, SimDuration, SimRng, SimTime};
 use mpcc_transport::{AckInfo, LossInfo, MultipathCc};
 
@@ -186,10 +186,7 @@ fn olia_alpha_structure_matches_fluid() {
     // A loss on path 1 pins its inter-loss estimate low.
     cc.on_loss(&loss(1));
     let wins: Vec<WinState> = (0..2).map(|i| cc.window(i).clone()).collect();
-    let cc_alphas = {
-        let mut controller = cc;
-        controller.algo_mut().alphas(&wins)
-    };
+    let cc_alphas = OliaRule::alphas(&wins, cc.rules());
     let mut fluid_alphas = Vec::new();
     ode::olia_alphas(&w, &tau, &[1e-4, 0.2], &mut fluid_alphas);
     assert_eq!(cc_alphas.len(), fluid_alphas.len());
@@ -202,6 +199,50 @@ fn olia_alpha_structure_matches_fluid() {
     // And the magnitudes are the paper's ±1/(d·|set|).
     assert!((fluid_alphas[0] - 0.5).abs() < 1e-12);
     assert!((fluid_alphas[1] + 0.5).abs() < 1e-12);
+}
+
+/// Reno: the packet-level per-ACK delta and per-loss decrement equal the
+/// fluid `I(w) = 1/w_i` and `D(w) = w_i/2` on random states.
+#[test]
+fn reno_ack_and_loss_match_fluid() {
+    let mut rng = SimRng::seed_from_u64(0xC0F3);
+    for case in 0..32 {
+        let (w, rtt) = random_state(&mut rng);
+        let tau = taus(&rtt);
+        let mut cc = reno();
+        for i in 0..w.len() {
+            cc.init_subflow(i, SimTime::ZERO);
+            let win = cc.window_mut(i);
+            win.cwnd = w[i];
+            win.ssthresh = 1.0;
+            win.srtt = SimDuration::from_millis(rtt[i]);
+        }
+        for (i, &rtt_i) in rtt.iter().enumerate() {
+            let before = cc.window(i).cwnd;
+            cc.on_ack(&ack(i, rtt_i));
+            let inc = cc.window(i).cwnd - before;
+            cc.window_mut(i).cwnd = before;
+            let want_inc = ode::ack_increase(CoupledKind::Reno, &w, &tau, &vec![0.0; w.len()], i);
+            assert!(
+                (inc - want_inc).abs() < 1e-12,
+                "case {case} subflow {i}: increase cc {inc} vs fluid {want_inc}"
+            );
+            cc.on_loss(&loss(i));
+            let dec = before - cc.window(i).cwnd;
+            cc.window_mut(i).cwnd = before;
+            let want_dec = ode::loss_decrease(CoupledKind::Reno, &w, &tau, i);
+            // Windows drawn from [3, 80] halve to at least 1.5; compare the
+            // ones the MIN_CWND floor leaves alone exactly.
+            if (before - want_dec) >= 2.0 {
+                assert!(
+                    (dec - want_dec).abs() < 1e-12,
+                    "case {case} subflow {i}: decrease cc {dec} vs fluid {want_dec}"
+                );
+            } else {
+                assert!(dec <= want_dec + 1e-12, "case {case} subflow {i}");
+            }
+        }
+    }
 }
 
 /// Reno in the fluid model is the uncoupled 1/w — sanity-pin it so the

@@ -12,6 +12,7 @@
 
 use mpcc::{Mpcc, MpccConfig};
 use mpcc_cc::{lia, reno};
+use mpcc_experiments::protocols;
 use mpcc_netsim::fault::{FaultPlan, OutageSchedule};
 use mpcc_netsim::link::LinkParams;
 use mpcc_netsim::topology::parallel_links;
@@ -478,11 +479,13 @@ struct PairOutcome {
     mi_reports: u64,
 }
 
-/// Runs one finite Reno transfer of `bytes` over a lossy and a clean link.
-/// With `used`, the pair is an earlier run's receiver and sender, reset in
-/// place; otherwise it is built fresh. The receiver is added first, so
-/// endpoint ids match across runs. Returns the outcome and the pair.
+/// Runs one finite `proto` transfer of `bytes` over a lossy and a clean
+/// link. With `used`, the pair is an earlier run's receiver and sender,
+/// reset in place; otherwise it is built fresh. The receiver is added
+/// first, so endpoint ids match across runs. Returns the outcome and the
+/// pair.
 fn run_pair(
+    proto: &str,
     seed: u64,
     bytes: u64,
     used: Option<(Box<dyn Endpoint>, Box<dyn Endpoint>)>,
@@ -517,7 +520,7 @@ fn run_pair(
         }
         None => Box::new(MpSender::new(
             SenderConfig::file(recv, paths, bytes),
-            Box::new(reno()),
+            protocols::make(proto, seed),
         )),
     };
     let sender = sim.add_endpoint(tx);
@@ -545,12 +548,14 @@ fn run_pair(
 /// a fresh pair's outcome on the same connection.
 #[test]
 fn recycled_endpoints_match_fresh_ones() {
-    let (fresh, _, _) = run_pair(7, 2_000_000, None);
-    assert!(
-        fresh.fct.is_some() && fresh.subflows.iter().any(|&(_, lost)| lost > 0),
-        "the transfer must complete through losses: {fresh:?}"
-    );
-    let (_, rx, tx) = run_pair(8, 3_000_000, None);
-    let (recycled, _, _) = run_pair(7, 2_000_000, Some((rx, tx)));
-    assert_eq!(recycled, fresh);
+    for proto in ["reno", "cubic", "lia", "olia", "balia", "wvegas"] {
+        let (fresh, _, _) = run_pair(proto, 7, 2_000_000, None);
+        assert!(
+            fresh.fct.is_some() && fresh.subflows.iter().any(|&(_, lost)| lost > 0),
+            "{proto}: the transfer must complete through losses: {fresh:?}"
+        );
+        let (_, rx, tx) = run_pair(proto, 8, 3_000_000, None);
+        let (recycled, _, _) = run_pair(proto, 7, 2_000_000, Some((rx, tx)));
+        assert_eq!(recycled, fresh, "{proto}");
+    }
 }
