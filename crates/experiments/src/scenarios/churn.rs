@@ -6,8 +6,9 @@
 //! 10⁴–10⁵ short-lived connections per run, driven by per-shard
 //! [`ShardHook`]s that install endpoints at epoch boundaries and retire
 //! them when their transfer completes. Transport state is recycled through
-//! per-shard endpoint pools and `MpSender::reset_for_reuse`, and live
-//! connection records sit in a generation-tagged index [`Arena`], so
+//! per-shard endpoint pools and `MpSender::reset_for_reuse`, and a hook
+//! checks only the endpoints its shard dispatched to since the last
+//! boundary ([`Simulation::take_dispatched`]) into a reused buffer, so
 //! steady-state churn performs no allocator traffic (tests/alloc_free.rs
 //! measures exactly this).
 //!
@@ -29,7 +30,7 @@ use mpcc_netsim::{
 };
 use mpcc_simcore::rng::splitmix64;
 use mpcc_simcore::{Rate, SimDuration, SimRng, SimTime};
-use mpcc_transport::{Arena, Handle, MpReceiver, MpSender, SenderConfig, Workload};
+use mpcc_transport::{MpReceiver, MpSender, SenderConfig, Workload};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -54,15 +55,30 @@ const PREWARM: usize = 128;
 const LOSS: f64 = 0.0005;
 
 /// One scripted connection. Sampled before the run; identical on every
-/// shard (ids come from the rack-partitioned build).
+/// shard (ids come from the rack-partitioned build). Connection `i`'s
+/// sender is endpoint `2i` and its receiver `2i + 1` ([`conn_of`]).
 struct ConnSpec {
     arrival: SimTime,
     bytes: u64,
-    sender_ep: EndpointId,
-    recv_ep: EndpointId,
-    paths: Vec<PathId>,
+    paths: [PathId; SUBFLOWS],
     sender_shard: u8,
     recv_shard: u8,
+}
+
+impl ConnSpec {
+    fn sender_ep(conn: u32) -> EndpointId {
+        EndpointId(2 * conn)
+    }
+
+    fn recv_ep(conn: u32) -> EndpointId {
+        EndpointId(2 * conn + 1)
+    }
+}
+
+/// The connection an endpoint slot belongs to, and whether it is the
+/// sender's.
+fn conn_of(id: EndpointId) -> (u32, bool) {
+    (id.0 / 2, id.0.is_multiple_of(2))
 }
 
 /// Knobs of one churn run. `churn_config` derives the scenario defaults
@@ -231,10 +247,22 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
         // (tests/alloc_free.rs holds the steady state to zero
         // allocations). It sizes every wheel slot for 512 entries and the
         // drain buffers and the packet slab for 16,384; at 40 B a wheel
-        // entry, the slots take about 7.9 MB per shard.
+        // entry, the slots take about 7.9 MB per shard. The pools bound
+        // the endpoints a shard holds at once in the steady state.
         sim.reserve_event_capacity(512, 16_384);
+        sim.reserve_installed(2 * PREWARM);
     };
     let (mut sim, part) = clos.partitioned(cfg.seed, k, &conns, &slot_hosts, install);
+    // The routes are built; free the connection list before the specs
+    // are allocated.
+    drop(conns);
+    assert!(
+        part.slots
+            .iter()
+            .enumerate()
+            .all(|(i, id)| id.0 as usize == i),
+        "connection i owns endpoint slots 2i and 2i + 1"
+    );
     let specs: Vec<ConnSpec> = script
         .iter()
         .zip(part.paths)
@@ -242,9 +270,7 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
         .map(|(i, (&(arrival, bytes, _, _), paths))| ConnSpec {
             arrival,
             bytes,
-            sender_ep: part.slots[2 * i],
-            recv_ep: part.slots[2 * i + 1],
-            paths,
+            paths: paths.try_into().expect("SUBFLOWS paths per connection"),
             sender_shard: part.slot_shard[2 * i],
             recv_shard: part.slot_shard[2 * i + 1],
         })
@@ -300,15 +326,8 @@ impl ChurnSim {
     }
 }
 
-/// A live connection with at least one endpoint on this shard.
-struct ActiveRec {
-    conn: u32,
-    sender_here: bool,
-    recv_here: bool,
-}
-
 /// The per-shard churn driver. At every epoch boundary it retires
-/// finished connections (returning their boxes to the pools) and installs
+/// finished endpoints (returning their boxes to the pools) and installs
 /// arrivals falling inside the next window; `next_wake` feeds the next
 /// scripted arrival into the engine's epoch-skip so idle stretches cost
 /// one epoch.
@@ -316,8 +335,8 @@ struct ChurnHook {
     me: u8,
     specs: Arc<Vec<ConnSpec>>,
     next_install: usize,
-    active: Arena<ActiveRec>,
-    retire_buf: Vec<Handle>,
+    /// The endpoints dispatched to in the last epoch (reused buffer).
+    dispatched: Vec<EndpointId>,
     sender_pool: Vec<Box<dyn Endpoint>>,
     recv_pool: Vec<Box<dyn Endpoint>>,
     results: Vec<(u32, u64, f64)>,
@@ -329,9 +348,8 @@ impl ChurnHook {
     fn new(me: u8, specs: Arc<Vec<ConnSpec>>) -> ChurnHook {
         // Prewarm the pools from the first spec (the boxes are reset in
         // place at install, so which spec seeds them is immaterial).
-        let seed_spec = &specs[0];
         let sender_pool = (0..PREWARM)
-            .map(|_| fresh_sender(seed_spec))
+            .map(|_| fresh_sender(&specs, 0))
             .collect::<Vec<_>>();
         let recv_pool = (0..PREWARM)
             .map(|_| Box::new(MpReceiver::new(PEER_BUFFER)) as Box<dyn Endpoint>)
@@ -341,8 +359,7 @@ impl ChurnHook {
             me,
             specs,
             next_install: 0,
-            active: Arena::with_capacity(2 * PREWARM),
-            retire_buf: Vec::with_capacity(2 * PREWARM),
+            dispatched: Vec::with_capacity(2 * PREWARM),
             sender_pool,
             recv_pool,
             results: Vec::with_capacity(conns),
@@ -351,19 +368,17 @@ impl ChurnHook {
         }
     }
 
-    /// Final sweep: completed-but-not-yet-retired connections count as
-    /// completed; installed-and-unfinished as incomplete; never-installed
+    /// Final sweep: senders still installed here count as completed if
+    /// done (not yet retired), else as incomplete; never-installed
     /// scripted arrivals as skipped.
     fn collect(&self, sim: &Simulation) -> (Vec<(u32, u64, f64)>, u64, u64) {
         let mut fcts = self.results.clone();
         let mut incomplete = 0u64;
-        for (_, rec) in self.active.iter() {
-            if rec.sender_here {
-                let spec = &self.specs[rec.conn as usize];
-                match sim.endpoint::<MpSender>(spec.sender_ep).fct() {
-                    Some(d) => fcts.push((rec.conn, spec.bytes, d.as_secs_f64() * 1000.0)),
-                    None => incomplete += 1,
-                }
+        for (conn, _) in sim.installed_endpoints().map(conn_of).filter(|c| c.1) {
+            let bytes = self.specs[conn as usize].bytes;
+            match sim.endpoint::<MpSender>(ConnSpec::sender_ep(conn)).fct() {
+                Some(d) => fcts.push((conn, bytes, d.as_secs_f64() * 1000.0)),
+                None => incomplete += 1,
             }
         }
         let skipped = self.specs[self.next_install..]
@@ -375,8 +390,7 @@ impl ChurnHook {
 
     fn install(&mut self, sim: &mut Simulation, conn: u32) {
         let spec = &self.specs[conn as usize];
-        let (sender_here, recv_here) = (spec.sender_shard == self.me, spec.recv_shard == self.me);
-        if sender_here {
+        if spec.sender_shard == self.me {
             let bx = match self.sender_pool.pop() {
                 Some(mut bx) => {
                     let s = bx
@@ -384,7 +398,7 @@ impl ChurnHook {
                         .downcast_mut::<MpSender>()
                         .expect("sender pool holds MpSenders");
                     let ok = s.reset_for_reuse(
-                        spec.recv_ep,
+                        ConnSpec::recv_ep(conn),
                         &spec.paths,
                         Workload::Finite(spec.bytes),
                         spec.arrival,
@@ -395,12 +409,12 @@ impl ChurnHook {
                 }
                 None => {
                     self.fresh += 1;
-                    fresh_sender(spec)
+                    fresh_sender(&self.specs, conn)
                 }
             };
-            sim.install_endpoint(spec.sender_ep, bx);
+            sim.install_endpoint(ConnSpec::sender_ep(conn), bx);
         }
-        if recv_here {
+        if spec.recv_shard == self.me {
             let bx = match self.recv_pool.pop() {
                 Some(mut bx) => {
                     bx.as_any_mut()
@@ -415,23 +429,17 @@ impl ChurnHook {
                     Box::new(MpReceiver::new(PEER_BUFFER))
                 }
             };
-            sim.install_endpoint(spec.recv_ep, bx);
-        }
-        if sender_here || recv_here {
-            self.active.insert(ActiveRec {
-                conn,
-                sender_here,
-                recv_here,
-            });
+            sim.install_endpoint(ConnSpec::recv_ep(conn), bx);
         }
     }
 }
 
-fn fresh_sender(spec: &ConnSpec) -> Box<dyn Endpoint> {
+fn fresh_sender(specs: &[ConnSpec], conn: u32) -> Box<dyn Endpoint> {
+    let spec = &specs[conn as usize];
     Box::new(MpSender::new(
         SenderConfig {
-            dst: spec.recv_ep,
-            paths: spec.paths.clone(),
+            dst: ConnSpec::recv_ep(conn),
+            paths: spec.paths.to_vec(),
             workload: Workload::Finite(spec.bytes),
             scheduler: protocols::scheduler_for(PROTO),
             start_at: spec.arrival,
@@ -448,33 +456,25 @@ impl ShardHook for ChurnHook {
         // its FCT); the receiver once all bytes are delivered — its final
         // ACK is then in flight on the lossless delay-only reverse path,
         // so the sender always completes. Stragglers addressed to a
-        // retired slot drop as stale events.
-        let mut retire = std::mem::take(&mut self.retire_buf);
-        retire.clear();
-        for (h, rec) in self.active.iter_mut() {
-            let spec = &self.specs[rec.conn as usize];
-            if rec.sender_here && sim.endpoint::<MpSender>(spec.sender_ep).is_complete() {
-                let fct = sim.endpoint::<MpSender>(spec.sender_ep).fct();
-                let fct = fct.expect("complete senders have an FCT");
-                self.results
-                    .push((rec.conn, spec.bytes, fct.as_secs_f64() * 1000.0));
-                self.sender_pool.push(sim.remove_endpoint(spec.sender_ep));
-                rec.sender_here = false;
-            }
-            if rec.recv_here
-                && sim.endpoint::<MpReceiver>(spec.recv_ep).delivered_bytes() >= spec.bytes
-            {
-                self.recv_pool.push(sim.remove_endpoint(spec.recv_ep));
-                rec.recv_here = false;
-            }
-            if !rec.sender_here && !rec.recv_here {
-                retire.push(h);
+        // retired slot drop as stale events. An endpoint's state changes
+        // only when it is dispatched, so only those dispatched to since
+        // the last boundary can have finished.
+        sim.take_dispatched(&mut self.dispatched);
+        for &id in &self.dispatched {
+            let (conn, is_sender) = conn_of(id);
+            let bytes = self.specs[conn as usize].bytes;
+            if is_sender {
+                let sender = sim.endpoint::<MpSender>(id);
+                if !sender.is_complete() {
+                    continue;
+                }
+                let fct = sender.fct().expect("complete senders have an FCT");
+                self.results.push((conn, bytes, fct.as_secs_f64() * 1000.0));
+                self.sender_pool.push(sim.remove_endpoint(id));
+            } else if sim.endpoint::<MpReceiver>(id).delivered_bytes() >= bytes {
+                self.recv_pool.push(sim.remove_endpoint(id));
             }
         }
-        for &h in &retire {
-            self.active.free(h);
-        }
-        self.retire_buf = retire;
 
         // Install every scripted arrival inside [now, bound). All shards
         // walk the whole script in lockstep; each installs only what it

@@ -29,7 +29,7 @@ pub mod topology;
 pub use fault::{BurstLoss, DuplicateFault, FaultPlan, OutageSchedule, ReorderFault};
 pub use ids::{EndpointId, LinkId, PathId};
 pub use link::{Admission, DropKind, Link, LinkParams, LinkStats, TxOutcome};
-pub use network::{endpoint_rng, Ctx, Endpoint, HostCtx, Path, Simulation};
+pub use network::{endpoint_rng, Ctx, Endpoint, HostCtx, Simulation};
 pub use packet::{
     AckHeader, DataHeader, Header, Packet, SackBlocks, SeqRange, ACK_SIZE, MAX_SACK_BLOCKS,
     MSS_PAYLOAD, MSS_WIRE,

@@ -26,17 +26,67 @@ use std::sync::Arc;
 
 pub use mpcc_transport::{Endpoint, HostCtx};
 
-/// A forward path: an ordered list of links, plus the delay the reverse
+/// A forward route: an ordered list of links, plus the delay the reverse
 /// (ACK) direction experiences.
 ///
 /// The reverse direction is modelled as pure delay: none of the paper's
 /// topologies congest the ACK path, and this halves the event count.
-#[derive(Clone, Debug)]
-pub struct Path {
+pub(crate) struct Route {
     /// Links traversed in order by data packets.
-    pub links: Vec<LinkId>,
+    pub(crate) links: Box<[LinkId]>,
     /// Fixed delay applied to ACKs travelling back to the sender.
-    pub reverse_delay: SimDuration,
+    pub(crate) reverse_delay: SimDuration,
+}
+
+/// Every path of a network, each mapped to its [`Route`]. Path ids count
+/// up from zero in [`RouteTable::add_path`] order, and many paths may share
+/// one stored route: [`crate::topology::NetSpec`] stores each distinct
+/// route of a description once (on the churn Clos, 300,000 subflow paths
+/// use at most 104 distinct routes), so a path costs one `u32`. A sharded
+/// run builds one table and every shard reads it through the same `Arc`.
+#[derive(Default)]
+pub(crate) struct RouteTable {
+    routes: Vec<Route>,
+    /// `path_route[p]`: the index into `routes` of path `p`.
+    path_route: Vec<u32>,
+}
+
+impl RouteTable {
+    /// Stores `route` and returns its index, for [`RouteTable::add_path`].
+    pub(crate) fn add_route(&mut self, route: Route) -> u32 {
+        self.routes.push(route);
+        u32::try_from(self.routes.len() - 1).expect("routes fit in u32")
+    }
+
+    /// Adds a path over the stored route `r` and returns its id.
+    pub(crate) fn add_path(&mut self, r: u32) -> PathId {
+        self.path_route.push(r);
+        PathId(u32::try_from(self.path_route.len() - 1).expect("paths fit in u32"))
+    }
+
+    /// The route of `path`, or `None` for an id no path has (a direct
+    /// packet's `PathId(u32::MAX)`).
+    #[inline]
+    pub(crate) fn get(&self, path: PathId) -> Option<&Route> {
+        let r = *self.path_route.get(path.0 as usize)?;
+        Some(&self.routes[r as usize])
+    }
+
+    /// The stored routes, in the order added.
+    pub(crate) fn routes(&self) -> &[Route] {
+        &self.routes
+    }
+
+    /// Number of paths.
+    #[cfg(test)]
+    pub(crate) fn paths(&self) -> usize {
+        self.path_route.len()
+    }
+
+    /// Pre-sizes the table for `n` more paths.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.path_route.reserve_exact(n);
+    }
 }
 
 /// Events processed by the simulation loop.
@@ -142,18 +192,19 @@ fn event_digest(t: SimTime, ev: &Event) -> u64 {
 /// Cross-shard configuration of one shard instance of a partitioned
 /// topology (absent in the default single-instance mode).
 ///
-/// Every shard constructs the *entire* topology (all links, paths and
-/// endpoint slots, with endpoint boxes only in owned slots) so ids and
-/// RNG forks agree across shards; this table says which shard *processes*
-/// each link's service and each endpoint's events.
+/// Every shard has every link and reserves every endpoint slot, and all
+/// shards share one [`RouteTable`], so ids agree across shards; endpoint
+/// state exists only in the slots a shard installs. These tables, shared
+/// by all shards too, say which shard *processes* each link's service and
+/// each endpoint's events.
 #[derive(Clone, Debug)]
 struct ShardCfg {
     /// This shard's index.
     me: u8,
     /// Owner shard of each link, indexed by `LinkId`.
-    shard_of_link: Vec<u8>,
+    shard_of_link: Arc<[u8]>,
     /// Owner shard of each endpoint slot, indexed by `EndpointId`.
-    shard_of_ep: Vec<u8>,
+    shard_of_ep: Arc<[u8]>,
 }
 
 /// The simulator's implementation of the [`HostCtx`] driver seam: the
@@ -165,7 +216,7 @@ pub struct Ctx<'a> {
     slab: &'a mut PacketSlab,
     links: &'a mut [Link],
     link_rngs: &'a mut [SimRng],
-    paths: &'a [Path],
+    routes: &'a RouteTable,
     rng: &'a mut SimRng,
     /// This endpoint's packet-id counter (see [`Ctx::next_packet_id`]).
     pkt_seq: &'a mut u64,
@@ -211,7 +262,7 @@ impl HostCtx for Ctx<'_> {
     /// topologies congest the ACK path), so a reverse send bypasses all
     /// links and arrives after the path's configured reverse delay.
     fn send_reverse(&mut self, path: PathId, dst: EndpointId, size: u64, header: Header) {
-        let delay = self.paths[path.0 as usize].reverse_delay;
+        let delay = self.route(path).reverse_delay;
         self.send_direct(dst, delay, size, header);
     }
 
@@ -220,7 +271,7 @@ impl HostCtx for Ctx<'_> {
     }
 
     fn path_base_rtt(&self, path: PathId) -> SimDuration {
-        let p = &self.paths[path.0 as usize];
+        let p = self.route(path);
         let forward = p
             .links
             .iter()
@@ -231,6 +282,10 @@ impl HostCtx for Ctx<'_> {
 }
 
 impl<'a> Ctx<'a> {
+    fn route(&self, path: PathId) -> &'a Route {
+        self.routes.get(path).expect("a sent path exists")
+    }
+
     /// Draws the next id from this endpoint's namespace: the endpoint id
     /// in the high 32 bits, a per-endpoint sequence number below. Ids
     /// therefore never depend on the global interleaving of sends, which
@@ -268,7 +323,7 @@ impl<'a> Ctx<'a> {
     }
 
     fn forward(&mut self, pkt: Packet) {
-        let path = &self.paths[pkt.path.0 as usize];
+        let path = self.route(pkt.path);
         if pkt.hop >= path.links.len() {
             // Past the last hop: deliver. Reached only from Arrive dispatch;
             // a fresh send always has at least one link in our topologies.
@@ -388,7 +443,28 @@ pub fn endpoint_rng(seed: u64, id: EndpointId) -> SimRng {
     SimRng::seed_from_u64(0).fork(seed, splitmix64(0xEE00 ^ id.0 as u64))
 }
 
-/// The top-level simulator: owns links, paths, endpoints and the event loop.
+/// `Simulation::slots` marker of a reserved slot that was never installed.
+const VACANT: u32 = u32::MAX;
+/// `Simulation::slots` marker of a slot whose endpoint was removed.
+const RETIRED: u32 = u32::MAX - 1;
+
+/// The state of an installed endpoint. It exists only from install to
+/// removal, so a slot reserved for an endpoint another shard owns, or for
+/// a connection not yet created, costs its `u32` marker and nothing more.
+struct Installed {
+    /// `None` while the endpoint is being dispatched.
+    ep: Option<Box<dyn Endpoint>>,
+    /// The endpoint's random stream, forked from [`endpoint_rng`] at
+    /// install.
+    rng: SimRng,
+    /// The endpoint's packet-id counter (see [`Ctx::next_packet_id`]).
+    pkt_seq: u64,
+    /// Already listed in `Simulation::dispatched`.
+    dispatched: bool,
+}
+
+/// The top-level simulator: owns links, routes, endpoints and the event
+/// loop.
 pub struct Simulation {
     seed: u64,
     events: EventQueue<Event>,
@@ -396,11 +472,17 @@ pub struct Simulation {
     slab: PacketSlab,
     links: Vec<Link>,
     link_rngs: Vec<SimRng>,
-    pub(crate) paths: Vec<Path>,
-    endpoints: Vec<Option<Box<dyn Endpoint>>>,
-    ep_rngs: Vec<SimRng>,
-    /// Per-endpoint packet-id counters (see [`Ctx::next_packet_id`]).
-    ep_pkt_seqs: Vec<u64>,
+    /// Every path's route; one table shared by all shards of a run.
+    routes: Arc<RouteTable>,
+    /// Per reserved endpoint slot: its index into `installed`, or
+    /// [`VACANT`] / [`RETIRED`].
+    slots: Vec<u32>,
+    /// Installed endpoints; entries freed by removal are reused LIFO.
+    installed: Vec<Installed>,
+    free_installed: Vec<u32>,
+    /// Endpoints dispatched to since the last
+    /// [`Simulation::take_dispatched`], each once.
+    dispatched: Vec<EndpointId>,
     now: SimTime,
     started: Vec<EndpointId>,
     tracer: Tracer,
@@ -438,16 +520,24 @@ pub struct Simulation {
 impl Simulation {
     /// Creates an empty simulation with the given experiment seed.
     pub fn new(seed: u64) -> Self {
+        Self::with_routes(seed, Arc::default())
+    }
+
+    /// An empty simulation over the paths of `routes`, whose links the
+    /// caller adds next: how [`crate::topology::NetSpec`] builds a
+    /// network, and hands every shard of a run the same table.
+    pub(crate) fn with_routes(seed: u64, routes: Arc<RouteTable>) -> Self {
         Simulation {
             seed,
             events: EventQueue::new(),
             slab: PacketSlab::default(),
             links: Vec::new(),
             link_rngs: Vec::new(),
-            paths: Vec::new(),
-            endpoints: Vec::new(),
-            ep_rngs: Vec::new(),
-            ep_pkt_seqs: Vec::new(),
+            routes,
+            slots: Vec::new(),
+            installed: Vec::new(),
+            free_installed: Vec::new(),
+            dispatched: Vec::new(),
             now: SimTime::ZERO,
             started: Vec::new(),
             tracer: Tracer::off(),
@@ -560,17 +650,29 @@ impl Simulation {
 
     /// Adds a forward path over `links`. Its reverse (ACK) delay is the
     /// sum of the links' current propagation delays: a symmetric path.
+    ///
+    /// Each call stores its own route.
+    ///
+    /// # Panics
+    /// Panics if the route table is shared with other shards: paths are
+    /// added before a simulation joins a sharded run.
     pub fn add_path(&mut self, links: Vec<LinkId>) -> PathId {
         let reverse_delay = links
             .iter()
             .map(|l| self.links[l.0 as usize].delay())
             .fold(SimDuration::ZERO, |a, b| a + b);
-        let id = PathId(self.paths.len() as u32);
-        self.paths.push(Path {
-            links,
+        let routes = Arc::get_mut(&mut self.routes).expect("the route table is not shared");
+        let r = routes.add_route(Route {
+            links: links.into_boxed_slice(),
             reverse_delay,
         });
-        id
+        routes.add_path(r)
+    }
+
+    /// The route table.
+    #[cfg(test)]
+    pub(crate) fn routes(&self) -> &Arc<RouteTable> {
+        &self.routes
     }
 
     /// Registers an endpoint. Its `start` hook runs when the simulation is
@@ -578,53 +680,129 @@ impl Simulation {
     /// zero, in endpoint-id order).
     pub fn add_endpoint(&mut self, ep: Box<dyn Endpoint>) -> EndpointId {
         let id = self.reserve_endpoint();
-        self.endpoints[id.0 as usize] = Some(ep);
-        self.started.push(id);
+        self.install_endpoint(id, ep);
         id
     }
 
-    /// Reserves `n` endpoint slots at once ([`Simulation::reserve_endpoint`]),
-    /// growing the per-endpoint tables once.
+    /// Reserves `n` endpoint slots at once ([`Simulation::reserve_endpoint`]).
     pub(crate) fn reserve_endpoints(&mut self, n: usize) -> Vec<EndpointId> {
-        self.endpoints.reserve(n);
-        self.ep_rngs.reserve(n);
-        self.ep_pkt_seqs.reserve(n);
+        self.slots.reserve_exact(n);
         (0..n).map(|_| self.reserve_endpoint()).collect()
     }
 
-    /// Reserves an endpoint slot without installing an endpoint.
+    /// Reserves an endpoint slot without installing an endpoint. The slot
+    /// costs a `u32` until an endpoint is installed into it.
     ///
     /// Two uses: a shard of a partitioned topology reserves slots for the
-    /// endpoints other shards own (so ids and RNG forks line up across
-    /// shards), and churn drivers reserve slots for connections that are
-    /// created mid-run via [`Simulation::install_endpoint`]. Events
-    /// addressed to an empty slot are dropped and counted in
+    /// endpoints other shards own (so ids line up across shards), and
+    /// churn drivers reserve slots for connections that are created
+    /// mid-run via [`Simulation::install_endpoint`]. Events addressed to
+    /// an empty slot are dropped and counted in
     /// [`Simulation::stale_events`].
     pub fn reserve_endpoint(&mut self) -> EndpointId {
-        let id = EndpointId(self.endpoints.len() as u32);
-        self.endpoints.push(None);
-        self.ep_rngs.push(endpoint_rng(self.seed, id));
-        self.ep_pkt_seqs.push(0);
+        let id = EndpointId(u32::try_from(self.slots.len()).expect("endpoint ids fit in u32"));
+        self.slots.push(VACANT);
         id
     }
 
-    /// Installs an endpoint into a reserved (empty) slot. Its `start` hook
-    /// runs when the simulation is next driven, at the then-current clock.
+    /// Pre-sizes the installed-endpoint table for `n` endpoints installed
+    /// at once, so that installs up to that concurrency never allocate.
+    pub fn reserve_installed(&mut self, n: usize) {
+        self.installed
+            .reserve(n.saturating_sub(self.installed.len()));
+        self.free_installed
+            .reserve(n.saturating_sub(self.free_installed.len()));
+        self.dispatched
+            .reserve(n.saturating_sub(self.dispatched.len()));
+    }
+
+    /// Installs an endpoint into a reserved slot that has never held one.
+    /// Its random stream ([`endpoint_rng`]) and packet-id counter start
+    /// here, so they are the same whichever shard installs it and
+    /// whenever. Its `start` hook runs when the simulation is next driven,
+    /// at the then-current clock.
+    ///
+    /// # Panics
+    /// Panics if the slot is occupied or was used before: a removed
+    /// endpoint's slot stays retired, so events still in flight to the old
+    /// endpoint can never reach a new one.
     pub fn install_endpoint(&mut self, id: EndpointId, ep: Box<dyn Endpoint>) {
-        let slot = &mut self.endpoints[id.0 as usize];
-        assert!(slot.is_none(), "endpoint slot {id:?} already occupied");
-        *slot = Some(ep);
+        let slot = &mut self.slots[id.0 as usize];
+        assert!(*slot != RETIRED, "endpoint slot {id:?} was used before");
+        assert!(*slot == VACANT, "endpoint slot {id:?} already occupied");
+        let entry = Installed {
+            ep: Some(ep),
+            rng: endpoint_rng(self.seed, id),
+            pkt_seq: 0,
+            dispatched: false,
+        };
+        *slot = match self.free_installed.pop() {
+            Some(i) => {
+                self.installed[i as usize] = entry;
+                i
+            }
+            None => {
+                self.installed.push(entry);
+                u32::try_from(self.installed.len() - 1).expect("installed endpoints fit in u32")
+            }
+        };
         self.started.push(id);
     }
 
     /// Removes an installed endpoint, returning its box (for pooling and
-    /// in-place reuse). The slot stays reserved: later events addressed to
-    /// it — stray timers, spurious retransmissions in flight — are dropped
+    /// in-place reuse). The slot is retired: later events addressed to it
+    /// — stray timers, spurious retransmissions in flight — are dropped
     /// and counted in [`Simulation::stale_events`].
     pub fn remove_endpoint(&mut self, id: EndpointId) -> Box<dyn Endpoint> {
-        self.endpoints[id.0 as usize]
+        let i = self
+            .installed_index(id)
+            .expect("removing an endpoint that is not installed");
+        self.slots[id.0 as usize] = RETIRED;
+        self.free_installed.push(i as u32);
+        self.installed[i]
+            .ep
             .take()
-            .expect("removing an endpoint that is not installed")
+            .expect("removing an endpoint mid-dispatch")
+    }
+
+    /// Endpoint states held: installed endpoints plus freed entries
+    /// awaiting reuse.
+    #[cfg(test)]
+    pub(crate) fn endpoint_states(&self) -> usize {
+        self.installed.len()
+    }
+
+    /// The `installed` index of endpoint `id`, if it is installed.
+    fn installed_index(&self, id: EndpointId) -> Option<usize> {
+        let i = *self.slots.get(id.0 as usize)?;
+        (i < RETIRED).then_some(i as usize)
+    }
+
+    /// The endpoints installed right now, in id order.
+    pub fn installed_endpoints(&self) -> impl Iterator<Item = EndpointId> + '_ {
+        let ids = self.slots.iter().enumerate();
+        ids.filter(|&(_, &i)| i < RETIRED)
+            .map(|(id, _)| EndpointId(id as u32))
+    }
+
+    /// Moves into `out` (replacing its contents) every endpoint that was
+    /// dispatched to — started, or handed a packet or a timer — since the
+    /// last call and is still installed, each once, in first-dispatch
+    /// order. An endpoint's state changes only when it is dispatched, so a
+    /// driver that polls endpoints between runs (churn's retirement check)
+    /// need look only at these. The two buffers trade places, so neither
+    /// allocates once both have grown to the concurrency peak.
+    pub fn take_dispatched(&mut self, out: &mut Vec<EndpointId>) {
+        out.clear();
+        std::mem::swap(&mut self.dispatched, out);
+        let (slots, installed) = (&self.slots, &mut self.installed);
+        out.retain(|id| match slots[id.0 as usize] {
+            i if i < RETIRED => {
+                installed[i as usize].dispatched = false;
+                true
+            }
+            _ => false,
+        });
     }
 
     /// Events dropped because their endpoint slot was empty.
@@ -645,9 +823,10 @@ impl Simulation {
     /// Declares this instance to be shard `me` of a partitioned topology.
     /// `shard_of_link[l]` / `shard_of_ep[e]` give the owning shard of each
     /// link / endpoint slot; both must cover everything registered so far.
-    pub fn configure_shard(&mut self, me: u8, shard_of_link: Vec<u8>, shard_of_ep: Vec<u8>) {
+    /// Every shard of a run can share the same two tables.
+    pub fn configure_shard(&mut self, me: u8, shard_of_link: Arc<[u8]>, shard_of_ep: Arc<[u8]>) {
         assert_eq!(shard_of_link.len(), self.links.len());
-        assert_eq!(shard_of_ep.len(), self.endpoints.len());
+        assert_eq!(shard_of_ep.len(), self.slots.len());
         self.shard = Some(ShardCfg {
             me,
             shard_of_link,
@@ -664,7 +843,7 @@ impl Simulation {
     /// lower a delay below this value.
     pub fn min_lookahead(&self) -> Option<SimDuration> {
         let link_min = self.links.iter().map(|l| l.params().delay).min();
-        let rev_min = self.paths.iter().map(|p| p.reverse_delay).min();
+        let rev_min = self.routes.routes().iter().map(|r| r.reverse_delay).min();
         match (link_min, rev_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -735,10 +914,12 @@ impl Simulation {
     /// Downcasts an endpoint to its concrete type for inspection.
     ///
     /// # Panics
-    /// Panics if the endpoint is currently being dispatched or has a
-    /// different concrete type.
+    /// Panics if the endpoint is not installed, is currently being
+    /// dispatched or has a different concrete type.
     pub fn endpoint<T: 'static>(&self, id: EndpointId) -> &T {
-        self.endpoints[id.0 as usize]
+        let i = self.installed_index(id).expect("endpoint is not installed");
+        self.installed[i]
+            .ep
             .as_ref()
             .expect("endpoint is mid-dispatch")
             .as_any()
@@ -846,7 +1027,7 @@ impl Simulation {
             Event::TxComplete(_) => ProfCat::LinkTx,
             Event::Arrive { slot, .. } => {
                 let pkt = self.slab.get(*slot);
-                let past_last_hop = match self.paths.get(pkt.path.0 as usize) {
+                let past_last_hop = match self.routes.get(pkt.path) {
                     Some(path) => pkt.hop >= path.links.len(),
                     None => true,
                 };
@@ -903,7 +1084,7 @@ impl Simulation {
             Event::TxComplete(link) => self.complete_tx(link).map(|done| (link, done)),
             Event::Arrive { slot, .. } => {
                 let pkt = self.slab.take(slot);
-                let past_last_hop = match self.paths.get(pkt.path.0 as usize) {
+                let past_last_hop = match self.routes.get(pkt.path) {
                     Some(path) => pkt.hop >= path.links.len(),
                     None => true, // direct (delay-only) packet
                 };
@@ -1028,7 +1209,7 @@ impl Simulation {
     /// default single-instance mode this is a plain schedule.
     fn schedule_arrive(&mut self, at: SimTime, pkt: Packet) {
         if let Some(sc) = &self.shard {
-            let owner = match self.paths.get(pkt.path.0 as usize) {
+            let owner = match self.routes.get(pkt.path) {
                 Some(path) if pkt.hop < path.links.len() => {
                     sc.shard_of_link[path.links[pkt.hop].0 as usize]
                 }
@@ -1045,8 +1226,11 @@ impl Simulation {
 
     /// Re-offers a mid-path packet to its next link (no endpoint involved).
     fn reforward(&mut self, pkt: Packet) {
-        let path = &self.paths[pkt.path.0 as usize];
-        let link_id = path.links[pkt.hop];
+        let route = self
+            .routes
+            .get(pkt.path)
+            .expect("a mid-path packet's path exists");
+        let link_id = route.links[pkt.hop];
         let link = &mut self.links[link_id.0 as usize];
         let rng = &mut self.link_rngs[link_id.0 as usize];
         let bytes = pkt.size;
@@ -1062,14 +1246,22 @@ impl Simulation {
     where
         F: FnOnce(&mut Box<dyn Endpoint>, &mut Ctx<'_>),
     {
-        let idx = id.0 as usize;
-        let Some(mut ep) = self.endpoints[idx].take() else {
-            // Reserved-but-empty slot: the endpoint is owned by another
-            // shard, or a churn driver already retired the connection and
-            // this is a stray in-flight packet or stale timer. Drop it.
+        // An empty slot: the endpoint is owned by another shard, not yet
+        // created, or already retired by a churn driver and this is a
+        // stray in-flight packet or stale timer. Drop it.
+        let Some(i) = self.installed_index(id) else {
             self.stale_events += 1;
             return;
         };
+        let entry = &mut self.installed[i];
+        let Some(mut ep) = entry.ep.take() else {
+            self.stale_events += 1;
+            return;
+        };
+        if !entry.dispatched {
+            entry.dispatched = true;
+            self.dispatched.push(id);
+        }
         {
             let mut ctx = Ctx {
                 now: self.now,
@@ -1078,16 +1270,16 @@ impl Simulation {
                 slab: &mut self.slab,
                 links: &mut self.links,
                 link_rngs: &mut self.link_rngs,
-                paths: &self.paths,
-                rng: &mut self.ep_rngs[idx],
-                pkt_seq: &mut self.ep_pkt_seqs[idx],
+                routes: &self.routes,
+                rng: &mut entry.rng,
+                pkt_seq: &mut entry.pkt_seq,
                 shard: self.shard.as_ref(),
                 outbox: &mut self.outbox,
                 tracer: &self.tracer,
             };
             f(&mut ep, &mut ctx);
         }
-        self.endpoints[idx] = Some(ep);
+        entry.ep = Some(ep);
     }
 }
 
@@ -1257,6 +1449,40 @@ mod tests {
     }
 
     use mpcc_simcore::Rate;
+
+    #[test]
+    fn dispatched_endpoints_are_listed_once_while_installed() {
+        let mut sim = Simulation::new(8);
+        let link = sim.add_link(LinkParams::paper_default());
+        let path = sim.add_path(vec![link]);
+        let sender = sim.add_endpoint(Box::new(TestSender {
+            path,
+            peer: EndpointId(1),
+            count: 3,
+            acks: vec![],
+            timer_fired: false,
+        }));
+        let receiver = sim.add_endpoint(Box::new(TestReceiver { received: 0 }));
+        let mut out = vec![receiver];
+        // Starts dispatch in id order.
+        sim.run_until(SimTime::from_millis(1));
+        sim.take_dispatched(&mut out);
+        assert_eq!(out, [sender, receiver]);
+        sim.take_dispatched(&mut out);
+        assert!(out.is_empty());
+        // Three data packets reach the receiver by 30.4 ms; it is listed
+        // once, and not at all once removed.
+        sim.run_until(SimTime::from_millis(31));
+        assert_eq!(sim.endpoint::<TestReceiver>(receiver).received, 3);
+        sim.remove_endpoint(receiver);
+        sim.take_dispatched(&mut out);
+        assert!(out.is_empty());
+        // The sender's timer fires at 500 ms; no ACK ever comes back.
+        sim.run_until(SimTime::from_secs(1));
+        sim.take_dispatched(&mut out);
+        assert_eq!(out, [sender]);
+        assert!(sim.endpoint::<TestSender>(sender).timer_fired);
+    }
 
     #[test]
     fn clock_reaches_run_until_target_even_when_idle() {

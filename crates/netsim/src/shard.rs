@@ -88,9 +88,13 @@ fn plan_epoch(next: SimTime, until: SimTime, lookahead: SimDuration) -> (SimTime
 
 /// A partitioned topology running as `K` lockstep shard instances.
 ///
-/// Every shard holds the *entire* topology (so link/endpoint/path ids and
-/// RNG forks agree across shards) but installs endpoints and processes
-/// link service only for the entities it owns. `K = 1` is a valid
+/// Every shard has every link and reserves every endpoint slot, so link,
+/// endpoint and path ids agree across shards, and all shards read one
+/// route table (`ClosConfig::partitioned` builds it once and hands each
+/// shard the same `Arc`). A shard processes link service only for the
+/// links it owns, and holds endpoint state (box, random stream, packet-id
+/// counter) only for the endpoints it installs; every other slot costs it
+/// a `u32`. The ownership tables are shared too. `K = 1` is a valid
 /// degenerate case — one shard owning everything, no cross edges — and is
 /// how shard-count determinism is checked (`--shards 1` vs `--shards 4`).
 pub struct ShardedSimulation {
@@ -106,10 +110,11 @@ pub struct ShardedSimulation {
 impl ShardedSimulation {
     /// Builds `n` shard instances by calling `build(i)` for each, then
     /// wiring in the ownership tables (`shard_of_link[l]` / `shard_of_ep[e]`
-    /// give the owning shard of each link / endpoint slot). The builder
-    /// must construct the identical topology for every shard — reserving
-    /// slots for endpoints other shards own ([`Simulation::reserve_endpoint`])
-    /// and installing boxes only into its own.
+    /// give the owning shard of each link / endpoint slot; every shard
+    /// reads the same copy). `build` must construct the identical
+    /// topology for every shard — reserving slots for endpoints other
+    /// shards own ([`Simulation::reserve_endpoint`]) and installing boxes
+    /// only into its own.
     pub fn new<F>(n: u8, shard_of_link: Vec<u8>, shard_of_ep: Vec<u8>, mut build: F) -> Self
     where
         F: FnMut(u8) -> Simulation,
@@ -119,10 +124,12 @@ impl ShardedSimulation {
             shard_of_link.iter().chain(&shard_of_ep).all(|&s| s < n),
             "ownership table names a shard >= {n}"
         );
+        let (shard_of_link, shard_of_ep): (Arc<[u8]>, Arc<[u8]>) =
+            (shard_of_link.into(), shard_of_ep.into());
         let mut shards = Vec::with_capacity(n as usize);
         for i in 0..n {
             let mut sim = build(i);
-            sim.configure_shard(i, shard_of_link.clone(), shard_of_ep.clone());
+            sim.configure_shard(i, Arc::clone(&shard_of_link), Arc::clone(&shard_of_ep));
             shards.push(sim);
         }
         let lookahead = shards[0]

@@ -16,10 +16,12 @@
 
 use crate::ids::{EndpointId, LinkId, PathId};
 use crate::link::LinkParams;
-use crate::network::Simulation;
+use crate::network::{Route, RouteTable, Simulation};
 use crate::shard::ShardedSimulation;
 use mpcc_simcore::{Rate, SimDuration};
+use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A network description: links plus a route per subflow.
 #[derive(Clone, Debug)]
@@ -35,16 +37,40 @@ impl NetSpec {
     /// Builds the network: the links in order, then one path per subflow
     /// in `(c, k)` order, so `PathId`s are those [`NetSpec::paths`] names.
     pub fn build(&self, seed: u64) -> Simulation {
-        let mut sim = Simulation::new(seed);
+        self.build_on(seed, Arc::new(self.route_table()))
+    }
+
+    /// The links in order, over `routes`, this description's
+    /// [`NetSpec::route_table`]; a sharded build hands every shard the
+    /// same table.
+    fn build_on(&self, seed: u64, routes: Arc<RouteTable>) -> Simulation {
+        let mut sim = Simulation::with_routes(seed, routes);
         for params in &self.links {
             sim.add_link(*params);
         }
-        sim.paths
-            .reserve_exact(self.conns.iter().map(Vec::len).sum());
-        for route in self.conns.iter().flatten() {
-            sim.add_path(route.iter().map(|&l| LinkId(l as u32)).collect());
-        }
         sim
+    }
+
+    /// One path per subflow in `(c, k)` order. Each distinct route is
+    /// stored once, with the reverse delay of a symmetric path (the sum of
+    /// its links' delays).
+    fn route_table(&self) -> RouteTable {
+        let mut table = RouteTable::default();
+        table.reserve(self.conns.iter().map(Vec::len).sum());
+        let mut stored: HashMap<&[usize], u32> = HashMap::new();
+        for route in self.conns.iter().flatten() {
+            let r = *stored.entry(route).or_insert_with(|| {
+                table.add_route(Route {
+                    links: route.iter().map(|&l| LinkId(l as u32)).collect(),
+                    reverse_delay: route
+                        .iter()
+                        .map(|&l| self.links[l].delay)
+                        .fold(SimDuration::ZERO, |a, b| a + b),
+                })
+            });
+            table.add_path(r);
+        }
+        table
     }
 
     /// Connection `c`'s path ids in a built network, one per subflow.
@@ -223,7 +249,8 @@ impl ClosConfig {
     /// hop of every route is co-owned with its source endpoint, as the
     /// engine requires.
     ///
-    /// Every shard builds the network, then reserves one endpoint slot per
+    /// The route table is built once and shared by every shard. Each
+    /// shard builds the links over it, then reserves one endpoint slot per
     /// entry of `slot_hosts` (the host of each slot, in reservation
     /// order); slot `i` belongs to its host's shard. Then `install(shard,
     /// sim, partition)` adds that shard's endpoints and events. Returns
@@ -240,7 +267,8 @@ impl ClosConfig {
         F: FnMut(u8, &mut Simulation, &ClosPartition),
     {
         let rack_shard = |rack: usize| (rack % shards as usize) as u8;
-        let net = self.net(conns);
+        let mut net = self.net(conns);
+        let routes = Arc::new(net.route_table());
         let mut part = ClosPartition {
             paths: net
                 .path_ranges()
@@ -253,9 +281,12 @@ impl ClosConfig {
                 .collect(),
             link_shard: self.link_racks().map(rack_shard).collect(),
         };
+        // The links are all the shards need of the description now; its
+        // per-subflow routes go before the shards allocate.
+        net.conns = Vec::new();
         let (link_shard, slot_shard) = (part.link_shard.clone(), part.slot_shard.clone());
         let sim = ShardedSimulation::new(shards, link_shard, slot_shard, |me| {
-            let mut sim = net.build(seed);
+            let mut sim = net.build_on(seed, Arc::clone(&routes));
             part.slots = sim.reserve_endpoints(slot_hosts.len());
             install(me, &mut sim, &part);
             sim
@@ -294,7 +325,9 @@ mod tests {
         assert_eq!(net.paths(0), [PathId(0), PathId(1)]);
         assert!(net.paths(1).is_empty());
         assert_eq!(net.paths(2), [PathId(2)]);
-        let routes: Vec<&[LinkId]> = sim.paths.iter().map(|p| &p.links[..]).collect();
+        let routes: Vec<&[LinkId]> = (0..3)
+            .map(|p| &sim.routes().get(PathId(p)).unwrap().links[..])
+            .collect();
         assert_eq!(
             routes,
             [&[LinkId(2)][..], &[LinkId(0), LinkId(1)], &[LinkId(1)]]
@@ -332,12 +365,84 @@ mod tests {
         // subflows dealt round-robin over them cover both spines.
         let mut uplinks: Vec<LinkId> = paths
             .iter()
-            .map(|p| sim.paths[p.0 as usize].links[1])
+            .map(|&p| sim.routes().get(p).unwrap().links[1])
             .collect();
         uplinks.sort_unstable();
         uplinks.dedup();
         // ToR 0's spine uplinks follow the 2 × 8 host links.
         assert_eq!(uplinks, [LinkId(16), LinkId(17)]);
+    }
+
+    /// Records the first draw of its random stream at start.
+    struct RngProbe(Option<u64>);
+
+    impl crate::Endpoint for RngProbe {
+        fn start(&mut self, ctx: &mut dyn crate::HostCtx) {
+            self.0 = Some(ctx.rng().next_u64());
+        }
+        fn on_packet(&mut self, _: crate::Packet, _: &mut dyn crate::HostCtx) {}
+        fn on_timer(&mut self, _: u64, _: &mut dyn crate::HostCtx) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Five cross-rack connections (two between the same hosts) on a
+    /// 2-shard default Clos, each shard installing an `RngProbe` into
+    /// every slot it owns.
+    fn two_shard_clos() -> (ShardedSimulation, ClosPartition) {
+        let conns = [(0, 7, 2), (2, 5, 2), (4, 1, 2), (6, 3, 2), (0, 7, 2)];
+        let slot_hosts: Vec<usize> = conns.iter().flat_map(|&(s, d, _)| [s, d]).collect();
+        ClosConfig::default().partitioned(7, 2, &conns, &slot_hosts, |me, sim, part| {
+            for (&id, &owner) in part.slots.iter().zip(&part.slot_shard) {
+                if owner == me {
+                    sim.install_endpoint(id, Box::new(RngProbe(None)));
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn partitioned_shards_share_one_route_table_and_hold_only_owned_endpoints() {
+        let (mut sim, part) = two_shard_clos();
+        let routes = sim.shard(0).routes();
+        assert!(Arc::ptr_eq(routes, sim.shard(1).routes()));
+        // Ten subflow paths over four host pairs' two spine routes each.
+        assert_eq!((routes.paths(), routes.routes().len()), (10, 8));
+        sim.run_until(mpcc_simcore::SimTime::from_millis(1));
+        for i in 0..2 {
+            let owned: Vec<EndpointId> = (part.slots.iter().zip(&part.slot_shard))
+                .filter(|&(_, &owner)| owner == i as u8)
+                .map(|(&id, _)| id)
+                .collect();
+            assert!(!owned.is_empty() && owned.len() < part.slots.len());
+            let shard = sim.shard(i);
+            assert_eq!(shard.installed_endpoints().collect::<Vec<_>>(), owned);
+            assert_eq!(shard.endpoint_states(), owned.len());
+            // The stream forked at install is the one the id names.
+            for &id in &owned {
+                let first = crate::endpoint_rng(7, id).next_u64();
+                assert_eq!(shard.endpoint::<RngProbe>(id).0, Some(first));
+            }
+        }
+    }
+
+    /// A removed endpoint's slot stays retired: installing into it again
+    /// is rejected, so a stray packet or timer addressed to the old
+    /// endpoint can never reach a new one.
+    #[test]
+    #[should_panic(expected = "was used before")]
+    fn partitioned_slot_rejects_reinstall_after_removal() {
+        let (mut sim, part) = two_shard_clos();
+        let owner = part.slot_shard[0] as usize;
+        let shard = sim.shard_mut(owner);
+        let installed = shard.installed_endpoints().count();
+        let ep = shard.remove_endpoint(part.slots[0]);
+        assert_eq!(shard.installed_endpoints().count(), installed - 1);
+        shard.install_endpoint(part.slots[0], ep);
     }
 
     #[test]

@@ -128,6 +128,11 @@ impl SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
 
+    /// Multiplies by an integer, saturating on overflow.
+    pub const fn saturating_mul(self, k: u64) -> SimDuration {
+        SimDuration(self.0.saturating_mul(k))
+    }
+
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod connection;
 pub mod controller;
 pub mod io;
@@ -33,7 +32,6 @@ pub mod sender;
 pub mod subflow;
 pub mod wire;
 
-pub use arena::{Arena, Handle};
 pub use connection::{ConnSend, Workload};
 pub use controller::{AckInfo, LossInfo, MiReport, MultipathCc};
 pub use io::{Endpoint, HostCtx, PacketTrace, TraceEntry};

@@ -131,10 +131,10 @@ impl Subflow {
         }
     }
 
-    /// The current RTO interval including backoff.
+    /// The current RTO interval including backoff. The backoff is a
+    /// power of two no larger than 16, so the integer product is exact.
     pub fn rto_interval(&self) -> SimDuration {
-        let base = self.rtt.rto();
-        base.mul_f64(self.rto_backoff as f64)
+        self.rtt.rto().saturating_mul(u64::from(self.rto_backoff))
     }
 }
 
@@ -221,5 +221,30 @@ mod tests {
         let base = sf.rto_interval();
         sf.rto_backoff = 4;
         assert_eq!(sf.rto_interval(), base.mul_f64(4.0));
+    }
+
+    /// The integer backoff product equals the float scaling it replaced,
+    /// `rto.mul_f64(backoff as f64)`, at every backoff the sender uses
+    /// (`on_rto_timer` doubles it up to 16) and any RTO the estimator
+    /// can produce.
+    #[test]
+    fn integer_backoff_matches_float_scaling() {
+        use crate::rtt::{MAX_RTO, MIN_RTO};
+        let mut rng = mpcc_simcore::SimRng::seed_from_u64(0xB0FF);
+        let (lo, hi) = (MIN_RTO.as_nanos(), MAX_RTO.as_nanos());
+        for i in 0..200_000u64 {
+            let rto = match i {
+                0 => MIN_RTO,
+                1 => MAX_RTO,
+                _ => SimDuration::from_nanos(lo + rng.next_u64() % (hi - lo + 1)),
+            };
+            for backoff in [1u64, 2, 4, 8, 16] {
+                assert_eq!(
+                    rto.saturating_mul(backoff),
+                    rto.mul_f64(backoff as f64),
+                    "rto {rto:?} x {backoff}"
+                );
+            }
+        }
     }
 }

@@ -132,12 +132,12 @@ fn assert_steady_state_is_allocation_free(cc: Box<dyn MultipathCc>, scheduler: S
 
 /// Steady-state *connection churn* must also be allocation-free: creating
 /// and destroying connections mid-run recycles endpoint boxes through the
-/// per-shard pools (`MpSender::reset_for_reuse`), keeps live-connection
-/// records in a pre-sized generation-tagged arena, and reuses every
+/// per-shard pools (`MpSender::reset_for_reuse`), lists the endpoints an
+/// epoch dispatched to in a reused buffer, and reuses every
 /// engine container (epoch outboxes, canonical dispatch batch, wheel
 /// slots). After a warm-up long enough to touch every level-3 wheel slot
 /// and reach peak concurrency, a window of hundreds of connection
-/// lifetimes — install, slow-start, completion, retirement, slot reuse —
+/// lifetimes — install, slow-start, completion, retirement, box reuse —
 /// must not allocate once. Runs on the two-shard engine so the
 /// cross-shard handoff path is inside the measurement.
 #[test]
