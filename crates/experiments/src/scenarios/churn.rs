@@ -241,15 +241,8 @@ pub fn build(cfg: &ChurnConfig) -> ChurnSim {
                 sim.schedule_link_change(SimTime::ZERO, LinkId(l as u32), faulted);
             }
         }
-        // Churn keeps discovering rare new per-slot timer-wheel occupancy
-        // maxima and in-flight packet peaks for the whole run; a generous
-        // up-front reservation moves both capacity ratchets to build time
-        // (tests/alloc_free.rs holds the steady state to zero
-        // allocations). It sizes every wheel slot for 512 entries and the
-        // drain buffers and the packet slab for 16,384; at 40 B a wheel
-        // entry, the slots take about 7.9 MB per shard. The pools bound
-        // the endpoints a shard holds at once in the steady state.
-        sim.reserve_event_capacity(512, 16_384);
+        // The pools bound the endpoints a shard holds at once in the
+        // steady state.
         sim.reserve_installed(2 * PREWARM);
     };
     let (mut sim, part) = clos.partitioned(cfg.seed, k, &conns, &slot_hosts, install);

@@ -154,12 +154,6 @@ impl PacketSlab {
         self.free.push(slot);
         pkt
     }
-
-    /// Pre-sizes the slab for `n` packets in flight.
-    fn reserve(&mut self, n: usize) {
-        self.slots.reserve(n.saturating_sub(self.slots.len()));
-        self.free.reserve(n.saturating_sub(self.free.len()));
-    }
 }
 
 /// The canonical dispatch key of an event: same-time events are
@@ -619,18 +613,6 @@ impl Simulation {
     /// (release builds only; debug builds panic on past schedules).
     pub fn clamped_schedules(&self) -> u64 {
         self.events.clamped_schedules()
-    }
-
-    /// Pre-sizes the event queue's wheel slots and drain buffers (see
-    /// [`EventQueue::reserve_slot_capacity`]), and the packet slab for
-    /// `drain` packets in flight. Churning workloads call this at build
-    /// time so per-slot occupancy maxima and in-flight peaks discovered
-    /// late in a run never allocate.
-    ///
-    /// [`EventQueue::reserve_slot_capacity`]: mpcc_simcore::EventQueue::reserve_slot_capacity
-    pub fn reserve_event_capacity(&mut self, per_slot: usize, drain: usize) {
-        self.events.reserve_slot_capacity(per_slot, drain);
-        self.slab.reserve(drain);
     }
 
     /// Adds a link and returns its handle.

@@ -159,7 +159,7 @@ pub struct ProfileReport {
     pub nanos: [u64; ProfCat::COUNT],
     /// Timer-wheel coarse-slot cascades.
     pub cascades: u64,
-    /// Timer-wheel overflow-heap promotions.
+    /// Timer-wheel overflow-chain promotions.
     pub overflow_promotions: u64,
     /// Occupied wheel slots at snapshot time.
     pub occupied_slots: u32,

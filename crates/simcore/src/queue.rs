@@ -14,14 +14,21 @@
 //! collisions are rare in steady state); each higher level's slot spans the
 //! *whole* of the level below (64× wider), so a level-k slot cascades into
 //! exactly one full sweep of level k−1. Six levels cover ≈ 39 hours of
-//! simulated time; the rare timer beyond that parks in a `BinaryHeap`
-//! overflow until the wheel horizon reaches it.
+//! simulated time; the rare timer beyond that parks in an unordered
+//! overflow chain until the wheel horizon reaches the earliest of them.
 //!
 //! An event at absolute time `at` lives at the lowest level where `at`
 //! shares a slot-aligned window with `wheel_now` (the low edge of the
 //! not-yet-drained future): level selection is a single XOR + leading-zero
 //! count, and one occupancy bit per slot (a `u64` per level) makes finding
 //! the next non-empty slot a mask + trailing-zero count.
+//!
+//! Every wheel and overflow entry is a node in one slab owned by the
+//! queue. A slot is the head of a chain of node indices through that
+//! slab; the links live in their own `u32` array, so walking a chain reads
+//! 4 B per node. Freed nodes go on a LIFO free list, so the next schedule
+//! reuses the node that was just drained, still in cache. A cascade or an
+//! overflow promotion relinks nodes into finer slots without moving them.
 //!
 //! # Determinism argument
 //!
@@ -32,30 +39,32 @@
 //! candidate slot with the smallest start time across all levels — ties
 //! resolved to the *highest* level, so a coarse slot cascades before an
 //! equal-start fine slot drains (otherwise a fine-slot event could pop
-//! before an earlier event still parked one level up). Within a slot,
+//! before an earlier event still parked one level up). A drained slot's
 //! entries are sorted by `(at, seq)` before popping; `seq` never repeats,
-//! so the order is total and identical to the reference heap's.
+//! so the order is total, independent of chain order, and identical to
+//! the reference heap's.
 //!
 //! # Allocation budget
 //!
-//! Steady-state operation is allocation-free: slot vectors and the `ready`
-//! list are drained with `Vec::append` (each slot keeps its capacity; a
-//! cascade appends into a scratch buffer and re-inserts from there), and
-//! `sort_unstable` does not allocate. Only growth beyond a previous
-//! high-water mark allocates.
+//! Steady-state operation is allocation-free: drained nodes are reused
+//! through the free list, `ready` is refilled in place, and
+//! `sort_unstable` does not allocate. The slab grows only past the peak
+//! number of entries parked in the wheel, and `ready` only past the
+//! largest drained slot: both ratchets are bounded by the peak number of
+//! pending events, however many slots a schedule touches.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// log2 of slots per level.
 const SLOT_BITS: u32 = 6;
 /// Slots per wheel level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels; beyond the top level's span events go to the overflow heap.
+/// Wheel levels; beyond the top level's span events go to the overflow chain.
 const LEVELS: usize = 6;
 /// log2 of the level-0 slot width in nanoseconds (2^11 ns ≈ 2 µs).
 const SHIFT0: u32 = 11;
+/// Ends a slot chain and the free list.
+const NIL: u32 = u32::MAX;
 
 /// log2 of the slot width at `level`.
 const fn shift(level: usize) -> u32 {
@@ -85,27 +94,6 @@ struct Entry<E> {
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse for earliest-first ordering.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// A future-event list with stable ordering for simultaneous events.
 pub struct EventQueue<E> {
     /// Timestamp of the last popped event, in ns.
@@ -118,22 +106,31 @@ pub struct EventQueue<E> {
     /// Drained events, sorted *descending* by `(at, seq)`; popped from the
     /// back. Non-empty whenever `len > 0` (so `peek_time` is O(1)).
     ready: Vec<Entry<E>>,
-    /// `LEVELS * SLOTS` buckets, indexed `level * SLOTS + slot`; empty
-    /// until the first entry is filed (see `slots_mut`).
-    slots: Vec<Vec<Entry<E>>>,
+    /// The slab: every wheel and overflow entry, `None` on a free node.
+    nodes: Vec<Option<Entry<E>>>,
+    /// `links[i]`: the node after `i` in its slot chain, the overflow
+    /// chain or the free list (`NIL` ends each).
+    links: Vec<u32>,
+    /// First node of each slot's chain (`NIL` if empty), indexed
+    /// `level * SLOTS + slot`. Built with the first node: a queue that
+    /// never holds an entry neither allocates nor writes it, which keeps
+    /// construction cheap when the memory it lands in is cold.
+    heads: Vec<u32>,
+    /// First node of the free list.
+    free: u32,
+    /// First node of the chain of entries beyond the top level's span.
+    overflow: u32,
+    /// Earliest `at` in the overflow chain (`u64::MAX` if it is empty).
+    overflow_at: u64,
     /// One occupancy bit per slot, per level.
     occupied: [u64; LEVELS],
-    /// Events beyond the top level's span.
-    overflow: BinaryHeap<Entry<E>>,
-    /// Scratch buffer recycled through cascades (retains capacity).
-    scratch: Vec<Entry<E>>,
     popped: u64,
     peak_len: usize,
     clamped: u64,
     /// Coarse-slot cascades performed by `refill` (one u64 increment per
     /// cascade — cheap enough to keep always-on for the self-profiler).
     cascades: u64,
-    /// Entries promoted out of the overflow heap into the wheel.
+    /// Entries promoted out of the overflow chain into the wheel.
     overflow_promoted: u64,
 }
 
@@ -152,10 +149,13 @@ impl<E> EventQueue<E> {
             len: 0,
             wheel_now: 0,
             ready: Vec::new(),
-            slots: Vec::new(),
+            nodes: Vec::new(),
+            links: Vec::new(),
+            heads: Vec::new(),
+            free: NIL,
+            overflow: NIL,
+            overflow_at: u64::MAX,
             occupied: [0; LEVELS],
-            overflow: BinaryHeap::new(),
-            scratch: Vec::new(),
             popped: 0,
             peak_len: 0,
             clamped: 0,
@@ -186,7 +186,15 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
-        self.insert(Entry { at, seq, event });
+        let e = Entry { at, seq, event };
+        if at < self.wheel_now {
+            // Inside the already-drained window: merge into `ready`
+            // (descending order) at its sorted position.
+            let pos = self.ready.partition_point(|x| (x.at, x.seq) > (at, seq));
+            self.ready.insert(pos, e);
+        } else {
+            self.push_node(e);
+        }
         if self.ready.is_empty() {
             self.refill();
         }
@@ -271,7 +279,7 @@ impl<E> EventQueue<E> {
         self.cascades
     }
 
-    /// Entries promoted from the overflow heap into the wheel.
+    /// Entries promoted from the overflow chain into the wheel.
     pub fn overflow_promotions(&self) -> u64 {
         self.overflow_promoted
     }
@@ -282,64 +290,57 @@ impl<E> EventQueue<E> {
         self.occupied.iter().map(|m| m.count_ones()).sum()
     }
 
-    /// Pre-sizes every wheel slot to hold `per_slot` entries and the
-    /// drain/scratch buffers to hold `drain` entries.
-    ///
-    /// Steady-state operation only allocates when a buffer grows past its
-    /// previous high-water mark (see the module docs). Under a stationary
-    /// workload those marks settle during warm-up, but a churning workload
-    /// (connections arriving and departing for the whole run) keeps
-    /// producing rare new per-slot occupancy maxima, so the ratchet never
-    /// fully stops. Reserving a generous bound up front moves the whole
-    /// ratchet to construction time and makes the run allocation-free.
-    pub fn reserve_slot_capacity(&mut self, per_slot: usize, drain: usize) {
-        for s in self.slots_mut() {
-            if s.capacity() < per_slot {
-                s.reserve(per_slot - s.len());
+    /// Stores `e` in the free list's first node (growing the slab by one
+    /// node if it is empty) and links it into its slot.
+    fn push_node(&mut self, e: Entry<E>) {
+        if self.free == NIL {
+            assert!(self.nodes.len() < NIL as usize, "wheel slab is full");
+            if self.heads.is_empty() {
+                self.heads = vec![NIL; LEVELS * SLOTS];
             }
+            self.free = self.nodes.len() as u32;
+            self.nodes.push(None);
+            self.links.push(NIL);
         }
-        if self.ready.capacity() < drain {
-            self.ready.reserve(drain - self.ready.len());
-        }
-        if self.scratch.capacity() < drain {
-            self.scratch.reserve(drain - self.scratch.len());
-        }
+        let (i, at) = (self.free, e.at);
+        self.free = self.links[i as usize];
+        self.nodes[i as usize] = Some(e);
+        self.link(i, at);
     }
 
-    /// Places an entry in the ready list, a wheel slot, or the overflow
-    /// heap, according to its distance from `wheel_now`.
-    fn insert(&mut self, e: Entry<E>) {
-        if e.at < self.wheel_now {
-            // Inside the already-drained window: merge into `ready`
-            // (descending order) at its sorted position.
-            let key = (e.at, e.seq);
-            let pos = self.ready.partition_point(|x| (x.at, x.seq) > key);
-            self.ready.insert(pos, e);
-            return;
-        }
-        let d = e.at ^ self.wheel_now;
-        if d < span(LEVELS - 1) {
-            self.push_slot(level_for(d), e);
+    /// Makes node `i`, due at `at`, the head of its slot's chain at the
+    /// lowest level whose window around `wheel_now` holds it (marking the
+    /// slot occupied), or of the overflow chain beyond the top level's
+    /// span. Returns `true` if it went into the wheel.
+    fn link(&mut self, i: u32, at: u64) -> bool {
+        let d = at ^ self.wheel_now;
+        let in_wheel = d < span(LEVELS - 1);
+        let head = if in_wheel {
+            let level = level_for(d);
+            let slot = ((at >> shift(level)) & (SLOTS as u64 - 1)) as usize;
+            self.occupied[level] |= 1 << slot;
+            &mut self.heads[level * SLOTS + slot]
         } else {
-            self.overflow.push(e);
-        }
+            self.overflow_at = self.overflow_at.min(at);
+            &mut self.overflow
+        };
+        self.links[i as usize] = std::mem::replace(head, i);
+        in_wheel
     }
 
-    /// The slot table, built on first use: constructing a queue neither
-    /// allocates nor writes its 384 slot headers (9 KB), which keeps
-    /// construction cheap when the memory it lands in is cold.
-    fn slots_mut(&mut self) -> &mut [Vec<Entry<E>>] {
-        if self.slots.is_empty() {
-            self.slots = (0..LEVELS * SLOTS).map(|_| Vec::new()).collect();
+    /// Relinks every node of the chain that starts at `i` by its time,
+    /// and returns how many of them went into the wheel.
+    fn relink(&mut self, mut i: u32) -> u64 {
+        let mut in_wheel = 0;
+        while i != NIL {
+            let next = self.links[i as usize];
+            let e = self.nodes[i as usize].as_ref();
+            let at = e.expect("a linked node holds an entry").at;
+            debug_assert!(at >= self.wheel_now);
+            in_wheel += u64::from(self.link(i, at));
+            i = next;
         }
-        &mut self.slots
-    }
-
-    /// Files `e` in its slot at `level` and marks the slot occupied.
-    fn push_slot(&mut self, level: usize, e: Entry<E>) {
-        let slot = ((e.at >> shift(level)) & (SLOTS as u64 - 1)) as usize;
-        self.occupied[level] |= 1 << slot;
-        self.slots_mut()[level * SLOTS + slot].push(e);
+        in_wheel
     }
 
     /// Refills `ready` from the wheel: repeatedly cascades the earliest
@@ -348,15 +349,13 @@ impl<E> EventQueue<E> {
     fn refill(&mut self) {
         debug_assert!(self.ready.is_empty() && self.len > 0);
         loop {
-            // Promote overflow entries the wheel horizon has reached.
-            while let Some(top) = self.overflow.peek() {
-                if top.at ^ self.wheel_now < span(LEVELS - 1) {
-                    let e = self.overflow.pop().expect("peeked");
-                    self.overflow_promoted += 1;
-                    self.push_slot(level_for(e.at ^ self.wheel_now), e);
-                } else {
-                    break;
-                }
+            // Once the wheel horizon reaches the earliest overflow entry,
+            // promote every overflow entry it reaches; the rest relink
+            // into a fresh overflow chain.
+            if self.overflow_at ^ self.wheel_now < span(LEVELS - 1) {
+                let chain = std::mem::replace(&mut self.overflow, NIL);
+                self.overflow_at = u64::MAX;
+                self.overflow_promoted += self.relink(chain);
             }
 
             // The earliest candidate slot among the coarse levels (it
@@ -383,14 +382,22 @@ impl<E> EventQueue<E> {
             let start0 = window0 + (bits0.trailing_zeros() as u64) * slot_width(0);
 
             if bits0 != 0 && start0 < limit {
-                // Drain the earliest level-0 slot into `ready`, newest-last,
-                // then sort descending so the back is the minimum. One slot
-                // at a time keeps the just-drained entries hot in cache for
-                // the pops that immediately consume them (measured faster
-                // than batch-draining every slot below the coarse bound).
+                // Move the earliest level-0 slot's chain into `ready`,
+                // freeing its nodes, then sort descending so the back is
+                // the minimum. One slot at a time keeps the just-drained
+                // entries hot in cache for the pops that immediately
+                // consume them (measured faster than batch-draining every
+                // slot below the coarse bound).
                 let b = bits0.trailing_zeros() as usize;
                 self.occupied[0] &= !(1u64 << b);
-                self.ready.append(&mut self.slots[b]);
+                let mut i = std::mem::replace(&mut self.heads[b], NIL);
+                while i != NIL {
+                    let e = self.nodes[i as usize].take();
+                    self.ready.push(e.expect("a linked node holds an entry"));
+                    let next = std::mem::replace(&mut self.links[i as usize], self.free);
+                    self.free = i;
+                    i = next;
+                }
                 self.wheel_now = start0 + slot_width(0);
                 self.ready
                     .sort_unstable_by_key(|x| std::cmp::Reverse((x.at, x.seq)));
@@ -401,27 +408,19 @@ impl<E> EventQueue<E> {
                 None => {
                     // Wheels empty; jump the horizon to the earliest
                     // overflow entry and promote it next iteration.
-                    let top = self.overflow.peek().expect("len > 0 with empty wheel");
-                    self.wheel_now = top.at & !(slot_width(0) - 1);
+                    assert!(self.overflow != NIL, "len > 0 with empty wheel");
+                    self.wheel_now = self.overflow_at & !(slot_width(0) - 1);
                 }
                 Some((start, level, b)) => {
-                    // Cascade: redistribute the coarse slot into lower
+                    // Cascade: relink the coarse slot's nodes into lower
                     // levels. `start` is aligned to the full span of
-                    // `level - 1`, so every entry re-inserts strictly
-                    // below `level`.
+                    // `level - 1`, so every node relinks strictly below
+                    // `level`, and none into the overflow chain.
                     self.cascades += 1;
                     self.occupied[level] &= !(1 << b);
                     self.wheel_now = self.wheel_now.max(start);
-                    // Append, not swap: the drained slot keeps its own
-                    // capacity, and only `scratch` grows to the largest
-                    // cascade.
-                    self.scratch.append(&mut self.slots[level * SLOTS + b]);
-                    while let Some(e) = self.scratch.pop() {
-                        debug_assert!(e.at >= self.wheel_now);
-                        let d = e.at ^ self.wheel_now;
-                        debug_assert!(d < span(level - 1));
-                        self.push_slot(level_for(d), e);
-                    }
+                    let chain = std::mem::replace(&mut self.heads[level * SLOTS + b], NIL);
+                    self.relink(chain);
                 }
             }
         }
@@ -432,6 +431,30 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use crate::time::SimDuration;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    impl<E> PartialEq for Entry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for Entry<E> {}
+    impl<E> PartialOrd for Entry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for Entry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; reverse for earliest-first ordering.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
 
     /// The original `BinaryHeap` queue, kept verbatim as the reference
     /// model for differential testing: pop order must be identical.
@@ -591,7 +614,7 @@ mod tests {
                         7 | 8 => {
                             now + crate::time::SimDuration::from_nanos(rng.next_u64() % (1 << 45))
                         }
-                        // Beyond the wheel horizon (overflow heap).
+                        // Beyond the wheel horizon (overflow chain).
                         _ => {
                             now + crate::time::SimDuration::from_nanos(
                                 (1 << 47) + rng.next_u64() % (1 << 48),
@@ -624,6 +647,41 @@ mod tests {
                 }
             }
             assert_eq!(wheel.len(), 0);
+
+            // The sparse, deep-cascading pattern on fresh queues, past
+            // t = 2^36 ns, where a window boundary first parks timers at
+            // level 4: chains, relinking cascades and overflow promotions
+            // against the heap, pop for pop.
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            for id in 0..64 {
+                sparse_follow_up(&mut rng, 1, SimTime::ZERO, id, |at, id| {
+                    wheel.schedule(at, id);
+                    heap.schedule(at, id);
+                });
+            }
+            for pops in 1.. {
+                let popped = wheel.pop();
+                assert_eq!(popped, heap.pop(), "sparse pop diverged (seed {seed})");
+                let (now, id) = popped.expect("the timers re-arm");
+                if now.as_nanos() >= (1 << 36) + (1 << 33) {
+                    break;
+                }
+                sparse_follow_up(&mut rng, pops, now, id, |at, id| {
+                    wheel.schedule(at, id);
+                    heap.schedule(at, id);
+                });
+                assert_eq!(wheel.peek_time(), heap.peek_time());
+            }
+            assert_eq!(wheel.overflow_promotions(), 0);
+            loop {
+                let (w, h) = (wheel.pop(), heap.pop());
+                assert_eq!(w, h, "sparse drain diverged (seed {seed})");
+                if w.is_none() {
+                    break;
+                }
+            }
+            assert!(wheel.overflow_promotions() > 0);
         }
     }
 
@@ -665,29 +723,100 @@ mod tests {
     }
 
     #[test]
-    fn cascade_leaves_capacity_with_its_slot() {
+    fn cascade_relinks_nodes_without_growing_storage() {
         let mut q = EventQueue::new();
         // A near event fills `ready`, so the schedules below park in the
         // wheel instead of refilling straight away.
         q.schedule(SimTime::from_nanos(1), u64::MAX);
         // Level-2 slot 3 spans [3, 4) · 2^23 ns; 300 entries 10 ns apart
-        // all land there.
+        // all land there, in 300 nodes (the near event's node was freed
+        // when it drained, and the first schedule took it back).
         let base = 3 * slot_width(2);
         for i in 0..300u64 {
             q.schedule(SimTime::from_nanos(base + 10 * i), i);
         }
-        let slot = 2 * SLOTS + 3;
-        let cap = q.slots[slot].capacity();
-        assert!(cap >= 300);
+        let storage = (q.nodes.len(), q.nodes.capacity(), q.links.capacity());
+        assert_eq!(storage.0, 300);
         assert_eq!(q.pop().unwrap().1, u64::MAX);
-        // Popping the near event refilled `ready` through the cascade.
-        assert!(q.cascades() >= 1);
-        assert!(q.slots[slot].is_empty());
-        assert_eq!(q.slots[slot].capacity(), cap);
-        assert!(q.scratch.capacity() >= 300);
+        // Popping the near event refilled `ready` through the cascade,
+        // which relinked the same nodes into level 0.
+        assert_eq!(q.cascades(), 1);
+        assert_eq!(
+            (q.nodes.len(), q.nodes.capacity(), q.links.capacity()),
+            storage
+        );
         for i in 0..300u64 {
             assert_eq!(q.pop().unwrap().1, i);
         }
+        // Every node is back on the free list: a second cascading round
+        // runs in the same storage.
+        for i in 0..300u64 {
+            q.schedule(SimTime::from_nanos(5 * base + 10 * i), i);
+        }
+        for i in 0..300u64 {
+            assert_eq!(q.pop().unwrap().1, i);
+        }
+        assert_eq!(q.cascades(), 2);
+        assert_eq!(
+            (q.nodes.len(), q.nodes.capacity(), q.links.capacity()),
+            storage
+        );
+    }
+
+    /// Schedules the sparse, deep-cascading pattern's follow-up to its
+    /// `pops`-th pop at `now`: timer `id` re-arms 15–55 ms ahead
+    /// (RTT-scale) or, one time in five, 0.5–1 s ahead (RTO-scale), and
+    /// one pop in 512 also parks a timer past the overflow horizon. Few
+    /// timers share a level-0 slot, and the far ones park at levels 2 and
+    /// 3 and cascade down through every level below.
+    fn sparse_follow_up(
+        rng: &mut SimRng,
+        pops: u64,
+        now: SimTime,
+        id: u64,
+        mut schedule: impl FnMut(SimTime, u64),
+    ) {
+        let ns = if rng.next_u64().is_multiple_of(5) {
+            500_000_000 + rng.next_u64() % 500_000_000
+        } else {
+            15_000_000 + rng.next_u64() % 40_000_000
+        };
+        schedule(now + SimDuration::from_nanos(ns), id);
+        if pops.is_multiple_of(512) {
+            let far = span(LEVELS - 1) + rng.next_u64() % (1 << 40);
+            schedule(now + SimDuration::from_nanos(far), u64::MAX);
+        }
+    }
+
+    /// The wheel's entry storage follows the peak number of pending
+    /// events, however many distinct slots a sparse schedule touches over
+    /// four level-3 rotations (2^35 ns each).
+    #[test]
+    fn sparse_cascading_schedule_keeps_storage_within_twice_peak() {
+        let mut rng = SimRng::seed_from_u64(0x5EA5);
+        let mut q = EventQueue::new();
+        for id in 0..64 {
+            sparse_follow_up(&mut rng, 1, SimTime::ZERO, id, |at, id| q.schedule(at, id));
+        }
+        for pops in 1.. {
+            let (now, id) = q.pop().expect("the timers re-arm");
+            if now.as_nanos() >= 4 << 35 {
+                break;
+            }
+            sparse_follow_up(&mut rng, pops, now, id, |at, id| q.schedule(at, id));
+            assert!(
+                q.nodes.capacity() <= 2 * q.peak_len(),
+                "slab capacity {} for a peak of {} pending events",
+                q.nodes.capacity(),
+                q.peak_len()
+            );
+        }
+        assert!(q.cascades() > 1_000, "{} cascades", q.cascades());
+        assert!(
+            q.len() > 64 + 50,
+            "{} pending, 64 of them re-arming",
+            q.len()
+        );
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Proves the simulator's steady-state per-packet path is allocation-free.
+//! Proves the simulator's steady-state per-packet path is allocation-free,
+//! and bounds the heap a finished transfer keeps.
 //!
 //! A counting wrapper around the system allocator tallies every
-//! `alloc`/`realloc` call. After a warm-up phase (connection establishment,
-//! container growth to the flow's high-water marks), hundreds of thousands
-//! of data-packet round trips — send, link queueing, delivery, ACK
-//! generation, SACK/scoreboard processing, loss detection,
-//! congestion-control update — must complete without a single heap
-//! allocation: every hot-path container (timer-wheel slots, link queues,
-//! range sets, the scoreboard deque, recycled ACK and loss buffers)
-//! retains and reuses its capacity.
+//! `alloc`/`realloc` call and the bytes live at any moment. After a
+//! warm-up phase (connection establishment, container growth to the
+//! flow's high-water marks), hundreds of thousands of data-packet round
+//! trips — send, link queueing, delivery, ACK generation, SACK/scoreboard
+//! processing, loss detection, congestion-control update — must complete
+//! without a single heap allocation: every hot-path container (the event
+//! queue's slab, link queues, range sets, the scoreboard deque, recycled
+//! ACK and loss buffers) retains and reuses its capacity.
 //!
 //! The test lives in its own integration-test binary so no other test's
 //! allocations can race with the measurement window.
@@ -19,34 +20,40 @@ use mpcc_netsim::topology::uniform_parallel_links;
 use mpcc_simcore::{SimDuration, SimTime};
 use mpcc_transport::{MpReceiver, MpSender, MultipathCc, SchedulerKind, SenderConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Both tests share the one global allocation counter, so they must not
-/// run concurrently — each takes this lock around its measurement.
+/// The tests share the global allocation counters, so they must not run
+/// concurrently — each takes this lock around its measurement.
 static MEASUREMENT: Mutex<()> = Mutex::new(());
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, by every thread of the process.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -89,22 +96,14 @@ fn assert_steady_state_is_allocation_free(cc: Box<dyn MultipathCc>, scheduler: S
     let cfg = SenderConfig::bulk(recv, paths).with_scheduler(scheduler);
     let sender = sim.add_endpoint(Box::new(MpSender::new(cfg, cc)));
 
-    // Warm-up must cover every container's high-water mark:
-    //  * the controller's longest cycle. For Reno that is one full
-    //    congestion-avoidance sawtooth (the climb from the post-overshoot
-    //    backoff to the next buffer-overflow loss takes ~23 sim-seconds
-    //    at this BDP); MPCC leaves slow start within seconds and then
-    //    cycles through probing and moving every few RTTs. And
-    //  * one full rotation of the level-3 timer-wheel slots. Wheel level
-    //    is chosen by XOR distance, so each 2^29 ns window boundary
-    //    parks the next ~537 ms of timers in a level-3 slot until they
-    //    cascade down; all 64 such slots are first touched over one
-    //    2^35 ns (~34.4 s) rotation.
-    //
-    // The measurement window then stops short of t = 2^36 ns (~68.7 s),
-    // where a level-4 slot would see its first-ever event and legitimately
-    // allocate its backing vector (those rotations take ~36 minutes to
-    // complete; excluding them is what "steady state" means here).
+    // Warm-up must cover every container's high-water mark, which the
+    // controller's longest cycle sets: for Reno one full
+    // congestion-avoidance sawtooth (the climb from the post-overshoot
+    // backoff to the next buffer-overflow loss takes ~23 sim-seconds at
+    // this BDP); MPCC leaves slow start within seconds and then cycles
+    // through probing and moving every few RTTs. The event queue's slab
+    // follows the number of pending events, not the wheel slots they
+    // land in, so no rotation of the wheel needs covering.
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(40));
     let delivered_warm = sim.endpoint::<MpSender>(sender).data_acked();
     let events_warm = sim.events_processed();
@@ -128,15 +127,88 @@ fn assert_steady_state_is_allocation_free(cc: Box<dyn MultipathCc>, scheduler: S
         delta, 0,
         "steady-state round trips allocated {delta} times over {events} events"
     );
+
+    // A second window across t = 2^36 ns (~68.7 s), where a window
+    // boundary first parks timers in level-4 slot 2 of the wheel.
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    sim.run_until(SimTime::ZERO + SimDuration::from_secs(75));
+    let delta = ALLOC_CALLS.load(Ordering::SeqCst) - before;
+    let events = sim.events_processed() - events_warm - events;
+    assert_eq!(
+        delta, 0,
+        "crossing t = 2^36 ns allocated {delta} times over {events} events"
+    );
+}
+
+/// Heap a finished transfer keeps while its `Simulation` lives: one
+/// 8 MB `mpcc-loss` transfer, seed 1, on the `faulted-wifi-lte`
+/// benchmark's links — the `handover` WiFi/LTE pair, WiFi with CI's fault
+/// mix and an 800 ms flap every 10 s from 3 s — with the metrics pipeline
+/// attached. The event queue's storage follows its peak number of pending
+/// events; when each of the wheel's 384 slots kept the capacity of its own
+/// busiest moment, this transfer kept about 283 KB.
+#[test]
+fn finished_faulted_transfer_retains_bounded_heap() {
+    use mpcc_experiments::protocols;
+    use mpcc_netsim::topology::parallel_links;
+    use mpcc_netsim::FaultPlan;
+    use mpcc_simcore::Rate;
+    use mpcc_telemetry::{LayerMask, MetricsPipeline, PipelineConfig, Tracer};
+    use std::sync::Arc;
+
+    const CEILING_BYTES: i64 = 160_000;
+    const FAULTS: &str =
+        "reorder:p=0.05,extra=10ms;dup:p=0.02;burst:enter=0.003,exit=0.3,loss=0.5;\
+                          flap:at=3s,down=800ms,period=10s,count=1000";
+    let _serial = MEASUREMENT.lock().unwrap_or_else(|e| e.into_inner());
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    let wifi = LinkParams {
+        capacity: Rate::from_mbps(30.0),
+        delay: SimDuration::from_millis(15),
+        buffer: 120_000,
+        random_loss: 0.003,
+        faults: FaultPlan::parse(FAULTS).expect("the fault mix parses"),
+    };
+    let lte = LinkParams {
+        capacity: Rate::from_mbps(18.0),
+        delay: SimDuration::from_millis(55),
+        buffer: 600_000,
+        random_loss: 0.008,
+        faults: FaultPlan::NONE,
+    };
+    let mut net = parallel_links(1, &[wifi, lte]);
+    let paths = (0..2).map(|i| net.path(i)).collect();
+    let mut sim = net.sim;
+    let pipe = MetricsPipeline::new(PipelineConfig::default(), false, Box::new(std::io::sink()));
+    sim.set_tracer(Tracer::new(Arc::new(pipe), LayerMask::ALL));
+    let recv = sim.add_endpoint(Box::new(MpReceiver::paper_default()));
+    let cfg = SenderConfig::file(recv, paths, 8_000_000)
+        .with_scheduler(protocols::scheduler_for("mpcc-loss"));
+    let cc = protocols::make("mpcc-loss", 1);
+    let sender = sim.add_endpoint(Box::new(MpSender::new(cfg, cc)));
+    while !sim.endpoint::<MpSender>(sender).is_complete() && sim.now() < SimTime::from_secs(900) {
+        sim.run_for(SimDuration::from_millis(100));
+    }
+    assert!(
+        sim.endpoint::<MpSender>(sender).is_complete(),
+        "the transfer must finish"
+    );
+
+    let retained = LIVE_BYTES.load(Ordering::SeqCst) - before;
+    assert!(
+        retained <= CEILING_BYTES,
+        "a finished transfer retains {retained} B of heap (peak queue {} events)",
+        sim.peak_queue_len()
+    );
 }
 
 /// Steady-state *connection churn* must also be allocation-free: creating
 /// and destroying connections mid-run recycles endpoint boxes through the
 /// per-shard pools (`MpSender::reset_for_reuse`), lists the endpoints an
 /// epoch dispatched to in a reused buffer, and reuses every
-/// engine container (epoch outboxes, canonical dispatch batch, wheel
-/// slots). After a warm-up long enough to touch every level-3 wheel slot
-/// and reach peak concurrency, a window of hundreds of connection
+/// engine container (epoch outboxes, canonical dispatch batch, the event
+/// queue's slab). After a warm-up long enough to reach peak concurrency,
+/// a window of hundreds of connection
 /// lifetimes — install, slow-start, completion, retirement, box reuse —
 /// must not allocate once. Runs on the two-shard engine so the
 /// cross-shard handoff path is inside the measurement.
@@ -147,9 +219,8 @@ fn churn_steady_state_does_not_allocate() {
     let _serial = MEASUREMENT.lock().unwrap_or_else(|e| e.into_inner());
     // 1500 connections arriving over 55 s (~27/s): the same Poisson/
     // bounded-Pareto workload as the `churn` scenario, small enough for a
-    // debug-build test, long enough that the 40 s warm-up sees every
-    // wheel rotation and concurrency high-water mark (see the rotation
-    // notes in the first test; the window again stays short of 2^36 ns).
+    // debug-build test, long enough that the 40 s warm-up sees its
+    // concurrency high-water marks.
     let cfg = ChurnConfig::small(11, 2, 1_500, 55);
     let mut run = churn::build(&cfg);
     run.sim.set_threaded(false);
@@ -211,8 +282,7 @@ fn metrics_pipeline_at_default_cadence_allocates_boundedly() {
     let cfg = SenderConfig::bulk(recv, paths).with_scheduler(SchedulerKind::Default);
     let sender = sim.add_endpoint(Box::new(MpSender::new(cfg, Box::new(reno()))));
 
-    // Same warm-up/window split as the zero-alloc test (see the wheel
-    // rotation notes there).
+    // Same warm-up/window split as the zero-alloc test.
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(40));
     let lines_warm = pipe.lines_written();
     assert!(
